@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .modal import HorizonError
+
 
 class DichotomyViolationError(RuntimeError):
     """Real parts of an exponent pair are not uniformly separated."""
@@ -32,10 +34,6 @@ class NeedsLargerStartError(RuntimeError):
     def __init__(self, message, estimated_tail):
         super().__init__(message)
         self.estimated_tail = estimated_tail
-
-
-class HorizonError(RuntimeError):
-    """The requested construction did not settle within the horizon."""
 
 
 @dataclass(frozen=True)

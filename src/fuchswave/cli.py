@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .experiments import ConfigError, ExperimentConfig, persist, run_experiment
@@ -79,8 +78,6 @@ def build_parser():
         p.add_argument("--out", help="output directory for manifest + CSVs")
         p.add_argument("--strict", action="store_true",
                        help="escalate resolution warnings to errors")
-        p.add_argument("--threads", type=int,
-                       help="worker threads (default: FUCHSWAVE_THREADS or 1)")
     return parser
 
 
@@ -109,10 +106,6 @@ def _assemble_config(args):
         val = getattr(args, flag)
         if val is not None:
             raw.setdefault(path[0], {})[path[1]] = val
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("FUCHSWAVE_THREADS", "1"))
-    raw["threads"] = threads
     if args.strict:
         raw["strict"] = True
     return ExperimentConfig.from_dict(raw)
@@ -147,16 +140,15 @@ def run_cli(argv):
     try:
         cfg = _assemble_config(args)
         record = run_experiment(cfg)
+        _print_record(record)
+        if args.out:
+            print(f"wrote {persist(record, args.out)}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure, not a verdict
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _print_record(record)
-    if args.out:
-        path = persist(record, args.out)
-        print(f"wrote {path}")
     if record.verdicts and not record.all_pass:
         return 2
     return 0

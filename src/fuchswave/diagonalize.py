@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson, solve_ivp
 
-from .modal import FundamentalMatrix, spectral_norm
+from .modal import FundamentalMatrix, HorizonError, spectral_norm
 from .zones import theta
 
 SQRT2 = math.sqrt(2.0)
@@ -54,10 +54,6 @@ class KTooLargeError(ValueError):
 
 class ZoneConstantError(RuntimeError):
     """N_k is not safely invertible at the requested point."""
-
-
-class HorizonError(RuntimeError):
-    pass
 
 
 # --- jet-matrix helpers: arrays of shape (order+1, 2, 2, nt) ---------------
@@ -229,10 +225,6 @@ class DiagonalizationStage:
         G = np.moveaxis(F_extra, -1, 0) - np.matmul(_inv2(np.moveaxis(N, -1, 0)),
                                                     np.moveaxis(B, -1, 0))
         return G if np.ndim(t) else G[0]
-
-    def n_k_inverse_ok_from(self, candidates=None):
-        """Minimal sampled zone constant making N_k safely invertible."""
-        return min_zone_constant(self, candidates=candidates)
 
     def operator_identity_residual(self, t, xi, h=None):
         """Defect of (D_t - D - B - C) N_k - N_k (D_t - D - F_{k-1}) - B^(k)

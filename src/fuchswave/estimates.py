@@ -16,6 +16,7 @@ import numpy as np
 
 from . import modal, zones
 from .coeffs import REAL_LARGE, RegimeUnsupportedError, classify_regime
+from .modal import HorizonError
 
 SURFACE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -37,12 +38,6 @@ class SupportError(ValueError):
 
 class OutOfScopeError(ValueError):
     pass
-
-
-class HorizonError(RuntimeError):
-    def __init__(self, message, last_increment=None):
-        super().__init__(message)
-        self.last_increment = last_increment
 
 
 # --------------------------------------------------------------------------
@@ -155,14 +150,14 @@ def _check_resolution(u0, u1, r, n_dim, tol=0.01):
 
 
 def energy_trace(model, config, data_spec, freq_grid, times, n_dim=1,
-                 rtol=1e-10, threads=1):
+                 rtol=1e-10):
     """Evolve every frequency with the reference oracle and collect the
     L2-over-frequency norms of the solution components."""
     r = np.asarray(freq_grid, dtype=float)
     times = np.asarray(times, dtype=float)
     u0, u1 = data_spec.sample(r)
     _check_resolution(u0, u1, r, n_dim)
-    u, v = modal.evolve_state(model, r, u0, u1, times, rtol=rtol, threads=threads)
+    u, v = modal.evolve_state(model, r, u0, u1, times, rtol=rtol)
 
     values = np.empty(times.size)
     u_over = np.empty(times.size)
@@ -232,7 +227,7 @@ class SharpnessReport:
 
 
 def sharpness_limit(model, config, data_spec, freq_grid, horizon=1e4, n_dim=1,
-                    rtol=1e-10, threads=1):
+                    rtol=1e-10):
     """For data supported in |xi| > N the rescaled energy
     lam(t)^2 (||grad u||^2 + ||u_t||^2) must settle at a positive limit."""
     lo, _ = data_spec.support_interval()
@@ -243,8 +238,7 @@ def sharpness_limit(model, config, data_spec, freq_grid, horizon=1e4, n_dim=1,
     if np.any((r <= config.N) & ((np.abs(u0) > 0) | (np.abs(u1) > 0))):
         raise SupportError("sampled data leaks below the zone constant")
     times = np.unique(np.concatenate([[0.0], np.geomspace(1.0, horizon, 41)]))
-    trace = energy_trace(model, config, data_spec, r, times, n_dim=n_dim,
-                         rtol=rtol, threads=threads)
+    trace = energy_trace(model, config, data_spec, r, times, n_dim=n_dim, rtol=rtol)
     lam = model.lam(times)
     scaled = lam ** 2 * (trace.grad ** 2 + trace.ut ** 2)
     last = times >= horizon / 10.0
@@ -291,8 +285,7 @@ def moment_parameters(model, n_dim, slack=0.1):
     return kappa, kappa_prime, zero_order
 
 
-def moment_experiment(model, config, n_dim=1, window=DEFAULT_WINDOW,
-                      rtol=1e-9, threads=1):
+def moment_experiment(model, config, n_dim=1, window=DEFAULT_WINDOW, rtol=1e-9):
     """Generic low-frequency data decays at the slow-zone exponent Re(mu+);
     data whose Fourier transform vanishes to the required order at xi = 0
     recovers the oscillatory-zone rate -b0/2."""
@@ -312,8 +305,8 @@ def moment_experiment(model, config, n_dim=1, window=DEFAULT_WINDOW,
     grid_g = grid_for_data(generic, lo=c / 50.0, hi=4.0 * N, n_points=128)
     grid_m = grid_for_data(momentful, lo=1e-5 * N, hi=4.0 * N, n_points=192)
 
-    tr_g = energy_trace(model, config, generic, grid_g, times, n_dim, rtol, threads)
-    tr_m = energy_trace(model, config, momentful, grid_m, times, n_dim, rtol, threads)
+    tr_g = energy_trace(model, config, generic, grid_g, times, n_dim, rtol)
+    tr_m = energy_trace(model, config, momentful, grid_m, times, n_dim, rtol)
     fit_g = fit_decay(times, tr_g.values, window, predicted=cls.mu_plus.real)
     fit_m = fit_decay(times, tr_m.values, window, predicted=-model.b0 / 2.0)
 
@@ -355,33 +348,13 @@ def _check_scattering_regime(model):
                 "sigma > 1 needs b0(b0-2) <= 4 m0 < (b0-1)^2")
 
 
-def _basis_evolution(model, r, times, rtol):
-    """Columns of the unweighted fundamental matrix Phi(t,0) for every mode,
-    from one evolve_state call: each frequency enters twice, with data (1,0)
-    and (0,1), so both columns share every octave band's adaptive steps."""
-    r = np.asarray(r, dtype=float)
-    n = r.size
-    u0, u1 = np.repeat(np.eye(2, dtype=complex), n, axis=1)
-    u, v = modal.evolve_state(model, np.tile(r, 2), u0, u1, times, rtol=rtol)
-    return u[:, :n], v[:, :n], u[:, n:], v[:, n:]
-
-
-def _wave_operator_samples(model, config, r, times, rtol=1e-9, basis=None):
+def _wave_operator_samples(model, config, r, times, Phi):
     """W(t_j, xi) = lam(t_j) E_fr(t_j)^{-1} E(t_j, 0, xi) for every frequency,
-    from one batched evolution of both basis columns."""
-    r = np.asarray(r, dtype=float)
-    ua, va, ub, vb = _basis_evolution(model, r, times, rtol) if basis is None else basis
-    h_t = zones.sharp_weight(config, times[:, None], r[None, :])
-    h_0 = zones.sharp_weight(config, 0.0, r)
-    E = np.empty((times.size, r.size, 2, 2), dtype=complex)
-    E[..., 0, 0] = h_t / h_0 * ua
-    E[..., 0, 1] = 1j * h_t * ub
-    E[..., 1, 0] = -1j / h_0 * va
-    E[..., 1, 1] = vb
+    from the unweighted fundamental matrices Phi(t_j, 0, xi)."""
+    E = modal.weight_conjugation(config, r, times, Phi)
     Efr_inv = free_micro_propagator(-times, r)
     lam = np.asarray(model.lam(times))
-    W = lam[:, None, None, None] * np.matmul(Efr_inv, E)
-    return W
+    return lam[:, None, None, None] * np.matmul(Efr_inv, E)
 
 
 @dataclass
@@ -406,7 +379,8 @@ def scattering_operator(model, config, freq_samples, horizon=1e5, tol=1e-3,
     if np.any(r < eps):
         raise ValueError(f"samples must satisfy |xi| >= {eps}")
     times = 2.0 ** np.arange(0, int(math.floor(math.log2(horizon))) + 1)
-    W = _wave_operator_samples(model, config, r, times, rtol=rtol)
+    Phi = modal.state_propagator_checkpoints(model, r, times, rtol=rtol, atol=rtol * 1e-6)
+    W = _wave_operator_samples(model, config, r, times, Phi)
     inc = np.linalg.norm(np.diff(W, axis=0), ord=2, axis=(2, 3))  # (nt-1, nr)
     conv = np.full(r.size, np.nan)
     for j in range(r.size):
@@ -445,8 +419,9 @@ def scattering_residual(model, config, data_spec, freq_grid, horizon=1e4,
     n_dbl = int(math.floor(math.log2(horizon)))
     times = 2.0 ** np.arange(0, n_dbl + 1)
     w_times = 2.0 ** np.arange(0, n_dbl + int(round(math.log2(w_horizon_factor))) + 1)
-    basis = _basis_evolution(model, r, w_times, rtol)
-    Wall = _wave_operator_samples(model, config, r, w_times, rtol=rtol, basis=basis)
+    Phi = modal.state_propagator_checkpoints(model, r, w_times, rtol=rtol,
+                                             atol=rtol * 1e-6)
+    Wall = _wave_operator_samples(model, config, r, w_times, Phi)
     W_plus = Wall[-1]
     w_inc = np.linalg.norm(Wall[-1] - Wall[-2], ord=2, axis=(1, 2))
 
@@ -454,11 +429,10 @@ def scattering_residual(model, config, data_spec, freq_grid, horizon=1e4,
     U0 = np.stack([h0 * u0, -1j * u1], axis=-1)
     V0 = np.einsum("rij,rj->ri", W_plus, U0)
 
-    # u-evolution at the residual checkpoints, reusing the basis runs
-    ua, va, ub, vb = basis
+    # u-evolution at the residual checkpoints, reusing the basis run
     nt = times.size
-    u = ua[:nt] * u0 + ub[:nt] * u1
-    v = va[:nt] * u0 + vb[:nt] * u1
+    u = Phi[:nt, :, 0, 0] * u0 + Phi[:nt, :, 0, 1] * u1
+    v = Phi[:nt, :, 1, 0] * u0 + Phi[:nt, :, 1, 1] * u1
     lam = np.asarray(model.lam(times))
     Efr = free_micro_propagator(times, r)
     V = np.einsum("trij,rj->tri", Efr, V0)
@@ -502,7 +476,7 @@ def lp_lq_rate(model, p, n_dim):
 
 
 def improved_u_bound(model, config, data_spec, freq_grid, n_dim=1,
-                     window=DEFAULT_WINDOW, rtol=1e-9, threads=1):
+                     window=DEFAULT_WINDOW, rtol=1e-9):
     """Fit of ||u(t,.)||_{L2}: under the sigma = 1 hypotheses with
     delta = 1 + b0/2 + Re(mu+) > 0 the exponent must not exceed 1 + Re(mu+)."""
     if model.sigma != 1.0:
@@ -512,7 +486,6 @@ def improved_u_bound(model, config, data_spec, freq_grid, n_dim=1,
     if delta <= 0.0:
         raise OutOfScopeError(f"needs 1 + b0/2 + Re(mu+) > 0, got {delta:g}")
     times = np.geomspace(1.0, window[1], 61)
-    trace = energy_trace(model, config, data_spec, freq_grid, times, n_dim,
-                         rtol=rtol, threads=threads)
+    trace = energy_trace(model, config, data_spec, freq_grid, times, n_dim, rtol=rtol)
     return fit_decay(times, trace.u_norm, window, predicted=1.0 + cls.mu_plus.real,
                      one_sided=True)

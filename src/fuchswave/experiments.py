@@ -46,8 +46,10 @@ _DATA_KEYS = {"kind", "width", "center", "zero_order", "support", "path",
               "amp0", "amp1"}
 _GRID_KEYS = {"n_dim", "points_per_dim", "box_length"}
 _TOP_KEYS = {"schema", "experiment", "model", "zone", "data", "grid", "n_dim",
-             "times", "tolerances", "sweep_cells", "freq_samples", "threads",
-             "strict", "seed", "xi", "steps"}
+             "times", "tolerances", "sweep_cells", "freq_samples", "strict",
+             "seed", "xi", "steps"}
+# accepted and ignored: never changed a result; older manifests carry it
+_IGNORED_KEYS = {"threads"}
 
 
 def _reject_unknown(d, allowed, where):
@@ -70,7 +72,6 @@ class ExperimentConfig:
     fit_tol: float = 0.05
     sweep_cells: tuple = DEFAULT_SWEEP_CELLS
     freq_samples: tuple = ()
-    threads: int = 1
     strict: bool = False
     seed: int = 20240901
     xi: float = 1e-4
@@ -80,7 +81,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        _reject_unknown(d, _TOP_KEYS, "config")
+        _reject_unknown(d, _TOP_KEYS | _IGNORED_KEYS, "config")
         if d.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema {d.get('schema')!r}")
         exp = d.get("experiment")
@@ -118,7 +119,6 @@ class ExperimentConfig:
             fit_tol=float(tols.get("fit", 0.05)),
             sweep_cells=tuple(tuple(c) for c in d.get("sweep_cells", DEFAULT_SWEEP_CELLS)),
             freq_samples=tuple(d.get("freq_samples", ())),
-            threads=int(d.get("threads", 1)),
             strict=bool(d.get("strict", False)),
             seed=int(d.get("seed", 20240901)),
             xi=float(d.get("xi", 1e-4)),
@@ -137,7 +137,6 @@ class ExperimentConfig:
             "tolerances": {"rtol": self.rtol, "fit": self.fit_tol},
             "sweep_cells": [list(c) for c in self.sweep_cells],
             "freq_samples": list(self.freq_samples),
-            "threads": self.threads,
             "strict": self.strict,
             "seed": self.seed,
             "xi": self.xi,
@@ -180,10 +179,6 @@ class ResultRecord:
 # Experiments
 # --------------------------------------------------------------------------
 
-def _doubling_times(t_final):
-    return 2.0 ** np.arange(0, int(math.floor(math.log2(t_final))) + 1)
-
-
 def run_classify(cfg):
     cls = classify_regime(cfg.model)
     outputs = {
@@ -204,7 +199,7 @@ def run_simulate(cfg):
     times = np.unique(np.concatenate([[0.0], np.geomspace(1.0, cfg.t_final,
                                                           cfg.checkpoints - 1)]))
     trace = simulate_fields(cfg.model, cfg.zone, cfg.grid, cfg.data, times,
-                            rtol=cfg.rtol, strict=cfg.strict, threads=cfg.threads)
+                            rtol=cfg.rtol, strict=cfg.strict)
     rows = np.column_stack([trace.times, trace.u_over_1pt, trace.grad,
                             trace.ut, trace.energy])
     outputs = {"warnings": trace.warnings,
@@ -280,8 +275,7 @@ def run_scatter(cfg):
 
 def run_moments(cfg):
     cmp = estimates.moment_experiment(cfg.model, cfg.zone, n_dim=cfg.n_dim,
-                                      window=(1e2, cfg.t_final), rtol=cfg.rtol,
-                                      threads=cfg.threads)
+                                      window=(1e2, cfg.t_final), rtol=cfg.rtol)
     verdicts = {"generic_rate": cmp.generic_fit.verdict,
                 "moment_rate": cmp.moment_fit.verdict}
     outputs = {
@@ -368,7 +362,7 @@ def run_hw(cfg):
     decreasing = bool(np.all(np.diff(_decade_maxima(ts[ts >= math.sqrt(cfg.t_final)],
                                                     tail_norms)) <= 0))
     verdicts = {
-        "diag_zero": diag_N == 0.0,
+        "diag_zero": bool(diag_N == 0.0),
         "norm_decreasing": decreasing,
         "tail_reduction": l1_tail <= 0.1 * sigma_tail,
     }

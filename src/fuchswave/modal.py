@@ -36,10 +36,21 @@ DEFAULT_RTOL = 1e-10  # relative, per unit log-time of the integration span
 
 
 class StiffnessError(RuntimeError):
+    """An integration stopped short: t is the last checkpoint it reached, xi
+    the frequency (the largest of a band)."""
+
     def __init__(self, message, t=None, xi=None):
         super().__init__(f"{message} (t={t}, xi={xi})")
         self.t = t
         self.xi = xi
+
+
+class HorizonError(RuntimeError):
+    """A construction or limit did not settle within the horizon it was given."""
+
+    def __init__(self, message, last_increment=None):
+        super().__init__(message)
+        self.last_increment = last_increment
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,27 @@ def liouville_modulus(sys, s, t):
 # Unweighted scalar oracle, vectorised over frequencies
 # ---------------------------------------------------------------------------
 
+def _solve_modes(b, m, xi, y0, times, rtol, atol):
+    """One DOP853 solve of u'' + b(t) u' + (xi^2 + m(t)) u = 0 for a stack of
+    modes, state y = (u_1..u_n, u'_1..u'_n) from t = 0.  b(t) and m(t) return
+    either a scalar shared by every mode (one model) or one value per mode.
+    Returns u and u' at the checkpoint times, each of shape (len(times), n)."""
+    n = xi.size
+    neg_xi2 = -xi ** 2  # neg_xi2 - m equals -(xi^2 + m) exactly
+
+    def rhs(t, y):
+        u = y[:n]
+        v = y[n:]
+        return np.concatenate((v, (neg_xi2 - m(t)) * u - b(t) * v))
+
+    sol = solve_ivp(rhs, (0.0, float(times[-1])), y0, method="DOP853",
+                    t_eval=times, rtol=rtol, atol=atol)
+    if not sol.success:
+        raise StiffnessError(sol.message, t=float(sol.t[-1]) if sol.t.size else 0.0,
+                             xi=float(xi.max()))
+    return sol.y[:n].T, sol.y[n:].T
+
+
 def _band_slices(xi):
     """Group frequency indices into octave bands so one adaptive integration
     serves modes with comparable oscillation rates."""
@@ -193,7 +225,7 @@ def _band_slices(xi):
     return bands
 
 
-def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None, threads=1):
+def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
     """Evolve (u_hat, u_hat') for every frequency; returns arrays of shape
     (len(times), len(xi)).  Zero-data modes are skipped, live modes are
     normalised to unit initial size (linearity) so the absolute-error floor
@@ -214,75 +246,61 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None, threads
     if live.size == 0:
         return u_out, v_out
     scale = np.maximum(np.abs(u0), np.abs(u1))
-
-    def run_band(idx):
-        xb = xi[idx]
-        neg_xb2 = -xb ** 2  # neg_xb2 - m equals -(xi^2 + m) exactly
-        n = idx.size
-
-        def rhs(t, y):
-            u = y[:n]
-            v = y[n:]
-            mt = float(model.m(t))
-            bt = float(model.b(t))
-            return np.concatenate((v, (neg_xb2 - mt) * u - bt * v))
-
+    for band in _band_slices(xi[live]):
+        idx = live[band]
         y0 = np.concatenate((u0[idx] / scale[idx], u1[idx] / scale[idx]))
-        sol = solve_ivp(rhs, (0.0, float(times[-1])), y0, method="DOP853",
-                        t_eval=times, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise StiffnessError(sol.message, t=None, xi=float(xb.max()))
-        return idx, sol.y[:n].T * scale[idx], sol.y[n:].T * scale[idx]
-
-    bands = _band_slices(xi[live])
-    jobs = [live[b] for b in bands]
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_band, jobs))
-    else:
-        results = [run_band(j) for j in jobs]
-    for idx, ub, vb in results:
-        u_out[:, idx] = ub
-        v_out[:, idx] = vb
+        u, v = _solve_modes(model.b, model.m, xi[idx], y0, times, rtol, atol)
+        u_out[:, idx] = u * scale[idx]
+        v_out[:, idx] = v * scale[idx]
     return u_out, v_out
 
 
-def state_propagator_checkpoints(model, xi, times, rtol=DEFAULT_RTOL, s=0.0):
-    """Fundamental matrix Phi(t,s) of X' = [[0,1],[-(xi^2+m),-b]] X at the
-    checkpoint times; shape (len(times), 2, 2)."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-
-    def rhs(t, y):
-        mt = float(model.m(t))
-        bt = float(model.b(t))
-        P = y.reshape(2, 2)
-        return np.vstack((P[1], -(xi ** 2 + mt) * P[0] - bt * P[1])).ravel()
-
-    sol = solve_ivp(rhs, (float(s), float(times[-1])), np.eye(2, dtype=complex).ravel(),
-                    method="DOP853", t_eval=times, rtol=rtol, atol=rtol * 1e-4)
-    if not sol.success:
-        raise StiffnessError(sol.message, t=None, xi=xi)
-    return sol.y.T.reshape(-1, 2, 2)
+def _fundamental(u, v):
+    """Phi(t,0) per mode, shape (len(times), n, 2, 2), from the solutions u, v
+    of 2n modes whose first n start at (1, 0) and the next n at (0, 1)."""
+    n = u.shape[1] // 2
+    Phi = np.empty((u.shape[0], n, 2, 2), dtype=complex)
+    Phi[..., 0, 0], Phi[..., 0, 1] = u[:, :n], u[:, n:]
+    Phi[..., 1, 0], Phi[..., 1, 1] = v[:, :n], v[:, n:]
+    return Phi
 
 
-def weighted_propagator(model, config, xi, times, rtol=DEFAULT_RTOL, s=0.0):
-    """Cross-zone propagator of the micro-energy with the sharp weight
-    h(t) = max(N/(1+t), xi): E(t,s) = T(t) Phi(t,s) T(s)^-1, T = diag(h, -i).
+def state_propagator_checkpoints(model, xi, times, rtol=DEFAULT_RTOL, atol=None):
+    """Fundamental matrix Phi(t,0) of X' = [[0,1],[-(xi^2+m),-b]] X for every
+    frequency in xi at the checkpoint times; shape (len(times), len(xi), 2, 2).
+    Each frequency enters evolve_state twice, with data (1,0) and (0,1), so both
+    columns share every octave band's adaptive steps."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    atol = rtol * 1e-4 if atol is None else atol
+    u0, u1 = np.repeat(np.eye(2, dtype=complex), xi.size, axis=1)
+    u, v = evolve_state(model, np.tile(xi, 2), u0, u1, times, rtol=rtol, atol=atol)
+    return _fundamental(u, v)
+
+
+def weight_conjugation(config, xi, times, Phi):
+    """Micro-energy propagator E(t,0) = T(t) Phi(t,0) T(0)^-1 with T = diag(h, -i)
+    and the sharp weight h(t) = max(N/(1+t), xi), for Phi of shape
+    (len(times), n, 2, 2) and xi one frequency or one per mode."""
+    h_t = sharp_weight(config, times[:, None], xi)
+    h_0 = sharp_weight(config, 0.0, xi)
+    E = np.empty_like(Phi)
+    E[..., 0, 0] = h_t / h_0 * Phi[..., 0, 0]
+    E[..., 0, 1] = 1j * h_t * Phi[..., 0, 1]
+    E[..., 1, 0] = -1j / h_0 * Phi[..., 1, 0]
+    E[..., 1, 1] = Phi[..., 1, 1]
+    return E
+
+
+def weighted_propagator(model, config, xi, times, rtol=DEFAULT_RTOL):
+    """Cross-zone propagator E(t,0) of the micro-energy with the sharp weight
+    (see weight_conjugation); shape (len(times), 2, 2).
 
     Inside the slow zone this is exactly the diss_system propagator, beyond
     the boundary exactly the hyp_system one.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    Phi = state_propagator_checkpoints(model, xi, times, rtol=rtol, s=s)
-    h_t = sharp_weight(config, times, xi)
-    h_s = float(sharp_weight(config, s, xi))
-    E = np.empty_like(Phi)
-    E[:, 0, 0] = h_t / h_s * Phi[:, 0, 0]
-    E[:, 0, 1] = 1j * h_t * Phi[:, 0, 1]
-    E[:, 1, 0] = -1j / h_s * Phi[:, 1, 0]
-    E[:, 1, 1] = Phi[:, 1, 1]
-    return E
+    Phi = state_propagator_checkpoints(model, [xi], times, rtol=rtol)
+    return weight_conjugation(config, xi, times, Phi)[:, 0]
 
 
 def propagator_norm_trace(model, config, xi, times, rtol=DEFAULT_RTOL):
@@ -297,32 +315,12 @@ def scale_invariant_norm_traces(cells, config, xi, times, rtol=DEFAULT_RTOL):
     an array of shape (len(times), len(cells)).  Fast path for rate sweeps;
     the general per-model oracle is the reference it is checked against."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    b0s = np.array([c[0] for c in cells], dtype=float)
-    m0s = np.array([c[1] for c in cells], dtype=float)
-    nc = b0s.size
-
-    def rhs(t, y):
-        P = y.reshape(nc, 2, 2)
-        out = np.empty_like(P)
-        out[:, 0] = P[:, 1]
-        w = 1.0 + t
-        out[:, 1] = (-(xi ** 2 + m0s / w ** 2)[:, None] * P[:, 0]
-                     - (b0s / w)[:, None] * P[:, 1])
-        return out.ravel()
-
-    y0 = np.broadcast_to(np.eye(2, dtype=complex), (nc, 2, 2)).ravel()
-    sol = solve_ivp(rhs, (0.0, float(times[-1])), y0.copy(), method="DOP853",
-                    t_eval=times, rtol=rtol, atol=rtol * 1e-4)
-    if not sol.success:
-        raise StiffnessError(sol.message, t=None, xi=xi)
-    Phi = sol.y.T.reshape(times.size, nc, 2, 2)
-    h_t = sharp_weight(config, times, xi)
-    h_0 = float(sharp_weight(config, 0.0, xi))
-    E = np.empty_like(Phi)
-    E[..., 0, 0] = (h_t / h_0)[:, None] * Phi[..., 0, 0]
-    E[..., 0, 1] = 1j * h_t[:, None] * Phi[..., 0, 1]
-    E[..., 1, 0] = -1j / h_0 * Phi[..., 1, 0]
-    E[..., 1, 1] = Phi[..., 1, 1]
+    b0s = np.tile([float(c[0]) for c in cells], 2)
+    m0s = np.tile([float(c[1]) for c in cells], 2)
+    y0 = np.repeat(np.eye(2, dtype=complex), len(cells), axis=1).ravel()
+    u, v = _solve_modes(lambda t: b0s / (1.0 + t), lambda t: m0s / (1.0 + t) ** 2,
+                        np.full(b0s.size, float(xi)), y0, times, rtol, rtol * 1e-4)
+    E = weight_conjugation(config, xi, times, _fundamental(u, v))
     return np.linalg.svd(E, compute_uv=False)[..., 0]
 
 

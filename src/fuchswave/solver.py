@@ -71,7 +71,7 @@ class SimulationTrace:
 
 
 def simulate_fields(model, config, grid, data_spec, times, rtol=1e-9,
-                    strict=False, threads=1):
+                    strict=False):
     """Forward transform of radial initial data, oracle evolution of every
     retained frequency, inverse transform and physical-space norms at the
     checkpoint times."""
@@ -88,8 +88,7 @@ def simulate_fields(model, config, grid, data_spec, times, rtol=1e-9,
     uniq, inverse = np.unique(np.round(xi.ravel(), 12), return_inverse=True)
     prof = data_spec.profile(uniq)
     u_modes, v_modes = modal.evolve_state(
-        model, uniq, data_spec.amp0 * prof, data_spec.amp1 * prof, times,
-        rtol=rtol, threads=threads)
+        model, uniq, data_spec.amp0 * prof, data_spec.amp1 * prof, times, rtol=rtol)
 
     dV = grid.dx ** grid.n_dim
     shape = xi.shape
@@ -116,11 +115,3 @@ def simulate_fields(model, config, grid, data_spec, times, rtol=1e-9,
         out.energy[i] = 0.5 * (grad_sq + ut_sq)
     return out
 
-
-def fft_roundtrip_error(grid, seed=0):
-    """Relative error of ifftn(fftn(field)) on a random field (identity check)."""
-    rng = np.random.default_rng(seed)
-    shape = (grid.points_per_dim,) * grid.n_dim
-    field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    back = np.fft.ifftn(np.fft.fftn(field))
-    return float(np.linalg.norm((back - field).ravel()) / np.linalg.norm(field.ravel()))

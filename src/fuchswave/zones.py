@@ -98,18 +98,6 @@ def sharp_weight(config, t, xi_norm):
     return np.maximum(config.N / (1.0 + np.asarray(t, dtype=float)), xi_norm)
 
 
-def chi_derivative(x, k, h=1e-3):
-    """Central finite-difference derivative of the cutoff profile (test aid)."""
-    if k == 0:
-        return smoothstep_down(x)
-    w = np.array([1.0])
-    for _ in range(k):
-        w = np.convolve(w, [1.0, -1.0])
-    w = w / 2.0 ** k
-    offs = np.arange(k, -k - 1, -2)
-    return sum(wi * smoothstep_down(np.asarray(x) + oi * h) for wi, oi in zip(w, offs)) / h ** k
-
-
 def theta_derivative(config, xi_norm, alpha):
     """Closed-form radial derivatives of theta on (0, N): d^a (N/xi - 1)."""
     if not 0 < xi_norm < config.N:

@@ -11,9 +11,8 @@ from fuchswave.estimates import (DataSpec, InvalidWindowError, OutOfScopeError,
                                  improved_u_bound, lp_lq_rate,
                                  moment_experiment, moment_parameters,
                                  radial_grid, radial_norm, scattering_operator,
-                                 scattering_residual, sharpness_limit,
-                                 _basis_evolution)
-from fuchswave.modal import evolve_state
+                                 scattering_residual, sharpness_limit)
+from fuchswave.modal import evolve_state, state_propagator_checkpoints
 from fuchswave.zones import ZoneConfig
 
 CFG = ZoneConfig(N=1.0)
@@ -165,9 +164,10 @@ def test_scattering_operator_bounded_samples():
 
 
 def test_basis_evolution_carries_both_columns_in_one_integration():
-    # both columns of Phi(t,0) come from one evolve_state call in which each
-    # frequency enters twice; an unsorted grid over 7 octave bands checks
-    # that the columns are split back onto the right frequencies
+    # both columns of Phi(t,0), which the scattering code uses, come from one
+    # evolve_state call in which each frequency enters twice; an unsorted grid
+    # over 7 octave bands checks that the columns are split back onto the
+    # right frequencies
     r = np.random.default_rng(0).permutation(np.geomspace(0.05, 4.0, 40))
     times = 2.0 ** np.arange(7)
     rtol = 1e-10
@@ -176,13 +176,17 @@ def test_basis_evolution_carries_both_columns_in_one_integration():
     def close(a, b):
         return np.abs(a - b).max() <= tol * np.abs(b).max()
 
-    ua, va, ub, vb = _basis_evolution(FREE, r, times, rtol)
+    def basis(model):
+        Phi = state_propagator_checkpoints(model, r, times, rtol=rtol, atol=rtol * 1e-6)
+        return Phi[..., 0, 0], Phi[..., 1, 0], Phi[..., 0, 1], Phi[..., 1, 1]
+
+    ua, va, ub, vb = basis(FREE)
     ph = np.multiply.outer(times, r)
     assert close(ua, np.cos(ph)) and close(ub, np.sin(ph) / r)
     assert close(va, -r * np.sin(ph)) and close(vb, np.cos(ph))
 
     ones, zero = np.ones(r.size), np.zeros(r.size)
-    ua, va, ub, vb = _basis_evolution(EX31, r, times, rtol)
+    ua, va, ub, vb = basis(EX31)
     u1, v1 = evolve_state(EX31, r, ones, zero, times, rtol=rtol)
     u2, v2 = evolve_state(EX31, r, zero, ones, times, rtol=rtol)
     assert close(ua, u1) and close(va, v1) and close(ub, u2) and close(vb, v2)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from fuchswave.estimates import fit_decay
 from fuchswave.modal import (FORM_DISS, FORM_FUCHS, FORM_HYP, ModalSystem,
                              check_cocycle, evolve_micro_energy, evolve_state,
                              fuchs_remainder, integrate_fundamental,
-                             liouville_modulus, propagator_norm_trace,
+                             liouville_modulus, propagator_checkpoints,
+                             propagator_norm_trace,
                              scale_invariant_norm_traces, spectral_norm,
                              state_propagator_checkpoints, system_matrix,
                              weighted_propagator)
@@ -60,7 +62,7 @@ def test_euler_equation_closed_form():
     # scale-invariant (3, 0) at xi = 0: u = c1 + c2 (1+t)^(-2)
     model = CoefficientModel(b0=3.0, m0=0.0)
     times = np.array([1.0, 10.0, 100.0])
-    Phi = state_propagator_checkpoints(model, 0.0, times, rtol=1e-12)
+    Phi = state_propagator_checkpoints(model, [0.0], times, rtol=1e-12)[:, 0]
     for i, t in enumerate(times):
         w = 1.0 + t
         # from (u, u')(0) = basis: solve the two-parameter family explicitly
@@ -84,7 +86,7 @@ def test_determinant_identity_unweighted():
     model = example_bounded(2.0, 1.0, c1=0.5, p1=0.5, c2=0.3, p2=0.25)
     xi = 0.7
     times = np.array([2.0, 10.0, 300.0])
-    Phi = state_propagator_checkpoints(model, xi, times, rtol=1e-11)
+    Phi = state_propagator_checkpoints(model, [xi], times, rtol=1e-11)[:, 0]
     for i, t in enumerate(times):
         predicted = float(model.lam(t)) ** -2
         assert abs(np.linalg.det(Phi[i])) == pytest.approx(predicted, rel=1e-8)
@@ -169,9 +171,33 @@ def test_batched_traces_match_reference_oracle():
     times = np.geomspace(10.0, 1e3, 25)
     batched = scale_invariant_norm_traces(cells, CFG, 2.0, times, rtol=1e-11)
     for j, (b0, m0) in enumerate(cells):
-        ref = propagator_norm_trace(CoefficientModel(b0=b0, m0=m0), CFG, 2.0,
-                                    times, rtol=1e-11)
+        model = CoefficientModel(b0=b0, m0=m0)
+        ref = propagator_norm_trace(model, CFG, 2.0, times, rtol=1e-11)
         assert np.allclose(batched[:, j], ref, rtol=1e-7)
+        # at xi = 2N the sharp weight is xi for every t >= 0, so the weighted
+        # propagator is the hyp_system one, integrated by the system_matrix
+        # oracle, which shares no code with the batched kernel
+        sys = ModalSystem(model, CFG, 2.0, FORM_HYP)
+        E = propagator_checkpoints(sys, 0.0, times, rtol=1e-11)
+        hyp = np.linalg.svd(E, compute_uv=False)[:, 0]
+        assert np.allclose(batched[:, j], hyp, rtol=1e-7)
+
+
+def test_stiffness_error_carries_time_and_frequency(monkeypatch):
+    import fuchswave.modal as modal
+
+    def failed(fun, t_span, y0, t_eval=None, **kwargs):
+        return SimpleNamespace(success=False, message="step size underflow",
+                               t=np.asarray(t_eval[:2]), y=None)
+
+    monkeypatch.setattr(modal, "solve_ivp", failed)
+    times = np.array([0.5, 1.0, 2.0])
+    with pytest.raises(modal.StiffnessError) as info:
+        evolve_state(FREE, [0.3, 0.5, 3.0], np.ones(3), np.zeros(3), times)
+    assert info.value.t == 1.0 and info.value.xi == 0.5  # first band: [0.3, 0.5]
+    with pytest.raises(modal.StiffnessError) as info:
+        scale_invariant_norm_traces([(2.0, 2.0)], CFG, 2.0, times)
+    assert info.value.t == 1.0 and info.value.xi == 2.0
 
 
 def test_oracle_self_verification():

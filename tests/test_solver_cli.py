@@ -1,6 +1,4 @@
 import json
-import math
-import os
 
 import numpy as np
 import pytest
@@ -8,13 +6,43 @@ import pytest
 from fuchswave.cli import run_cli
 from fuchswave.coeffs import CoefficientModel
 from fuchswave.estimates import DataSpec, energy_trace, grid_for_data
-from fuchswave.experiments import (ConfigError, ExperimentConfig, ResultRecord,
-                                   config_hash, persist, run_experiment)
-from fuchswave.solver import Grid, SimulationError, fft_roundtrip_error, simulate_fields
+from fuchswave.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
+                                   ResultRecord, _IGNORED_KEYS, config_hash, persist,
+                                   run_experiment)
+from fuchswave.solver import Grid, SimulationError, simulate_fields
 from fuchswave.zones import ZoneConfig
 
 CFG = ZoneConfig(N=1.0)
 FREE = CoefficientModel(b0=0.0, m0=0.0)
+
+SIMULATE_CONFIG = {
+    "model": {"b0": 0.0, "m0": 0.0},
+    "grid": {"n_dim": 1, "points_per_dim": 512, "box_length": 200.0},
+    "data": {"kind": "ring", "center": 1.0, "width": 0.5, "amp0": 1.0, "amp1": 0.0},
+    "times": {"t_final": 10.0, "checkpoints": 6},
+}
+
+# cheap configs on top of the CLI defaults, one per experiment
+CHEAP_CONFIGS = {
+    "simulate": SIMULATE_CONFIG,
+    "classify": {},
+    "sweep": {"sweep_cells": [[3.0, 0.0, 1.0]], "xi": 1e-3,
+              "times": {"t_final": 1000.0}},
+    "scatter": {"times": {"t_final": 64.0}},
+    "moments": {},
+    "levinson": {},
+    "hw": {"times": {"t_final": 1000.0}},
+    "repcheck": {"zone": {"N": 0.1}, "steps": 1},
+}
+
+
+def fft_roundtrip_error(grid, seed=0):
+    """Relative error of ifftn(fftn(field)) on a random field."""
+    rng = np.random.default_rng(seed)
+    shape = (grid.points_per_dim,) * grid.n_dim
+    field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    back = np.fft.ifftn(np.fft.fftn(field))
+    return float(np.linalg.norm((back - field).ravel()) / np.linalg.norm(field.ravel()))
 
 
 def test_fft_round_trip():
@@ -86,6 +114,14 @@ def test_config_validation_and_hash_determinism():
         ExperimentConfig.from_dict({"experiment": "classify", "schema": 99})
 
 
+def test_ignored_config_keys_leave_the_run_unchanged():
+    raw = {"experiment": "classify", "model": {"b0": 3.0, "m0": 0.0}}
+    for key in _IGNORED_KEYS:
+        cfg = ExperimentConfig.from_dict({**raw, key: 1})
+        assert key not in cfg.canonical()
+        assert config_hash(cfg) == config_hash(ExperimentConfig.from_dict(raw))
+
+
 def test_persist_determinism_and_archive(tmp_path):
     record = ResultRecord(
         config={"experiment": "classify"}, config_hash="ab" * 32,
@@ -155,14 +191,7 @@ def test_cli_empty_sweep(tmp_path, capsys):
 
 def test_cli_simulate_run(tmp_path, capsys):
     cfgfile = tmp_path / "sim.json"
-    cfgfile.write_text(json.dumps({
-        "experiment": "simulate",
-        "model": {"b0": 0.0, "m0": 0.0},
-        "grid": {"n_dim": 1, "points_per_dim": 512, "box_length": 200.0},
-        "data": {"kind": "ring", "center": 1.0, "width": 0.5, "amp0": 1.0,
-                 "amp1": 0.0},
-        "times": {"t_final": 10.0, "checkpoints": 6},
-    }))
+    cfgfile.write_text(json.dumps({"experiment": "simulate", **SIMULATE_CONFIG}))
     out = tmp_path / "simout"
     code = run_cli(["simulate", "--config", str(cfgfile), "--out", str(out)])
     assert code == 0
@@ -175,19 +204,26 @@ def test_cli_simulate_run(tmp_path, capsys):
     assert len(csv) > 3
 
 
-def test_threads_env_fallback(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("FUCHSWAVE_THREADS", "3")
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"experiment": "classify",
-                                   "model": {"b0": 1.0, "m0": 1.0}}))
-    assert run_cli(["classify", "--config", str(cfgfile)]) == 0
-    # the parsed config picks the env value up when no flag is given
-    from fuchswave.cli import _assemble_config
-    import argparse
-    ns = argparse.Namespace(command="classify", config=None, b0=1.0, m0=1.0,
-                            sigma=None, N=None, tfinal=None, tol=None,
-                            out=None, strict=False, threads=None)
-    assert _assemble_config(ns).threads == 3
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_cli_out_rerun_reproduces_manifest(experiment, tmp_path, capsys):
+    # every experiment persists with --out, and a rerun archives the old
+    # manifest and writes a byte-identical new one
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(CHEAP_CONFIGS[experiment]))
+    out = tmp_path / "out"
+    argv = [experiment, "--config", str(cfgfile), "--out", str(out)]
+    assert run_cli(argv) != 1, capsys.readouterr().err
+    assert run_cli(argv) != 1, capsys.readouterr().err
+    archived = list(out.glob("manifest.*.json"))
+    assert len(archived) == 1
+    assert archived[0].read_bytes() == (out / "manifest.json").read_bytes()
+
+
+def test_cli_reports_persist_failure(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli(["classify", "--out", str(blocker / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_levinson_and_moments(tmp_path):

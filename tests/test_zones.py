@@ -5,11 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuchswave.zones import (ZoneConfig, ZoneLabel, chi_derivative, classify,
-                             cutoffs, micro_weight, sharp_weight,
-                             smoothstep_down, theta, theta_derivative)
+from fuchswave.zones import (ZoneConfig, ZoneLabel, classify, cutoffs,
+                             micro_weight, sharp_weight, smoothstep_down, theta,
+                             theta_derivative)
 
 CFG = ZoneConfig(N=1.0)
+
+
+def chi_derivative(x, k, h=1e-3):
+    """Central finite-difference derivative of order k of the cutoff profile."""
+    if k == 0:
+        return smoothstep_down(x)
+    w = np.array([1.0])
+    for _ in range(k):
+        w = np.convolve(w, [1.0, -1.0])
+    w = w / 2.0 ** k
+    offs = np.arange(k, -k - 1, -2)
+    return sum(wi * smoothstep_down(np.asarray(x) + oi * h) for wi, oi in zip(w, offs)) / h ** k
 
 
 def test_theta_values():
