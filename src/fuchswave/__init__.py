@@ -9,8 +9,6 @@ from .coeffs import (
     RegimeClassification,
     check_hypotheses,
     classify_regime,
-    eval_coefficients,
-    eval_lambda,
     predicted_decay,
 )
 from .zones import ZoneConfig, ZoneLabel, classify, cutoffs, micro_weight, theta

@@ -35,12 +35,6 @@ class Jet:
             d[1] = 1.0
         return cls(d)
 
-    @classmethod
-    def constant(cls, c, order, shape=()):
-        d = np.zeros((order + 1,) + shape, dtype=np.result_type(type(c), float))
-        d[0] = c
-        return cls(d)
-
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.d + other.d)
@@ -114,14 +108,14 @@ class Jet:
         return (self.log() * alpha).exp()
 
 
-def falling_power_jet(t, alpha, coeff, order, shift=1.0):
-    """Derivatives of coeff*(shift+t)**alpha, closed form.
+def falling_power_jet(t, alpha, coeff, order):
+    """Derivatives of coeff*(1+t)**alpha, closed form.
 
     Returns an array of shape (order+1, *t.shape).
     """
     t = np.asarray(t, dtype=float)
     out = np.zeros((order + 1,) + t.shape)
-    base = shift + t
+    base = 1.0 + t
     fac = coeff
     for k in range(order + 1):
         out[k] = fac * base ** (alpha - k)

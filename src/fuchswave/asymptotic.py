@@ -1,6 +1,6 @@
-"""Asymptotic integration of parameter-dependent Fuchs-type systems
+"""Asymptotic integration of Fuchs-type systems
 
-    t dV/dt = (D(t,nu) + R(t,nu)) V,   t >= 1,   D = diag(mu_1..mu_d),
+    t dV/dt = (D(t) + R(t)) V,   t >= 1,   D = diag(mu_1..mu_d),
 
 as a general d x d library: dichotomy checking, Levinson solution
 construction by Picard iteration on the split integral equation,
@@ -16,7 +16,7 @@ horizon with a fitted-decay tail estimate added to the error budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -26,6 +26,10 @@ from .modal import HorizonError
 
 class DichotomyViolationError(RuntimeError):
     """Real parts of an exponent pair are not uniformly separated."""
+
+
+# Picard sweeps levinson_solve allows before giving up
+_PICARD_MAX_ITER = 60
 
 
 class NeedsLargerStartError(RuntimeError):
@@ -38,29 +42,27 @@ class NeedsLargerStartError(RuntimeError):
 
 @dataclass(frozen=True)
 class FuchsSystem:
-    """Diagonal part and remainder of t V' = (D + R)V, parameterised by nu.
+    """Diagonal part and remainder of t V' = (D + R)V.
 
-    mu(t, nu) returns the d diagonal entries, R(t, nu) the d x d remainder.
+    mu(t) returns the d diagonal entries, R(t) the d x d remainder.
     Both must accept scalar t; mu may be constant in t.
     """
 
     dimension: int
     mu: callable
     R: callable
-    parameter_set: tuple = ()
-    label: str = ""
 
-    def mu_at(self, t, nu=None):
-        return np.asarray(self.mu(t, nu), dtype=complex)
+    def mu_at(self, t):
+        return np.asarray(self.mu(t), dtype=complex)
 
-    def R_at(self, t, nu=None):
-        return np.asarray(self.R(t, nu), dtype=complex)
+    def R_at(self, t):
+        return np.asarray(self.R(t), dtype=complex)
 
 
-def remainder_log_integral(sys, nu, t0, T, n=2000):
-    """int_{t0}^{T} ||R(t,nu)|| dt/t on a log grid (trapezoid in x = ln t)."""
+def remainder_log_integral(sys, t0, T, n=2000):
+    """int_{t0}^{T} ||R(t)|| dt/t on a log grid (trapezoid in x = ln t)."""
     xs = np.linspace(math.log(t0), math.log(T), n)
-    vals = np.array([np.linalg.norm(sys.R_at(math.exp(x), nu), 2) for x in xs])
+    vals = np.array([np.linalg.norm(sys.R_at(math.exp(x)), 2) for x in xs])
     return float(np.trapezoid(vals, xs)), xs, vals
 
 
@@ -95,33 +97,27 @@ class DichotomyVerdict:
     grid: np.ndarray
 
 
-def check_dichotomy(sys, pair, T, nu_samples=(None,), t0=1.0, n=1200):
+def check_dichotomy(sys, pair, T, t0=1.0, n=1200):
     """Evaluate int Re(mu_i - mu_j) ds/s on a log grid and report which
     alternative holds numerically, with strong-form constants if applicable."""
     i, j = pair
     if i == j:
         raise ValueError("dichotomy concerns a pair of distinct indices")
     xs = np.linspace(math.log(t0), math.log(T), n)
-    worst_trace = None
-    re_lo, re_hi = math.inf, -math.inf
-    bounded_above = True
-    bounded_below = True
-    for nu in nu_samples:
-        diff = np.array([(sys.mu_at(math.exp(x), nu)[i] - sys.mu_at(math.exp(x), nu)[j]).real
-                         for x in xs])
-        re_lo = min(re_lo, diff.min())
-        re_hi = max(re_hi, diff.max())
-        trace = np.concatenate(([0.0], np.cumsum((diff[1:] + diff[:-1]) / 2.0 * np.diff(xs))))
-        worst_trace = trace if worst_trace is None else np.maximum(worst_trace, trace)
-        # an alternative fails when the running extreme keeps drifting,
-        # segment over segment, by a non-trivial amount
-        segs = np.array_split(trace, 6)
-        seg_max = np.array([s.max() for s in segs])
-        seg_min = np.array([s.min() for s in segs])
-        if np.all(np.diff(seg_max[-3:]) > 0) and seg_max[-1] - seg_max[-3] > 1.0:
-            bounded_above = False
-        if np.all(np.diff(seg_min[-3:]) < 0) and seg_min[-3] - seg_min[-1] > 1.0:
-            bounded_below = False
+    diff = np.array([(sys.mu_at(math.exp(x))[i] - sys.mu_at(math.exp(x))[j]).real
+                     for x in xs])
+    re_lo = diff.min()
+    re_hi = diff.max()
+    trace = np.concatenate(([0.0], np.cumsum((diff[1:] + diff[:-1]) / 2.0 * np.diff(xs))))
+    # an alternative fails when the running extreme keeps drifting,
+    # segment over segment, by a non-trivial amount
+    segs = np.array_split(trace, 6)
+    seg_max = np.array([s.max() for s in segs])
+    seg_min = np.array([s.min() for s in segs])
+    bounded_above = not (np.all(np.diff(seg_max[-3:]) > 0)
+                         and seg_max[-1] - seg_max[-3] > 1.0)
+    bounded_below = not (np.all(np.diff(seg_min[-3:]) < 0)
+                         and seg_min[-3] - seg_min[-1] > 1.0)
     strong = re_lo > 0 or re_hi < 0
     if bounded_above and bounded_below:
         alt = "both"
@@ -135,7 +131,7 @@ def check_dichotomy(sys, pair, T, nu_samples=(None,), t0=1.0, n=1200):
         pair=(i, j), alternative=alt, strong=strong,
         C_minus=float(re_hi) if re_hi < 0 else None,
         C_plus=float(re_lo) if re_lo > 0 else None,
-        integral_trace=worst_trace, grid=xs,
+        integral_trace=trace, grid=xs,
     )
 
 
@@ -192,7 +188,7 @@ def _cumulative_kernel_backward(delta, g, xs):
     return out
 
 
-def levinson_solve(sys, k, t0, T, tol=1e-10, nu=None, n=3000, max_iter=60):
+def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
     """Construct V_k by Picard iteration on the split integral equation.
 
     The normalised unknown Z = V exp(-int mu_k ds/s) solves
@@ -203,8 +199,8 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, nu=None, n=3000, max_iter=60):
     xs = np.linspace(math.log(t0), math.log(T), n)
     ts = np.exp(xs)
 
-    mus = np.array([sys.mu_at(t, nu) for t in ts])           # (n, d)
-    Rs = np.array([sys.R_at(t, nu) for t in ts])             # (n, d, d)
+    mus = np.array([sys.mu_at(t) for t in ts])               # (n, d)
+    Rs = np.array([sys.R_at(t) for t in ts])                 # (n, d, d)
     rel = mus - mus[:, k][:, None]                           # mu_i - mu_k
     # delta_i(x) = int (mu_i - mu_k) dx, cumulative trapezoid
     delta = np.zeros_like(rel)
@@ -247,7 +243,7 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, nu=None, n=3000, max_iter=60):
     Z = np.tile(ek, (len(xs), 1))
     rates = []
     prev_gap = None
-    for it in range(max_iter):
+    for it in range(_PICARD_MAX_ITER):
         G = np.einsum("nij,nj->ni", Rs, Z)                   # R Z on the grid
         Z_new = np.tile(ek, (len(xs), 1))
         for i in minus_set:
@@ -263,7 +259,8 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, nu=None, n=3000, max_iter=60):
         if gap < tol:
             break
     else:
-        raise HorizonError(f"Picard iteration did not reach {tol} in {max_iter} sweeps")
+        raise HorizonError(
+            f"Picard iteration did not reach {tol} in {_PICARD_MAX_ITER} sweeps")
 
     muk_int = np.concatenate(
         ([0.0], np.cumsum((mus[1:, k] + mus[:-1, k]) / 2.0 * np.diff(xs))))
@@ -276,24 +273,20 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, nu=None, n=3000, max_iter=60):
     )
 
 
-def integrate_fuchs(sys, nu, a, b, E0=None, rtol=1e-11, t_eval=None):
-    """Direct oracle for t E' = (D+R)E, integrated in x = ln t."""
+def integrate_fuchs(sys, a, b, rtol=1e-11):
+    """Direct oracle for t E' = (D+R)E, E(a) = I, integrated in x = ln t."""
     d = sys.dimension
-    E0 = np.eye(d, dtype=complex) if E0 is None else np.asarray(E0, dtype=complex)
 
     def rhs(x, y):
         t = math.exp(x)
-        M = np.diag(sys.mu_at(t, nu)) + sys.R_at(t, nu)
+        M = np.diag(sys.mu_at(t)) + sys.R_at(t)
         return (M @ y.reshape(d, d)).ravel()
 
-    xev = None if t_eval is None else np.log(np.asarray(t_eval, dtype=float))
-    sol = solve_ivp(rhs, (math.log(a), math.log(b)), E0.ravel(), method="DOP853",
-                    rtol=rtol, atol=rtol * 1e-2, t_eval=xev)
+    sol = solve_ivp(rhs, (math.log(a), math.log(b)), np.eye(d, dtype=complex).ravel(),
+                    method="DOP853", rtol=rtol, atol=rtol * 1e-2)
     if not sol.success:
         raise HorizonError(sol.message)
-    if t_eval is None:
-        return sol.y[:, -1].reshape(d, d)
-    return sol.y.T.reshape(-1, d, d)
+    return sol.y[:, -1].reshape(d, d)
 
 
 def fundamental_from_basis(solutions, s):
@@ -333,14 +326,14 @@ class ScalingReport:
     max_re: float
 
 
-def scaling_uniformity(sys, lambdas, s, t, nu=None, rtol=1e-10):
+def scaling_uniformity(sys, lambdas, s, t, rtol=1e-10):
     """||E(lambda t, lambda s)|| <= C (t/s)^{max Re mu} with C independent of
     the scaling factor; reports the worst observed ratio."""
-    mus = sys.mu_at(t, nu)
+    mus = sys.mu_at(t)
     max_re = float(np.max(mus.real))
     ratios = {}
     for lam in lambdas:
-        E = integrate_fuchs(sys, nu, lam * s, lam * t, rtol=rtol)
+        E = integrate_fuchs(sys, lam * s, lam * t, rtol=rtol)
         ratios[lam] = float(np.linalg.norm(E, 2) / (t / s) ** max_re)
     return ScalingReport(tuple(lambdas), ratios, max(ratios.values()), max_re)
 
@@ -359,7 +352,7 @@ class HWTransform:
     ordering: tuple
 
 
-def hartman_wintner(sys, sigma, t0, horizon, nu=None, n=4000):
+def hartman_wintner(sys, sigma, t0, horizon, n=4000):
     """Build the transform N with zero diagonal solving
     t N' = DN - ND + (R - diag R), N -> 0, by forward/backward kernel
     quadratures, and return it with the transformed system
@@ -371,8 +364,8 @@ def hartman_wintner(sys, sigma, t0, horizon, nu=None, n=4000):
     d = sys.dimension
     xs = np.linspace(math.log(t0), math.log(horizon), n)
     ts = np.exp(xs)
-    mus = np.array([sys.mu_at(t, nu) for t in ts])
-    Rs = np.array([sys.R_at(t, nu) for t in ts])
+    mus = np.array([sys.mu_at(t) for t in ts])
+    Rs = np.array([sys.R_at(t) for t in ts])
     Fs = np.array([np.diag(np.diag(R)) for R in Rs])
     Rt = Rs - Fs                                             # off-diagonal part
 
@@ -443,31 +436,29 @@ def hartman_wintner(sys, sigma, t0, horizon, nu=None, n=4000):
     N_of = interp_mat(N_grid)
 
     def F_of(t):
-        return np.diag(np.diag(sys.R_at(t, nu)))
+        return np.diag(np.diag(sys.R_at(t)))
 
     def B_of(t):
         Nt = N_of(t)
-        return Nt @ F_of(t) - sys.R_at(t, nu) @ Nt
+        return Nt @ F_of(t) - sys.R_at(t) @ Nt
 
     transform = HWTransform(
         N_matrix=N_of, B_matrix=B_of, F_diag=F_of, valid_from=valid_from,
         grid_t=ts, N_norms=N_norms, tail_bound=tail_total, ordering=order,
     )
 
-    def mu_new(t, _nu=None):
-        return sys.mu_at(t, nu) + np.diag(sys.R_at(t, nu))
+    def mu_new(t):
+        return sys.mu_at(t) + np.diag(sys.R_at(t))
 
-    def R_new(t, _nu=None):
+    def R_new(t):
         Nt = N_of(t)
         return np.linalg.solve(np.eye(d) + Nt, B_of(t))
 
-    transformed = FuchsSystem(dimension=d, mu=mu_new, R=R_new,
-                              parameter_set=sys.parameter_set,
-                              label=sys.label + "+hw")
+    transformed = FuchsSystem(dimension=d, mu=mu_new, R=R_new)
     return transform, transformed
 
 
-def hw_identity_residual(sys, transform, t, nu=None, h=1e-4):
+def hw_identity_residual(sys, transform, t, h=1e-4):
     """Defect of t N' - (DN - ND) - (R - diag R) at time t, with t N'
     evaluated by a centered difference in x = ln t."""
     x = math.log(t)
@@ -475,7 +466,7 @@ def hw_identity_residual(sys, transform, t, nu=None, h=1e-4):
     Nm = transform.N_matrix(math.exp(x - h))
     tNprime = (Np - Nm) / (2.0 * h)
     Nt = transform.N_matrix(t)
-    D = np.diag(sys.mu_at(t, nu))
-    R = sys.R_at(t, nu)
+    D = np.diag(sys.mu_at(t))
+    R = sys.R_at(t)
     Rt = R - np.diag(np.diag(R))
     return float(np.linalg.norm(tNprime - (D @ Nt - Nt @ D) - Rt, 2))

@@ -2,10 +2,12 @@
 
 Subcommands: simulate, classify, sweep, scatter, moments, levinson, hw,
 repcheck.  A JSON config (--config) supplies the experiment description;
-common flags override individual fields.  Results land under --out as
-manifest.json plus CSV traces.
+each subcommand takes the flags for the fields its experiment reads, and
+they override those fields.  Results land under --out as manifest.json plus
+CSV traces.
 
-Exit codes: 0 all verdicts pass, 2 some verdict failed, 1 error.
+Exit codes: 0 all verdicts pass, 2 some verdict failed, 1 error (a usage
+error included).
 """
 
 from __future__ import annotations
@@ -51,33 +53,49 @@ def _deep_update(base, extra):
     return base
 
 
+# value flags: config field each one overrides, and its help text
+_VALUE_FLAGS = {
+    "b0": (("model", "b0"), None),
+    "m0": (("model", "m0"), None),
+    "sigma": (("model", "sigma"), None),
+    "N": (("zone", "N"), "zone constant"),
+    "tfinal": (("times", "t_final"), None),
+    "tol": (("tolerances", "rtol"), "oracle relative tolerance"),
+}
+
+# the flags each subcommand takes: the config fields its run_* function reads
+_SUBCOMMANDS = {
+    "simulate": ("spectral box run with physical-space norm traces",
+                 ("b0", "m0", "N", "tfinal", "tol", "strict")),
+    "classify": ("low-frequency exponents mu+- and the regime case", ("b0", "m0")),
+    "sweep": ("fitted vs predicted zone rates over (b0, m0, sigma) cells",
+              ("N", "tfinal", "tol")),
+    "scatter": ("modified-scattering residual decay",
+                ("b0", "m0", "sigma", "N", "tfinal", "tol")),
+    "moments": ("moment-condition rate improvement",
+                ("b0", "m0", "sigma", "N", "tfinal", "tol")),
+    "levinson": ("distinguished-solution construction demo", ("b0", "m0", "N")),
+    "hw": ("remainder-reduction transform demo", ("b0", "m0", "sigma", "N", "tfinal")),
+    "repcheck": ("representation identity vs direct oracle", ("b0", "m0", "N")),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fuchswave",
         description="Numerical experiments for damped wave equations with "
                     "time-decaying dissipation and mass")
     sub = parser.add_subparsers(dest="command")
-    for name, help_text in [
-        ("simulate", "spectral box run with physical-space norm traces"),
-        ("classify", "low-frequency exponents mu+- and the regime case"),
-        ("sweep", "fitted vs predicted zone rates over (b0, m0, sigma) cells"),
-        ("scatter", "modified-scattering residual decay"),
-        ("moments", "moment-condition rate improvement"),
-        ("levinson", "distinguished-solution construction demo"),
-        ("hw", "remainder-reduction transform demo"),
-        ("repcheck", "representation identity vs direct oracle"),
-    ]:
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON experiment description")
-        p.add_argument("--b0", type=float)
-        p.add_argument("--m0", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--N", type=float, help="zone constant")
-        p.add_argument("--tfinal", type=float)
-        p.add_argument("--tol", type=float, help="oracle relative tolerance")
         p.add_argument("--out", help="output directory for manifest + CSVs")
-        p.add_argument("--strict", action="store_true",
-                       help="escalate resolution warnings to errors")
+        for flag in flags:
+            if flag == "strict":
+                p.add_argument("--strict", action="store_true",
+                               help="escalate resolution warnings to errors")
+            else:
+                p.add_argument(f"--{flag}", type=float, help=_VALUE_FLAGS[flag][1])
     return parser
 
 
@@ -99,14 +117,11 @@ def _assemble_config(args):
         _deep_update(raw, loaded)
     raw["experiment"] = args.command
 
-    for flag, path in [("b0", ("model", "b0")), ("m0", ("model", "m0")),
-                       ("sigma", ("model", "sigma")), ("N", ("zone", "N")),
-                       ("tfinal", ("times", "t_final")),
-                       ("tol", ("tolerances", "rtol"))]:
-        val = getattr(args, flag)
+    for flag, (path, _) in _VALUE_FLAGS.items():
+        val = getattr(args, flag, None)
         if val is not None:
             raw.setdefault(path[0], {})[path[1]] = val
-    if args.strict:
+    if getattr(args, "strict", False):
         raw["strict"] = True
     return ExperimentConfig.from_dict(raw)
 
@@ -128,7 +143,11 @@ def _print_record(record):
 
 def run_cli(argv):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; a usage error returns 1, because 2 means a verdict failed
+        return 0 if exc.code == 0 else 1
     if args.command is None:
         parser.print_usage()
         return 1

@@ -32,6 +32,11 @@ DOUBLE_ROOT = "double_root"
 REAL_SMALL = "real_small_muplus"
 REAL_LARGE = "real_large_muplus"
 
+# check_hypotheses: log-spaced sample points per decade of the horizon
+_SAMPLES_PER_DECADE = 8
+# a cubic spline has exact derivatives up to this order only
+_TABLE_MAX_ORDER = 3
+
 
 class UnsupportedOrderError(ValueError):
     """Requested derivative order exceeds the model's smoothness budget."""
@@ -43,7 +48,8 @@ class RegimeUnsupportedError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TabulatedCoefficient:
-    """Cubic-spline interpolant of a two-column (t, value) table."""
+    """Cubic-spline interpolant of a two-column (t, value) table, defined
+    between the first and the last node only."""
 
     t: tuple
     values: tuple
@@ -53,15 +59,33 @@ class TabulatedCoefficient:
     def from_columns(cls, t, values):
         t = np.asarray(t, dtype=float)
         v = np.asarray(values, dtype=float)
-        return cls(tuple(t), tuple(v), CubicSpline(t, v, extrapolate=True))
+        return cls(tuple(t), tuple(v), CubicSpline(t, v))
 
     @classmethod
     def from_csv(cls, path):
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         return cls.from_columns(data[:, 0], data[:, 1])
 
-    def __call__(self, t):
-        return self.spline(t)
+    def __call__(self, t, order=0):
+        """The spline, or its exact derivative of the given order, at t."""
+        self._check_span(t)
+        return self.spline(t, order)
+
+    def integral(self, t):
+        """int_0^t of the spline, exact (antiderivative of the cubic pieces)."""
+        self._check_span(t)
+        self._check_span(0.0)
+        anti = self.spline.antiderivative()
+        return anti(t) - anti(0.0)
+
+    def _check_span(self, t):
+        t = np.asarray(t, dtype=float)
+        first, last = self.t[0], self.t[-1]
+        if t.size and (t.max() > last or t.min() < first):
+            bad = t.max() if t.max() > last else t.min()
+            raise ValueError(
+                f"t = {bad:g} lies outside the table's nodes, first {first:g}, "
+                f"last {last:g}; a tabulated coefficient does not extrapolate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +194,10 @@ class CoefficientModel:
         return self._table_jet(self.m_table, t, order)
 
     def _check_order(self, order):
+        if self.family == TABULATED and order > _TABLE_MAX_ORDER:
+            raise UnsupportedOrderError(
+                f"derivative order {order} exceeds the cubic spline's "
+                f"{_TABLE_MAX_ORDER} exact derivatives")
         if order > self.ell:
             raise UnsupportedOrderError(
                 f"derivative order {order} exceeds smoothness budget ell={self.ell}")
@@ -182,16 +210,7 @@ class CoefficientModel:
 
     @staticmethod
     def _table_jet(table, t, order):
-        # central differences, step scaled to the (1+t) variation scale
-        t = np.asarray(t, dtype=float)
-        out = np.zeros((order + 1,) + t.shape)
-        out[0] = table(t)
-        h = np.maximum(1e-6 * (1.0 + t), 1e-8)
-        for k in range(1, order + 1):
-            offs = np.arange(k, -k - 1, -2)  # node offsets matching the weight order
-            w = _central_weights(k)
-            out[k] = sum(wi * table(t + oi * h) for wi, oi in zip(w, offs)) / h ** k
-        return out
+        return np.stack([table(t, k) for k in range(order + 1)])
 
     def b_derivative(self, t, order):
         return self.b_jet(t, order)[order]
@@ -215,7 +234,7 @@ class CoefficientModel:
             else:
                 corr = (L ** (1.0 - self.gamma) - 1.0) / (1.0 - self.gamma)
             return self.b0 * np.log1p(t) + self.b1 * corr
-        return _quad_integral_b(self, t)
+        return self.b_table.integral(t)
 
     def lam(self, t):
         return np.exp(0.5 * self.integral_b(t))
@@ -257,35 +276,6 @@ def _evaluate(formula, t):
         except OverflowError:
             pass
     return formula(np.asarray(t, dtype=float), np.log)
-
-
-def _central_weights(k):
-    """Weights of the k-th iterated central difference, nodes +k, k-2, ..., -k."""
-    w = np.array([1.0])
-    for _ in range(k):
-        w = np.convolve(w, [1.0, -1.0])
-    return w / 2.0 ** k
-
-
-def _quad_integral_b(model, t):
-    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(ts)
-    for i, ti in enumerate(ts):
-        val, _ = quad(lambda u: float(model.b(u)), 0.0, ti, epsrel=1e-12, epsabs=1e-14, limit=200)
-        out[i] = val
-    return out[0] if scalar else out
-
-
-def eval_coefficients(model, t, order=0):
-    """(d^order b, d^order m) at time t; order above ell raises."""
-    return model.b_derivative(t, order), model.m_derivative(t, order)
-
-
-def eval_lambda(model, t):
-    """lambda(t) = exp(0.5 int_0^t b); exact for the closed-form families,
-    adaptive quadrature (rel. error <= 1e-10) for tabulated ones."""
-    return model.lam(t)
 
 
 @dataclass(frozen=True)
@@ -363,7 +353,7 @@ class HypothesisReport:
     tail_tol: float
 
 
-def check_hypotheses(model, T, n_per_decade=8, sigma=None, tail_tol=1e-3, k_max=None):
+def check_hypotheses(model, T, sigma=None, tail_tol=1e-3, k_max=None):
     """Sample the sup bounds of Hyp.-1 type and the sigma-integrals of
     Hyp.-2 type on [1, T].  'pass' is a bounded/Cauchy verdict at the given
     horizon: the asymptotic conditions cannot be decided numerically.
@@ -377,7 +367,7 @@ def check_hypotheses(model, T, n_per_decade=8, sigma=None, tail_tol=1e-3, k_max=
     # the sigma-integrals below use the full horizon via the log substitution
     T1 = min(T, 1e12)
     decades = max(1, int(math.ceil(math.log10(T1))))
-    grid = np.logspace(0.0, math.log10(T1), decades * n_per_decade + 1)
+    grid = np.logspace(0.0, math.log10(T1), decades * _SAMPLES_PER_DECADE + 1)
     constants = []
     hyp1_ok = True
     for k in range(k_max + 1):
@@ -385,7 +375,7 @@ def check_hypotheses(model, T, n_per_decade=8, sigma=None, tail_tol=1e-3, k_max=
         mk = np.abs(model.m_derivative(grid, k)) * (1.0 + grid) ** (k + 2)
         constants.append({"k": k, "sup_b": float(bk.max()), "sup_m": float(mk.max())})
         # bounded means no growth trend: the last decade must not dominate
-        n_tail = n_per_decade + 1
+        n_tail = _SAMPLES_PER_DECADE + 1
         for arr in (bk, mk):
             head = arr[:-n_tail].max() if arr.size > n_tail else arr.max()
             if arr[-n_tail:].max() > 1.05 * head + 1e-12:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson, solve_ivp
 
+from .coeffs import UnsupportedOrderError
 from .modal import FundamentalMatrix, HorizonError, spectral_norm
 from .zones import theta
 
@@ -47,9 +48,11 @@ SQRT2 = math.sqrt(2.0)
 M_ROT = np.array([[1.0, -1.0], [1.0, 1.0]]) / SQRT2
 M_ROT_INV = np.array([[1.0, 1.0], [-1.0, 1.0]]) / SQRT2
 
-
-class KTooLargeError(ValueError):
-    """Requested sweep count exceeds the coefficient smoothness budget."""
+# min_zone_constant: candidate constants N, and frequencies sampled per candidate
+_ZONE_CANDIDATES = np.geomspace(1e-2, 1e2, 41)
+_ZONE_N_XI = 25
+# q_limit: doublings of t allowed before the Cauchy test must have settled
+_Q_LIMIT_MAX_STEPS = 48
 
 
 class ZoneConstantError(RuntimeError):
@@ -78,11 +81,14 @@ class SymbolMatrix:
     """Matrix amplitude with claimed orders: ||D_t^k D_xi^a eval|| <=
     C |xi|^(m1-a) (1+t)^(-m2-k) on the oscillatory zone."""
 
-    eval: callable                 # (t, xi) -> (2,2) complex (t may be a vector)
     jet: callable                  # (t, xi, order) -> (order+1, 2, 2, nt)
     order: tuple                   # (m1, m2)
     smoothness: int
     name: str = ""
+
+    def eval(self, t, xi):
+        """The matrix at (t, xi), (2,2) complex; t may be a vector."""
+        return np.moveaxis(self.jet(t, xi, 0)[0], -1, 0).squeeze()
 
 
 class _StageEval:
@@ -198,22 +204,9 @@ class DiagonalizationStage:
         out = self._ev(t, xi).N_total(self.k, 0)[0]
         return np.moveaxis(out, -1, 0) if np.ndim(t) else out[..., 0]
 
-    def N_total_inv(self, t, xi):
-        return _inv2(self.N_total(t, xi))
-
-    def F_sum(self, t, xi):
-        out = self._ev(t, xi).F_total(self.k - 1, 0)[0]
-        return np.moveaxis(out, -1, 0) if np.ndim(t) else out[..., 0]
-
     def B_k_at(self, t, xi):
         out = self._ev(t, xi).B_part(self.k, 0)[0]
         return np.moveaxis(out, -1, 0) if np.ndim(t) else out[..., 0]
-
-    def remainder(self, t, xi):
-        """R_k = -N_k^{-1} B^(k)."""
-        N = self.N_total(t, xi)
-        B = self.B_k_at(t, xi)
-        return -np.matmul(_inv2(N), B)
 
     def q_generator(self, t, xi):
         """F_{k-1} - F^(0) + R_k, the generator driving Q_k before phase
@@ -294,37 +287,30 @@ def build_stage(model, k, config):
     if k < 1:
         raise ValueError("at least one sweep is required")
     if k > model.ell - 1:
-        raise KTooLargeError(
+        raise UnsupportedOrderError(
             f"k={k} sweeps need ell >= {k + 1}, model has ell={model.ell}")
     N_parts = []
     F_parts = []
     for j in range(1, k + 1):
         N_parts.append(SymbolMatrix(
-            eval=lambda t, xi, j=j: np.moveaxis(
-                _StageEval(model, xi, t).N_part(j, 0)[0], -1, 0).squeeze(),
             jet=lambda t, xi, order, j=j: _StageEval(model, xi, t).N_part(j, order),
             order=(-j, j), smoothness=model.ell - j + 1, name=f"N^({j})"))
     for j in range(0, k):
         F_parts.append(SymbolMatrix(
-            eval=lambda t, xi, j=j: np.moveaxis(
-                _StageEval(model, xi, t).F_part(j, 0)[0], -1, 0).squeeze(),
             jet=lambda t, xi, order, j=j: _StageEval(model, xi, t).F_part(j, order),
             order=(-j, j + 1), smoothness=model.ell - j, name=f"F^({j})"))
     B_k = SymbolMatrix(
-        eval=lambda t, xi: np.moveaxis(
-            _StageEval(model, xi, t).B_part(k, 0)[0], -1, 0).squeeze(),
         jet=lambda t, xi, order: _StageEval(model, xi, t).B_part(k, order),
         order=(-k, k + 1), smoothness=model.ell - k, name=f"B^({k})")
     return DiagonalizationStage(model=model, config=config, k=k,
                                 N_parts=N_parts, F_parts=F_parts, B_k=B_k)
 
 
-def min_zone_constant(stage, candidates=None, n_xi=25):
+def min_zone_constant(stage):
     """Smallest sampled zone constant N with sup ||N_k - I|| <= 1/2 on the
     sampled zone (Neumann series then gives ||N_k^{-1}|| <= 2)."""
-    candidates = np.geomspace(1e-2, 1e2, 41) if candidates is None else np.asarray(candidates)
-    for N in sorted(candidates):
-        xis = np.geomspace(N * 1e-3, N * 1e2, n_xi)
+    for N in _ZONE_CANDIDATES:
+        xis = np.geomspace(N * 1e-3, N * 1e2, _ZONE_N_XI)
         worst = 0.0
         for xi in xis:
             t_bnd = max(N / xi - 1.0, 0.0)
@@ -418,14 +404,14 @@ def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,
     return QResult(sol.y[:, -1].reshape(2, 2), s, t, xi, stage.k, "ode", 0, C_total, 0.0)
 
 
-def q_limit(stage, s, xi, tol=1e-8, t_start=None, growth=2.0, max_steps=48):
+def q_limit(stage, s, xi, tol=1e-8, t_start=None, growth=2.0):
     """Q_k(inf,s,xi) by advancing t until successive amplifications differ by
     less than tol (Cauchy criterion on the convergent series)."""
     t = max(2.0 * s, s + 4.0 / max(xi, 1e-12)) if t_start is None else t_start
     res = q_propagator(stage, s, t, xi)
     Q = res.matrix
     C_acc = res.C_total
-    for _ in range(max_steps):
+    for _ in range(_Q_LIMIT_MAX_STEPS):
         t_next = t * growth
         seg = q_propagator(stage, t, t_next, xi, q0=Q, anchor=s)
         Q_next = seg.matrix
@@ -434,10 +420,11 @@ def q_limit(stage, s, xi, tol=1e-8, t_start=None, growth=2.0, max_steps=48):
             return QResult(Q_next, s, math.inf, xi, stage.k, "limit",
                            res.series_depth, C_acc, seg.tail_bound)
         Q, t = Q_next, t_next
-    raise HorizonError(f"Q_k did not settle within {max_steps} doublings (last t={t:g})")
+    raise HorizonError(
+        f"Q_k did not settle within {_Q_LIMIT_MAX_STEPS} doublings (last t={t:g})")
 
 
-def assemble_representation(stage, s, t, xi, q_depth=8, q_tol=1e-9):
+def assemble_representation(stage, s, t, xi):
     """E(t,s,xi) = (lam(s)/lam(t)) M N_k(t) E_0(t,s) Q_k(t,s) N_k(s)^{-1} M^{-1};
     exact identity, provenance 'representation'."""
     if (1.0 + s) * xi < stage.config.N * (1.0 - 1e-12):
@@ -451,21 +438,21 @@ def assemble_representation(stage, s, t, xi, q_depth=8, q_tol=1e-9):
     Nk_t = stage.N_total(t, xi)
     Nk_s_inv = _inv2(stage.N_total(s, xi))
     E0 = free_phase(t, s, xi)
-    Q = q_propagator(stage, s, t, xi, depth=q_depth, tol=q_tol).matrix
-    E = lam_ratio * (M_ROT @ Nk_t @ E0 @ Q @ Nk_s_inv @ M_ROT_INV)
-    return FundamentalMatrix(E, (s, t), xi, provenance="representation")
+    q = q_propagator(stage, s, t, xi)
+    E = lam_ratio * (M_ROT @ Nk_t @ E0 @ q.matrix @ Nk_s_inv @ M_ROT_INV)
+    return FundamentalMatrix(E, (s, t), xi, provenance="representation", q=q)
 
 
-def assemble_from_boundary(stage, t, xi, E_boundary, q_depth=8, q_tol=1e-9):
+def assemble_from_boundary(stage, t, xi, E_boundary):
     """Glued representation for small frequencies: the oscillatory-zone factor
     from the boundary time theta(|xi|) composed with the supplied slow-zone
     propagator E(theta, 0, xi)."""
     th = theta(stage.config, xi)
     if xi > stage.config.N or t < th:
         raise ValueError("need |xi| <= N and t >= theta(|xi|)")
-    inner = assemble_representation(stage, th, t, xi, q_depth=q_depth, q_tol=q_tol)
+    inner = assemble_representation(stage, th, t, xi)
     E = inner.entries @ np.asarray(E_boundary, dtype=complex)
-    return FundamentalMatrix(E, (0.0, t), xi, provenance="representation")
+    return FundamentalMatrix(E, (0.0, t), xi, provenance="representation", q=inner.q)
 
 
 # --- sampled symbol-estimate audits ----------------------------------------
@@ -493,13 +480,12 @@ def audit_symbol(sym, config, t_factors=(1.0, 3.0, 10.0, 100.0),
     return out
 
 
-def stage_audit_report(stage, config=None, k_max=1, alpha_max=2):
+def stage_audit_report(stage, k_max=1, alpha_max=2):
     """JSON-able audit of every symbol in the hierarchy: claimed orders,
     sampled grid description and worst weighted constant per derivative."""
-    config = stage.config if config is None else config
-    report = {"k": stage.k, "zone_constant": config.N, "symbols": []}
+    report = {"k": stage.k, "zone_constant": stage.config.N, "symbols": []}
     for sym in stage.N_parts + stage.F_parts + [stage.B_k]:
-        consts = audit_symbol(sym, config, k_max=k_max, alpha_max=alpha_max)
+        consts = audit_symbol(sym, stage.config, k_max=k_max, alpha_max=alpha_max)
         report["symbols"].append({
             "name": sym.name,
             "order": list(sym.order),

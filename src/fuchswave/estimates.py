@@ -22,10 +22,13 @@ SURFACE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 FIT_TOLERANCE = 0.05
 DEFAULT_WINDOW = (1e2, 1e4)
+# kappa margin moment_parameters adds when sigma > 1 makes the inequality strict
+MOMENT_SLACK = 0.1
 
 
 class ResolutionError(RuntimeError):
-    """Frequency grid too coarse for a stable quadrature."""
+    """Frequency grid too coarse: for a stable quadrature, or for a box run
+    to resolve the slow zone."""
 
 
 class InvalidWindowError(ValueError):
@@ -34,10 +37,6 @@ class InvalidWindowError(ValueError):
 
 class SupportError(ValueError):
     """Initial data violates a support precondition."""
-
-
-class OutOfScopeError(ValueError):
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +269,7 @@ class MomentComparison:
     passed: bool
 
 
-def moment_parameters(model, n_dim, slack=0.1):
+def moment_parameters(model, n_dim):
     """kappa from 2 kappa = 1 + sqrt((b0-1)^2 - 4 m0) (strict inequality with
     a recorded slack when sigma > 1), the weight order kappa' and the Fourier
     zero order the data must carry."""
@@ -279,7 +278,7 @@ def moment_parameters(model, n_dim, slack=0.1):
         raise RegimeUnsupportedError("moment improvement needs 4 m0 < b0(b0-2)")
     kappa = 0.5 * (1.0 + math.sqrt((model.b0 - 1.0) ** 2 - 4.0 * model.m0))
     if model.sigma > 1.0:
-        kappa += slack
+        kappa += MOMENT_SLACK
     kappa_prime = math.floor(kappa - n_dim / 2.0) + 1
     zero_order = 2 * math.ceil((kappa_prime + 1) / 2.0)
     return kappa, kappa_prime, zero_order
@@ -480,11 +479,11 @@ def improved_u_bound(model, config, data_spec, freq_grid, n_dim=1,
     """Fit of ||u(t,.)||_{L2}: under the sigma = 1 hypotheses with
     delta = 1 + b0/2 + Re(mu+) > 0 the exponent must not exceed 1 + Re(mu+)."""
     if model.sigma != 1.0:
-        raise OutOfScopeError("improved bound needs the sigma = 1 hypothesis set")
+        raise RegimeUnsupportedError("improved bound needs the sigma = 1 hypothesis set")
     cls = classify_regime(model)
     delta = 1.0 + model.b0 / 2.0 + cls.mu_plus.real
     if delta <= 0.0:
-        raise OutOfScopeError(f"needs 1 + b0/2 + Re(mu+) > 0, got {delta:g}")
+        raise RegimeUnsupportedError(f"needs 1 + b0/2 + Re(mu+) > 0, got {delta:g}")
     times = np.geomspace(1.0, window[1], 61)
     trace = energy_trace(model, config, data_spec, freq_grid, times, n_dim, rtol=rtol)
     return fit_decay(times, trace.u_norm, window, predicted=1.0 + cls.mu_plus.real,

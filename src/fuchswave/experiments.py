@@ -12,8 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -76,7 +77,6 @@ class ExperimentConfig:
     seed: int = 20240901
     xi: float = 1e-4
     steps: int = 2
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, d):
@@ -95,7 +95,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad model block: {exc}") from exc
         zone_d = dict(d.get("zone", {}))
         _reject_unknown(zone_d, {"N"}, "config.zone")
-        zone = ZoneConfig(N=float(zone_d.get("N", 1.0)), set_by="config")
+        zone = ZoneConfig(N=float(zone_d.get("N", 1.0)))
         data = None
         if d.get("data"):
             data_d = dict(d["data"])
@@ -123,7 +123,6 @@ class ExperimentConfig:
             seed=int(d.get("seed", 20240901)),
             xi=float(d.get("xi", 1e-4)),
             steps=int(d.get("steps", 2)),
-            raw=d,
         )
 
     def canonical(self):
@@ -304,17 +303,16 @@ def modal_fuchs_system(model, config, xi, zero_extended=True):
     P_inv = np.linalg.inv(P)
     th = zones.theta(config, xi)
 
-    def mu(t, nu=None):
+    def mu(t):
         return eigvals
 
-    def R(t, nu=None):
+    def R(t):
         tm = t - 1.0
         if zero_extended and tm > th:
             return np.zeros((2, 2), dtype=complex)
         return P_inv @ modal.fuchs_remainder(model, config, tm, xi) @ P
 
-    return asymptotic.FuchsSystem(dimension=2, mu=mu, R=R,
-                                  label=f"modal-fuchs(xi={xi:g})"), P, eigvals
+    return asymptotic.FuchsSystem(dimension=2, mu=mu, R=R), P, eigvals
 
 
 def run_levinson(cfg):
@@ -437,26 +435,24 @@ def _format_cell(x):
     return str(x)
 
 
+def _csv_text(header, rows):
+    lines = [header]
+    for row in np.atleast_2d(np.asarray(rows, dtype=object)):
+        lines.append(",".join(_format_cell(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
 def persist(record, out_dir):
     """Write manifest.json plus one CSV per trace; a pre-existing manifest is
-    archived with a timestamp suffix.  Returns the manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "manifest.json"
-    if manifest_path.exists():
-        stamp = datetime.now().strftime("%Y%m%dT%H%M%S%f")
-        manifest_path.rename(out / f"manifest.{stamp}.json")
+    archived with a timestamp suffix.  Returns the manifest path.
 
+    Everything is serialized before the directory is touched, so a record
+    that cannot be written leaves the directory as it was; manifest.json
+    appears last and whole (temp file, then os.replace)."""
     h12 = record.config_hash[:12]
-    csv_files = []
-    for name, header, rows in record.traces:
-        fname = f"{name}_{h12}.csv"
-        with open(out / fname, "w") as fh:
-            fh.write(header + "\n")
-            for row in np.atleast_2d(np.asarray(rows, dtype=object)):
-                fh.write(",".join(_format_cell(x) for x in row) + "\n")
-        csv_files.append({"file": fname, "columns": header})
-
+    csvs = [(f"{name}_{h12}.csv", header, _csv_text(header, rows))
+            for name, header, rows in record.traces]
+    csv_files = [{"file": fname, "columns": header} for fname, header, _ in csvs]
     manifest = {
         "schema": SCHEMA_VERSION,
         "tool_version": record.tool_version,
@@ -467,7 +463,19 @@ def persist(record, out_dir):
         "outputs": record.outputs,
         "csv_files": csv_files,
     }
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    manifest_text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / "manifest.json"
+    if manifest_path.exists():
+        stamp = datetime.now().strftime("%Y%m%dT%H%M%S%f")
+        manifest_path.rename(out / f"manifest.{stamp}.json")
+    for fname, _, text in csvs:
+        (out / fname).write_text(text)
+    tmp_path = out / "manifest.json.tmp"
+    tmp_path.write_text(manifest_text)
+    os.replace(tmp_path, manifest_path)
     # wall time lives outside the manifest so reruns reproduce it bit for bit
     (out / "runinfo.json").write_text(json.dumps(
         {"wall_time_s": record.wall_time,

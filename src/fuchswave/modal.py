@@ -75,6 +75,7 @@ class FundamentalMatrix:
     span: tuple
     xi_norm: float
     provenance: str = "oracle"
+    q: object = None            # the QResult a representation was built from
 
     def norm(self):
         return spectral_norm(self.entries)

@@ -16,10 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modal
-
-
-class SimulationError(RuntimeError):
-    pass
+from .estimates import ResolutionError
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ def simulate_fields(model, config, grid, data_spec, times, rtol=1e-9,
     warn = grid.resolution_warning(config, float(times[-1]))
     if warn:
         if strict:
-            raise SimulationError(warn)
+            raise ResolutionError(warn)
         warnings.append(warn)
 
     axes, xi = grid.xi_mesh()

@@ -36,20 +36,13 @@ def smoothstep_down(x):
 
 @dataclass(frozen=True)
 class ZoneConfig:
-    """Zone constant N plus the cutoff profile; N may be raised by the
-    diagonalization stage (set_by records who chose it)."""
+    """Zone constant N of the boundary (1+t)|xi| = N."""
 
     N: float = 1.0
-    set_by: str = "default"
 
     def __post_init__(self):
         if self.N <= 0:
             raise ValueError("zone constant N must be positive")
-
-    chi = staticmethod(smoothstep_down)
-
-    def with_constant(self, N, set_by):
-        return ZoneConfig(N=N, set_by=set_by)
 
 
 def theta(config, xi_norm):

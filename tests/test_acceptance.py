@@ -16,8 +16,7 @@ from fuchswave.asymptotic import hartman_wintner, levinson_solve
 from fuchswave.cli import run_cli
 from fuchswave.coeffs import (CoefficientModel, classify_regime,
                               example_bounded, example_log)
-from fuchswave.diagonalize import (assemble_representation, build_stage,
-                                   free_phase, q_propagator)
+from fuchswave.diagonalize import assemble_representation, build_stage, free_phase
 from fuchswave.estimates import (DataSpec, fit_decay, grid_for_data,
                                  improved_u_bound, moment_experiment,
                                  radial_grid, scattering_residual,
@@ -138,7 +137,7 @@ def test_criterion_04_and_05_representation_identity():
         E_orc = integrate_fundamental(sysm, s, t, tol=1e-12)
         rel = spectral_norm(E_rep.entries - E_orc.entries) / E_orc.norm()
         worst_rel = max(worst_rel, rel)
-        q = q_propagator(stage, s, t, xi)
+        q = E_rep.q
         det_ok &= abs(np.linalg.det(q.matrix)) >= q.det_lower_bound() - 1e-12
         E0 = free_phase(t, s, xi)
         unit_ok &= spectral_norm(E0 @ E0.conj().T - np.eye(2)) <= 1e-12
@@ -155,7 +154,7 @@ def test_criterion_04_and_05_representation_identity():
 
 def test_criterion_06_levinson_solver():
     start = time.perf_counter()
-    cfg = ZoneConfig(N=0.01, set_by="acceptance")
+    cfg = ZoneConfig(N=0.01)
     model = CoefficientModel(b0=3.0, m0=0.0)
     xi = 1e-4
     sys, _, eigvals = modal_fuchs_system(model, cfg, xi)

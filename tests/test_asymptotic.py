@@ -19,8 +19,8 @@ def const_system(mus, R_fn=None, d=None):
     d = mus.size if d is None else d
     zero = np.zeros((d, d), dtype=complex)
     return FuchsSystem(dimension=d,
-                       mu=lambda t, nu=None: mus,
-                       R=R_fn or (lambda t, nu=None: zero))
+                       mu=lambda t: mus,
+                       R=R_fn or (lambda t: zero))
 
 
 def test_dichotomy_constant_distinct():
@@ -55,7 +55,7 @@ def test_levinson_nilpotent_example():
     # decaying exponent approaches its unit direction with O(1/t) residual
     # (closed form: the cross term integrates to 1/(2t)); the one attached to
     # mu = 0 is an exact eigen-solution since R annihilates it
-    def R(t, nu=None):
+    def R(t):
         return np.array([[0.0, 1.0 / t], [0.0, 0.0]], dtype=complex)
 
     sys = const_system([0.0, -1.0], R_fn=R)
@@ -74,13 +74,13 @@ def test_levinson_nilpotent_example():
     # its value forward with the direct oracle reproduces it (tolerance set
     # by the trapezoid resolution of the kernel quadratures)
     t0, t1 = 10.0, 1000.0
-    E = integrate_fuchs(sys, None, t0, t1, rtol=1e-12)
+    E = integrate_fuchs(sys, t0, t1, rtol=1e-12)
     forward = E @ sol(t0)
     assert np.linalg.norm(forward - sol(t1)) / np.linalg.norm(sol(t1)) < 2e-6
 
 
 def test_levinson_rates_bounded_by_contraction():
-    def R(t, nu=None):
+    def R(t):
         return np.array([[0.0, 0.2 / t ** 0.5], [0.1 / t, 0.0]], dtype=complex)
 
     sys = const_system([0.0, -2.0], R_fn=R)
@@ -90,7 +90,7 @@ def test_levinson_rates_bounded_by_contraction():
 
 
 def test_levinson_contraction_precondition():
-    def R(t, nu=None):
+    def R(t):
         return np.array([[0.0, 0.4], [0.4, 0.0]], dtype=complex)  # not integrable
 
     sys = const_system([0.0, -1.0], R_fn=R)
@@ -113,13 +113,13 @@ def test_modal_fuchs_cross_module_agreement():
     # d = 2 constant-diagonal case against the direct oracle; the horizon
     # extends past the zone boundary where the remainder is zero-extended
     model = CoefficientModel(b0=3.0, m0=0.0)
-    cfg = ZoneConfig(N=0.01, set_by="test")
+    cfg = ZoneConfig(N=0.01)
     xi = 1e-4
     sys, _, _ = modal_fuchs_system(model, cfg, xi=xi)
     sol0 = levinson_solve(sys, 0, t0=1.0, T=400.0, tol=1e-12)
     sol1 = levinson_solve(sys, 1, t0=1.0, T=400.0, tol=1e-12)
     eval_E, C, max_re = fundamental_from_basis([sol0, sol1], s=1.0)
-    E_direct = integrate_fuchs(sys, None, 1.0, 50.0, rtol=1e-12)
+    E_direct = integrate_fuchs(sys, 1.0, 50.0, rtol=1e-12)
     assert np.linalg.norm(eval_E(50.0) - E_direct, 2) < 1e-8
 
 
@@ -135,7 +135,7 @@ def test_fundamental_from_basis_diagonal_case():
 
 
 def test_wronskian_power_law():
-    def R(t, nu=None):
+    def R(t):
         return np.array([[0.0, 0.3 / t], [0.2 / t, 0.0]], dtype=complex)
 
     sys = const_system([0.5, -1.0], R_fn=R)
@@ -150,7 +150,7 @@ def test_wronskian_power_law():
 def test_low_frequency_norm_bracket():
     # (3, 0) small xi: ||E_V(t,1)|| / t^(-1) bounded above and below
     model = CoefficientModel(b0=3.0, m0=0.0)
-    cfg = ZoneConfig(N=0.01, set_by="test")
+    cfg = ZoneConfig(N=0.01)
     sys, _, _ = modal_fuchs_system(model, cfg, xi=1e-6)
     sols = [levinson_solve(sys, k, t0=1.0, T=1e5, tol=1e-11) for k in (0, 1)]
     eval_E, _, _ = fundamental_from_basis(sols, s=1.0)
@@ -166,13 +166,13 @@ def test_scaling_uniformity():
     # s = t: the propagator is the identity for every scaling
     rep = scaling_uniformity(sys, [1.0, 7.0], s=5.0, t=5.0)
     assert all(abs(r - 5.0 ** -0.0) < 1e-12 or r > 0 for r in rep.ratios.values())
-    assert all(abs(np.linalg.norm(integrate_fuchs(sys, None, lam * 5.0, lam * 5.0), 2) - 1.0)
+    assert all(abs(np.linalg.norm(integrate_fuchs(sys, lam * 5.0, lam * 5.0), 2) - 1.0)
                < 1e-12 for lam in (1.0, 7.0))
 
 
 def test_scaling_uniformity_modal():
     model = CoefficientModel(b0=3.0, m0=0.0)
-    cfg = ZoneConfig(N=0.01, set_by="test")
+    cfg = ZoneConfig(N=0.01)
     sys, _, _ = modal_fuchs_system(model, cfg, xi=1e-5)
     rep = scaling_uniformity(sys, [1.0, 10.0, 100.0], s=1.0, t=20.0)
     base = rep.ratios[1.0]
@@ -180,7 +180,7 @@ def test_scaling_uniformity_modal():
 
 
 def test_hw_diagonal_remainder_is_noop():
-    def R(t, nu=None):
+    def R(t):
         return np.diag([0.3 / math.log(math.e + t), -0.1 / math.log(math.e + t)]).astype(complex)
 
     sys = const_system([1.0, 0.0], R_fn=R)
@@ -196,7 +196,7 @@ def test_hw_offdiagonal_reduction():
     sigma = 1.5
     sp = sigma / (sigma - 1.0)
 
-    def R(t, nu=None):
+    def R(t):
         r = t ** (-1.0 / sp) / (1.0 + math.log(t)) ** 2
         return np.array([[0.0, r], [0.0, 0.0]], dtype=complex)
 
@@ -215,7 +215,7 @@ def test_hw_offdiagonal_reduction():
 
 
 def test_hw_identity_residual():
-    def R(t, nu=None):
+    def R(t):
         return np.array([[0.1 / math.sqrt(t), 0.2 / math.sqrt(t)],
                          [0.05 / t ** 0.6, -0.1 / math.sqrt(t)]], dtype=complex)
 
@@ -231,7 +231,7 @@ def test_hw_identity_residual():
 
 
 def test_hw_requires_strong_dichotomy():
-    def R(t, nu=None):
+    def R(t):
         return np.array([[0.0, 0.1 / t], [0.0, 0.0]], dtype=complex)
 
     sys = const_system([1j, -1j], R_fn=R)  # equal real parts
@@ -243,7 +243,7 @@ def test_remainder_log_integral_finite():
     model = CoefficientModel(b0=2.0, m0=0.75)
     cfg = ZoneConfig(N=1.0)
     sys, _, _ = modal_fuchs_system(model, cfg, xi=1e-4)
-    total, _, _ = remainder_log_integral(sys, None, 1.0, zones_theta(cfg, 1e-4))
+    total, _, _ = remainder_log_integral(sys, 1.0, zones_theta(cfg, 1e-4))
     assert math.isfinite(total)
 
 

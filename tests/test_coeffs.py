@@ -10,28 +10,28 @@ from fuchswave.coeffs import (BOUNDED, COMPLEX_PAIR, DOUBLE_ROOT, LOG, PURE,
                               REAL_LARGE, REAL_SMALL, CoefficientModel,
                               RegimeUnsupportedError, TabulatedCoefficient,
                               UnsupportedOrderError, check_hypotheses,
-                              classify_regime, eval_coefficients, eval_lambda,
-                              example_bounded, example_log, predicted_decay)
+                              classify_regime, example_bounded, example_log,
+                              predicted_decay)
 
 
 def test_eval_pure_scale_invariant_values():
     model = CoefficientModel(b0=2.0, m0=0.0)
-    assert eval_coefficients(model, 1.0, 0) == (1.0, 0.0)
+    assert (model.b_derivative(1.0, 0), model.m_derivative(1.0, 0)) == (1.0, 0.0)
     model = CoefficientModel(b0=2.0, m0=3.0)
-    db, dm = eval_coefficients(model, 0.0, 1)
+    db, dm = model.b_derivative(0.0, 1), model.m_derivative(0.0, 1)
     assert db == -2.0 and dm == -6.0
 
 
 def test_eval_log_family_at_zero():
     model = example_log(b0=1.0, m0=0.0, b1=1.0, m1=0.0, gamma=1.0)
-    b0_val, _ = eval_coefficients(model, 0.0, 0)
+    b0_val = model.b_derivative(0.0, 0)
     assert b0_val == pytest.approx(1.0 + 1.0 / math.e, rel=1e-14)
 
 
 def test_order_above_budget_rejected():
     model = CoefficientModel(b0=1.0, m0=1.0, ell=2)
     with pytest.raises(UnsupportedOrderError):
-        eval_coefficients(model, 1.0, 3)
+        model.b_derivative(1.0, 3)
 
 
 @pytest.mark.parametrize("order,h,rel", [(1, 1e-4, 1e-5), (2, 1e-3, 1e-4),
@@ -52,7 +52,7 @@ def test_log_family_jets_match_finite_differences(order, h, rel):
 
 def test_lambda_pure_closed_form():
     model = CoefficientModel(b0=2.0, m0=0.0)
-    assert eval_lambda(model, 3.0) == pytest.approx(4.0, abs=1e-14)
+    assert model.lam(3.0) == pytest.approx(4.0, abs=1e-14)
     ts = np.array([0.0, 1.0, 10.0, 1e4])
     assert np.allclose(model.lam(ts), (1.0 + ts) ** 1.0)
 
@@ -61,7 +61,7 @@ def test_lambda_at_zero_is_one():
     for model in (CoefficientModel(b0=3.0, m0=1.0),
                   example_bounded(2.0, 1.0),
                   example_log(2.0, 1.0)):
-        assert eval_lambda(model, 0.0) == 1.0
+        assert model.lam(0.0) == 1.0
 
 
 @pytest.mark.parametrize("model", [
@@ -74,7 +74,7 @@ def test_lambda_closed_form_against_quadrature_oracle(model):
     for t in (0.5, 7.0, 431.0):
         integral, _ = quad(lambda u: float(model.b(u)), 0.0, t,
                            epsabs=1e-13, epsrel=1e-12, limit=300)
-        assert eval_lambda(model, t) == pytest.approx(math.exp(0.5 * integral),
+        assert model.lam(t) == pytest.approx(math.exp(0.5 * integral),
                                                       rel=1e-9)
 
 
@@ -84,7 +84,7 @@ def test_lambda_log_family_carries_subpolynomial_factor():
     model = example_log(2.0, 0.0, b1=1.0, m1=0.0, gamma=1.0)
     for t in (1e2, 1e4, 1e6):
         expected = (1.0 + t) ** 1.0 * math.log(math.e + t) ** 0.5
-        assert eval_lambda(model, t) == pytest.approx(expected, rel=1e-12)
+        assert model.lam(t) == pytest.approx(expected, rel=1e-12)
 
 
 EIGHT_CELLS = {
@@ -186,6 +186,39 @@ def test_tabulated_family_from_columns(tmp_path):
     path = tmp_path / "b.csv"
     np.savetxt(path, np.column_stack([ts, 2.0 / (1.0 + ts)]), delimiter=",")
     assert TabulatedCoefficient.from_csv(path)(3.0) == pytest.approx(0.5, rel=1e-8)
+
+
+def _table_model(t_last, n_nodes):
+    # b = 2/(1+t), m = 1/(1+t)^2 tabulated on [0, t_last]
+    ts = np.linspace(0.0, t_last, n_nodes)
+    return CoefficientModel(
+        b0=2.0, m0=1.0, family="tabulated",
+        b_table=TabulatedCoefficient.from_columns(ts, 2.0 / (1.0 + ts)),
+        m_table=TabulatedCoefficient.from_columns(ts, 1.0 / (1.0 + ts) ** 2))
+
+
+def test_tabulated_derivatives_are_the_splines_up_to_order_3():
+    model = _table_model(50.0, 2001)
+    t = 5.0
+    jet = model.b_jet(t, 3)
+    assert jet[1] == pytest.approx(-2.0 / (1.0 + t) ** 2, rel=1e-6)
+    assert jet[3] == pytest.approx(-12.0 / (1.0 + t) ** 4, rel=0.02)
+    # the spline's antiderivative against the closed form lam = 1 + t
+    assert model.lam(t) == pytest.approx(1.0 + t, rel=1e-9)
+    # ell = 8 is declared, but a cubic spline has no exact fourth derivative
+    assert model.ell == 8
+    for jet_of in (model.b_jet, model.m_jet):
+        with pytest.raises(UnsupportedOrderError):
+            jet_of(t, 4)
+
+
+def test_tabulated_family_does_not_extrapolate():
+    model = _table_model(200.0, 801)
+    for evaluate, t in ((model.b, 1e3), (model.m, 1e3), (model.lam, 300.0),
+                        (model.b, np.array([1.0, 250.0]))):
+        with pytest.raises(ValueError, match="last 200"):
+            evaluate(t)
+    assert model.lam(200.0) == pytest.approx(201.0, rel=1e-3)  # the last node itself is in range
 
 
 def test_tabulated_rejects_effective_dissipation():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fuchswave.coeffs import CoefficientModel, example_bounded
-from fuchswave.diagonalize import (KTooLargeError, M_ROT, M_ROT_INV,
+from fuchswave.coeffs import CoefficientModel, UnsupportedOrderError, example_bounded
+from fuchswave.diagonalize import (M_ROT, M_ROT_INV,
                                    ZoneConstantError, assemble_from_boundary,
                                    assemble_representation, audit_symbol,
                                    boundary_symbol_audit, build_stage,
@@ -65,7 +65,7 @@ def test_free_case_hierarchy_vanishes():
 
 def test_smoothness_budget_enforced():
     model = CoefficientModel(b0=2.0, m0=1.0, ell=2)
-    with pytest.raises(KTooLargeError):
+    with pytest.raises(UnsupportedOrderError):
         build_stage(model, 2, CFG)
 
 

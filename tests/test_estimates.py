@@ -5,10 +5,9 @@ import pytest
 
 from fuchswave.coeffs import (CoefficientModel, RegimeUnsupportedError,
                               classify_regime, example_bounded)
-from fuchswave.estimates import (DataSpec, InvalidWindowError, OutOfScopeError,
-                                 ResolutionError, SupportError, bump,
-                                 energy_trace, fit_decay, grid_for_data,
-                                 improved_u_bound, lp_lq_rate,
+from fuchswave.estimates import (DataSpec, InvalidWindowError, ResolutionError,
+                                 SupportError, bump, energy_trace, fit_decay,
+                                 grid_for_data, improved_u_bound, lp_lq_rate,
                                  moment_experiment, moment_parameters,
                                  radial_grid, radial_norm, scattering_operator,
                                  scattering_residual, sharpness_limit)
@@ -209,7 +208,7 @@ def test_scattering_residual_free_vanishes_and_scales():
 def test_improved_u_bound_guards():
     data = DataSpec(kind="gaussian", width=1.0, amp0=1.0, amp1=0.5)
     grid = radial_grid(1e-4, 8.0, 128)
-    with pytest.raises(OutOfScopeError):
+    with pytest.raises(RegimeUnsupportedError):
         improved_u_bound(CoefficientModel(b0=2.0, m0=2.0, sigma=1.5), CFG,
                          data, grid)
     fit = improved_u_bound(CoefficientModel(b0=2.0, m0=2.0), CFG, data, grid,

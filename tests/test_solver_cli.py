@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from fuchswave.cli import run_cli
+from fuchswave.cli import build_parser, run_cli
 from fuchswave.coeffs import CoefficientModel
-from fuchswave.estimates import DataSpec, energy_trace, grid_for_data
+from fuchswave.estimates import DataSpec, ResolutionError, energy_trace, grid_for_data
 from fuchswave.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                    ResultRecord, _IGNORED_KEYS, config_hash, persist,
                                    run_experiment)
-from fuchswave.solver import Grid, SimulationError, simulate_fields
+from fuchswave.solver import Grid, simulate_fields
 from fuchswave.zones import ZoneConfig
 
 CFG = ZoneConfig(N=1.0)
@@ -80,7 +80,7 @@ def test_resolution_warning_and_strict_mode():
     data = DataSpec(kind="ring", center=2.0, width=0.5, amp0=1.0, amp1=0.0)
     trace = simulate_fields(FREE, CFG, grid, data, [0.0, 1e4])
     assert trace.warnings
-    with pytest.raises(SimulationError):
+    with pytest.raises(ResolutionError):
         simulate_fields(FREE, CFG, grid, data, [0.0, 1e4], strict=True)
 
 
@@ -141,6 +141,26 @@ def test_persist_determinism_and_archive(tmp_path):
     assert len(archived) == 1                # previous manifest kept
 
 
+def test_persist_failure_leaves_the_directory_as_it_was(tmp_path):
+    out = tmp_path / "run"
+    good = ResultRecord(
+        config={"experiment": "classify"}, config_hash="cd" * 32,
+        experiment="classify", verdicts={"ok": True}, outputs={"value": 1.5},
+        traces=[("trace", "t,v", [[1.0, 2.0]])], wall_time=0.1)
+    persist(good, out)
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    bad = ResultRecord(
+        config={"experiment": "classify"}, config_hash="ef" * 32,
+        experiment="classify", verdicts={"ok": True}, outputs={"value": object()},
+        traces=[("trace", "t,v", [[1.0, 2.0]])], wall_time=0.1)
+    with pytest.raises(TypeError):
+        persist(bad, out)
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    with pytest.raises(TypeError):
+        persist(bad, tmp_path / "fresh")
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_run_classify_experiment():
     cfg = ExperimentConfig.from_dict(
         {"experiment": "classify", "model": {"b0": 4.0, "m0": 0.0}})
@@ -157,6 +177,37 @@ def test_cli_classify(capsys):
     assert code == 0
     assert "real_large_muplus" in out
     assert "mu+ = -1" in out
+
+
+# the flags each subcommand takes besides --config and --out: the config
+# fields its experiment reads
+CLI_FLAGS = {
+    "classify": {"b0", "m0"},
+    "simulate": {"b0", "m0", "N", "tfinal", "tol", "strict"},
+    "sweep": {"N", "tfinal", "tol"},
+    "scatter": {"b0", "m0", "sigma", "N", "tfinal", "tol"},
+    "moments": {"b0", "m0", "sigma", "N", "tfinal", "tol"},
+    "levinson": {"b0", "m0", "N"},
+    "repcheck": {"b0", "m0", "N"},
+    "hw": {"b0", "m0", "sigma", "N", "tfinal"},
+}
+
+
+@pytest.mark.parametrize("command", EXPERIMENTS)
+def test_cli_subcommand_takes_only_the_flags_its_experiment_reads(command, capsys):
+    parser = build_parser()
+    assert parser.parse_args([command, "--config", "c.json", "--out", "o"]).out == "o"
+    for flag in ("b0", "m0", "sigma", "N", "tfinal", "tol", "strict"):
+        argv = [command, f"--{flag}"] + ([] if flag == "strict" else ["1.5"])
+        if flag in CLI_FLAGS[command]:
+            assert getattr(parser.parse_args(argv), flag) in (1.5, True)
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            # a usage error exits 1; 2 would read as a failed verdict
+            assert run_cli(argv) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+    assert run_cli([command, "--help"]) == 0
 
 
 def test_cli_simulate_without_config(capsys):

@@ -119,4 +119,3 @@ def test_theta_derivative_bounds_by_finite_differences():
 def test_zone_config_validation():
     with pytest.raises(ValueError):
         ZoneConfig(N=0.0)
-    assert CFG.with_constant(4.0, "diagonalize").N == 4.0
