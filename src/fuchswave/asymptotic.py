@@ -30,6 +30,10 @@ class DichotomyViolationError(RuntimeError):
 
 # Picard sweeps levinson_solve allows before giving up
 _PICARD_MAX_ITER = 60
+# check_dichotomy: log-grid points on [1, T]
+_DICHOTOMY_SAMPLES = 1200
+# hw_identity_residual: centered-difference step in x = ln t
+_HW_FD_STEP = 1e-4
 
 
 class NeedsLargerStartError(RuntimeError):
@@ -97,13 +101,14 @@ class DichotomyVerdict:
     grid: np.ndarray
 
 
-def check_dichotomy(sys, pair, T, t0=1.0, n=1200):
-    """Evaluate int Re(mu_i - mu_j) ds/s on a log grid and report which
-    alternative holds numerically, with strong-form constants if applicable."""
+def check_dichotomy(sys, pair, T):
+    """Evaluate int Re(mu_i - mu_j) ds/s on a log grid over [1, T] and report
+    which alternative holds numerically, with strong-form constants if
+    applicable."""
     i, j = pair
     if i == j:
         raise ValueError("dichotomy concerns a pair of distinct indices")
-    xs = np.linspace(math.log(t0), math.log(T), n)
+    xs = np.linspace(0.0, math.log(T), _DICHOTOMY_SAMPLES)
     diff = np.array([(sys.mu_at(math.exp(x))[i] - sys.mu_at(math.exp(x))[j]).real
                      for x in xs])
     re_lo = diff.min()
@@ -165,26 +170,17 @@ class LevinsonSolution:
         return out
 
 
-def _cumulative_kernel_forward(delta, g, xs):
+def _cumulative_kernel(delta, g, xs):
     """I(x_a) = int_{x_0}^{x_a} e^{delta(x_a)-delta(x)} g(x) dx, stably via the
-    recurrence I(x_{a+1}) = e^{delta(x_{a+1})-delta(x_a)} I(x_a) + panel."""
+    recurrence I(x_{a+1}) = e^{delta(x_{a+1})-delta(x_a)} I(x_a) + panel.
+    Called on reversed arrays with xs negated, and its result reversed, it
+    gives the backward integral int_{x_a}^{x_N} e^{delta(x_a)-delta(x)} g(x) dx."""
     n = len(xs)
     out = np.zeros(n, dtype=complex)
     for a in range(1, n):
         dx = xs[a] - xs[a - 1]
         ratio = np.exp(delta[a] - delta[a - 1])
         out[a] = ratio * out[a - 1] + dx / 2.0 * (ratio * g[a - 1] + g[a])
-    return out
-
-
-def _cumulative_kernel_backward(delta, g, xs):
-    """K(x_a) = int_{x_a}^{x_N} e^{delta(x_a)-delta(x)} g(x) dx."""
-    n = len(xs)
-    out = np.zeros(n, dtype=complex)
-    for a in range(n - 2, -1, -1):
-        dx = xs[a + 1] - xs[a]
-        ratio = np.exp(delta[a] - delta[a + 1])
-        out[a] = ratio * out[a + 1] + dx / 2.0 * (g[a] + ratio * g[a + 1])
     return out
 
 
@@ -247,9 +243,9 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
         G = np.einsum("nij,nj->ni", Rs, Z)                   # R Z on the grid
         Z_new = np.tile(ek, (len(xs), 1))
         for i in minus_set:
-            Z_new[:, i] += _cumulative_kernel_forward(delta[:, i], G[:, i], xs)
+            Z_new[:, i] += _cumulative_kernel(delta[:, i], G[:, i], xs)
         for i in plus_set:
-            Z_new[:, i] -= _cumulative_kernel_backward(delta[:, i], G[:, i], xs)
+            Z_new[:, i] -= _cumulative_kernel(delta[::-1, i], G[::-1, i], -xs[::-1])[::-1]
         gap = float(np.max(np.linalg.norm(Z_new - Z, axis=1)))
         Z = Z_new
         # rates observed while well above the tolerance floor (roundoff-free)
@@ -404,11 +400,11 @@ def hartman_wintner(sys, sigma, t0, horizon, n=4000):
             kind, _ = margins[(i, j)]
             if kind == "plus":
                 # n_ij = -e^{delta(t)} int_t^inf e^{-delta} r dx, truncated at T
-                N_grid[:, i, j] = -_cumulative_kernel_backward(delta, g, xs)
+                N_grid[:, i, j] = -_cumulative_kernel(delta[::-1], g[::-1], -xs[::-1])[::-1]
                 tail_total = max(tail_total,
                                  float(abs(g[-1])) / margins[(i, j)][1])
             else:
-                N_grid[:, i, j] = _cumulative_kernel_forward(delta, g, xs)
+                N_grid[:, i, j] = _cumulative_kernel(delta, g, xs)
     N_norms = np.linalg.norm(N_grid, ord=2, axis=(1, 2))
 
     ok = N_norms < 0.5
@@ -458,10 +454,10 @@ def hartman_wintner(sys, sigma, t0, horizon, n=4000):
     return transform, transformed
 
 
-def hw_identity_residual(sys, transform, t, h=1e-4):
+def hw_identity_residual(sys, transform, t):
     """Defect of t N' - (DN - ND) - (R - diag R) at time t, with t N'
     evaluated by a centered difference in x = ln t."""
-    x = math.log(t)
+    x, h = math.log(t), _HW_FD_STEP
     Np = transform.N_matrix(math.exp(x + h))
     Nm = transform.N_matrix(math.exp(x - h))
     tNprime = (Np - Nm) / (2.0 * h)

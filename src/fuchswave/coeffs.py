@@ -32,8 +32,12 @@ DOUBLE_ROOT = "double_root"
 REAL_SMALL = "real_small_muplus"
 REAL_LARGE = "real_large_muplus"
 
-# check_hypotheses: log-spaced sample points per decade of the horizon
+# check_hypotheses: log-spaced sample points per decade of the horizon, the
+# highest derivative order sampled (capped by the model's budget), and the
+# bound on the [T/2, T] tail integrals
 _SAMPLES_PER_DECADE = 8
+_HYP1_MAX_ORDER = 4
+_HYP2_TAIL_TOL = 1e-3
 # a cubic spline has exact derivatives up to this order only
 _TABLE_MAX_ORDER = 3
 
@@ -193,14 +197,17 @@ class CoefficientModel:
                     + self._log_term_jet(t, order, self.m1, 2))
         return self._table_jet(self.m_table, t, order)
 
+    @property
+    def budget(self):
+        """Highest derivative order the model supplies: ell, capped for the
+        tabulated family at the cubic spline's exact derivatives."""
+        return min(self.ell, _TABLE_MAX_ORDER) if self.family == TABULATED else self.ell
+
     def _check_order(self, order):
-        if self.family == TABULATED and order > _TABLE_MAX_ORDER:
+        if order > self.budget:
             raise UnsupportedOrderError(
-                f"derivative order {order} exceeds the cubic spline's "
-                f"{_TABLE_MAX_ORDER} exact derivatives")
-        if order > self.ell:
-            raise UnsupportedOrderError(
-                f"derivative order {order} exceeds smoothness budget ell={self.ell}")
+                f"derivative order {order} exceeds the smoothness budget {self.budget} "
+                f"(ell={self.ell}, family {self.family})")
 
     def _log_term_jet(self, t, order, amp, power):
         # amp / ((e+t)^power * ln(e+t)^gamma), derivatives via jet arithmetic
@@ -353,7 +360,7 @@ class HypothesisReport:
     tail_tol: float
 
 
-def check_hypotheses(model, T, sigma=None, tail_tol=1e-3, k_max=None):
+def check_hypotheses(model, T, sigma=None):
     """Sample the sup bounds of Hyp.-1 type and the sigma-integrals of
     Hyp.-2 type on [1, T].  'pass' is a bounded/Cauchy verdict at the given
     horizon: the asymptotic conditions cannot be decided numerically.
@@ -361,7 +368,7 @@ def check_hypotheses(model, T, sigma=None, tail_tol=1e-3, k_max=None):
     if T <= 1.0:
         raise ValueError("horizon T must exceed 1")
     sigma = model.sigma if sigma is None else float(sigma)
-    k_max = min(model.ell, 4) if k_max is None else k_max
+    k_max = min(model.budget, _HYP1_MAX_ORDER)
 
     # sup-bound sampling saturates at 1e12 to avoid overflow in the weights;
     # the sigma-integrals below use the full horizon via the log substitution
@@ -398,12 +405,12 @@ def check_hypotheses(model, T, sigma=None, tail_tol=1e-3, k_max=None):
     im = sig_int(wm, 1.0, T)
     tb = sig_int(wb, T / 2.0, T)
     tm = sig_int(wm, T / 2.0, T)
-    hyp2_ok = tb < tail_tol and tm < tail_tol
+    hyp2_ok = tb < _HYP2_TAIL_TOL and tm < _HYP2_TAIL_TOL
 
     return HypothesisReport(
         horizon=float(T), sigma=sigma, hyp1_constants=constants, hyp1_pass=hyp1_ok,
         integral_b=ib, integral_m=im, tail_b=tb, tail_m=tm,
-        hyp2_pass=hyp2_ok, tail_tol=tail_tol,
+        hyp2_pass=hyp2_ok, tail_tol=_HYP2_TAIL_TOL,
     )
 
 

@@ -27,15 +27,19 @@ Peano-Baker series.  Transforming back,
 
 is an exact identity, checked against the direct oracle.
 
-Derivatives feeding the recursion are exact jets of the stored evaluables,
-never finite differences: the recursion nests k derivative levels and FD
-noise would compound.
+One forward pass over the sweeps j = 1..k builds N^(j), F^(j-1) and B^(j)
+level by level from a single jet of b and of m.  B^(j) needs D_t N_j, so
+each level is one jet order shorter than the one before: B^(k) at jet
+order r opens the pass at order r + k.  Derivatives are exact jets, never
+finite differences: the pass nests k derivative levels and FD noise would
+compound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson, solve_ivp
@@ -53,6 +57,8 @@ _ZONE_CANDIDATES = np.geomspace(1e-2, 1e2, 41)
 _ZONE_N_XI = 25
 # q_limit: doublings of t allowed before the Cauchy test must have settled
 _Q_LIMIT_MAX_STEPS = 48
+# operator_identity_residual: finite-difference step relative to 1+t
+_FD_STEP = 1e-4
 
 
 class ZoneConstantError(RuntimeError):
@@ -91,98 +97,67 @@ class SymbolMatrix:
         return np.moveaxis(self.jet(t, xi, 0)[0], -1, 0).squeeze()
 
 
-class _StageEval:
-    """Recursion evaluator at fixed xi, vectorised over a time grid."""
+class _Hierarchy(NamedTuple):
+    """Jets of shape (order+1, 2, 2, nt) from one pass of `_sweeps`."""
 
-    def __init__(self, model, xi, t):
-        self.model = model
-        self.xi = float(xi)
-        self.t = np.atleast_1d(np.asarray(t, dtype=float))
-        self.D = np.array([[xi, 0.0], [0.0, -xi]], dtype=complex)
-        self._cache = {}
+    N_parts: list          # N^(1), ..., N^(k)
+    F_parts: list          # F^(0), ..., F^(k-1)
+    N: np.ndarray          # N_k
+    F: np.ndarray          # F_{k-1}
+    B: np.ndarray | None   # B^(k), None when not asked for
 
-    def _b(self, order):
-        key = ("b", order)
-        if key not in self._cache:
-            self._cache[key] = self.model.b_jet(self.t, order).astype(complex)
-        return self._cache[key]
 
-    def _m(self, order):
-        key = ("m", order)
-        if key not in self._cache:
-            self._cache[key] = self.model.m_jet(self.t, order).astype(complex)
-        return self._cache[key]
+def _sweeps(model, xi, t, k, order, with_B):
+    """The hierarchy of k sweeps at fixed xi, vectorised over a time grid, in
+    one forward pass; jets up to `order`.  B^(j) needs D_t N_j, so level j is
+    one jet order shorter than level j-1, and the pass opens at order
+    `order + k - 1`, one more when B^(k) is asked for.  Without B^(k) the
+    pass stops once N_k is built."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    n_B = k if with_B else k - 1            # levels that build a B^(j)
+    top = order + n_B
+    b = model.b_jet(t, top).astype(complex)
+    F0 = np.zeros((top + 1, 2, 2, t.size), dtype=complex)
+    F0[:, 0, 0] = F0[:, 1, 1] = 0.5j * b
+    N1 = np.zeros_like(F0)
+    N1[:, 0, 1] = -0.25j * b / xi
+    N1[:, 1, 0] = 0.25j * b / xi
+    N_parts, F_parts = [N1], [F0]
+    N = np.zeros_like(F0)
+    N[0, 0, 0] = N[0, 1, 1] = 1.0
+    N += N1
+    F = F0
+    if n_B:
+        m = model.m_jet(t, top - 1).astype(complex)
+        BC = (0.5j * b[:top, None, None, :] * np.ones((2, 2))[None, :, :, None]
+              + m[:, None, None, :] * np.array([[1.0, -1.0], [1.0, -1.0]])[None, :, :, None]
+              / (2.0 * xi))
+    D = np.array([[xi, 0.0], [0.0, -xi]], dtype=complex)
+    B = None
+    for j in range(1, n_B + 1):
+        n = top - j + 1                     # jet length of B^(j)
+        Nj, Fj = N[:n], F[:n]
+        comm = _jm_const_mul(D, Nj, "left") - _jm_const_mul(D, Nj, "right")
+        B = -1j * N[1:] - comm - _jm_mul(BC[:n], Nj) + _jm_mul(Nj, Fj)
+        if j == k:
+            break
+        N_next = np.zeros_like(B)
+        N_next[:, 0, 1] = B[:, 0, 1] / (2.0 * xi)
+        N_next[:, 1, 0] = -B[:, 1, 0] / (2.0 * xi)
+        F_next = np.zeros_like(B)
+        F_next[:, 0, 0] = -B[:, 0, 0]
+        F_next[:, 1, 1] = -B[:, 1, 1]
+        N_parts.append(N_next)
+        F_parts.append(F_next)
+        N, F = Nj + N_next, Fj + F_next
+    cut = order + 1
+    return _Hierarchy([p[:cut] for p in N_parts], [p[:cut] for p in F_parts],
+                      N[:cut], F[:cut], B if with_B else None)
 
-    def B(self, order):
-        ones = np.ones((2, 2))
-        return 0.5j * self._b(order)[:, None, None, :] * ones[None, :, :, None]
 
-    def C(self, order):
-        sign = np.array([[1.0, -1.0], [1.0, -1.0]])
-        return self._m(order)[:, None, None, :] * sign[None, :, :, None] / (2.0 * self.xi)
-
-    def F_part(self, j, order):
-        key = ("F", j, order)
-        if key in self._cache:
-            return self._cache[key]
-        if j == 0:
-            b = self._b(order)
-            out = np.zeros((order + 1, 2, 2, self.t.size), dtype=complex)
-            out[:, 0, 0, :] = 0.5j * b
-            out[:, 1, 1, :] = 0.5j * b
-        else:
-            Bk = self.B_part(j, order)
-            out = np.zeros_like(Bk)
-            out[:, 0, 0, :] = -Bk[:, 0, 0, :]
-            out[:, 1, 1, :] = -Bk[:, 1, 1, :]
-        self._cache[key] = out
-        return out
-
-    def N_part(self, j, order):
-        key = ("N", j, order)
-        if key in self._cache:
-            return self._cache[key]
-        if j == 1:
-            b = self._b(order)
-            out = np.zeros((order + 1, 2, 2, self.t.size), dtype=complex)
-            out[:, 0, 1, :] = -0.25j * b / self.xi
-            out[:, 1, 0, :] = 0.25j * b / self.xi
-        else:
-            Bk = self.B_part(j - 1, order)
-            out = np.zeros_like(Bk)
-            out[:, 0, 1, :] = Bk[:, 0, 1, :] / (2.0 * self.xi)
-            out[:, 1, 0, :] = -Bk[:, 1, 0, :] / (2.0 * self.xi)
-        self._cache[key] = out
-        return out
-
-    def N_total(self, k, order):
-        out = np.zeros((order + 1, 2, 2, self.t.size), dtype=complex)
-        out[0, 0, 0, :] = 1.0
-        out[0, 1, 1, :] = 1.0
-        for j in range(1, k + 1):
-            out += self.N_part(j, order)
-        return out
-
-    def F_total(self, k_minus_1, order):
-        out = np.zeros((order + 1, 2, 2, self.t.size), dtype=complex)
-        for j in range(0, k_minus_1 + 1):
-            out += self.F_part(j, order)
-        return out
-
-    def B_part(self, k, order):
-        """B^(k) from the defining operator identity, exact to jet order."""
-        key = ("Bk", k, order)
-        if key in self._cache:
-            return self._cache[key]
-        Nk1 = self.N_total(k, order + 1)
-        Nk = Nk1[: order + 1]
-        dt_Nk = -1j * Nk1[1:]
-        comm = _jm_const_mul(self.D, Nk, "left") - _jm_const_mul(self.D, Nk, "right")
-        BC = _jm_mul(self.B(order) + self.C(order), Nk)
-        NF = _jm_mul(Nk, self.F_total(k - 1, order))
-        out = dt_Nk - comm - BC + NF
-        self._cache[key] = out
-        return out
+def _at(t, jet0):
+    """A (2, 2, nt) jet entry as matrices at t: (nt, 2, 2), or (2, 2) for a scalar t."""
+    return np.moveaxis(jet0, -1, 0) if np.ndim(t) else jet0[..., 0]
 
 
 @dataclass
@@ -197,49 +172,33 @@ class DiagonalizationStage:
     F_parts: list
     B_k: SymbolMatrix
 
-    def _ev(self, t, xi):
-        return _StageEval(self.model, xi, t)
-
     def N_total(self, t, xi):
-        out = self._ev(t, xi).N_total(self.k, 0)[0]
-        return np.moveaxis(out, -1, 0) if np.ndim(t) else out[..., 0]
+        return _at(t, _sweeps(self.model, xi, t, self.k, 0, with_B=False).N[0])
 
     def B_k_at(self, t, xi):
-        out = self._ev(t, xi).B_part(self.k, 0)[0]
-        return np.moveaxis(out, -1, 0) if np.ndim(t) else out[..., 0]
+        return _at(t, _sweeps(self.model, xi, t, self.k, 0, with_B=True).B[0])
 
     def q_generator(self, t, xi):
         """F_{k-1} - F^(0) + R_k, the generator driving Q_k before phase
         conjugation; vectorised over t."""
-        ev = self._ev(t, xi)
-        F_extra = ev.F_total(self.k - 1, 0)[0] - ev.F_part(0, 0)[0]
-        N = ev.N_total(self.k, 0)[0]
-        B = ev.B_part(self.k, 0)[0]
-        G = np.moveaxis(F_extra, -1, 0) - np.matmul(_inv2(np.moveaxis(N, -1, 0)),
-                                                    np.moveaxis(B, -1, 0))
+        hier = _sweeps(self.model, xi, t, self.k, 0, with_B=True)
+        F_extra = hier.F[0] - hier.F_parts[0][0]
+        G = np.moveaxis(F_extra, -1, 0) - np.matmul(_inv2(np.moveaxis(hier.N[0], -1, 0)),
+                                                    np.moveaxis(hier.B[0], -1, 0))
         return G if np.ndim(t) else G[0]
 
-    def operator_identity_residual(self, t, xi, h=None):
+    def operator_identity_residual(self, t, xi):
         """Defect of (D_t - D - B - C) N_k - N_k (D_t - D - F_{k-1}) - B^(k)
         with D_t N_k re-evaluated by Richardson finite differences, as an
         independent check on the jet arithmetic."""
-        h = 1e-4 * (1.0 + t) if h is None else h
-        ev = self._ev(t, xi)
-        D = ev.D
-
-        def nk(tau):
-            e = _StageEval(self.model, xi, tau)
-            return e.N_total(self.k, 0)[0][..., 0]
-
-        d1 = (8 * (nk(t + h) - nk(t - h)) - (nk(t + 2 * h) - nk(t - 2 * h))) / (12 * h)
-        dtN = -1j * d1
-        Nk = nk(t)
-        Bv = ev.B(0)[0][..., 0]
-        Cv = ev.C(0)[0][..., 0]
-        Fv = ev.F_total(self.k - 1, 0)[0][..., 0]
-        Bk = ev.B_part(self.k, 0)[0][..., 0]
-        lhs = dtN - (D @ Nk - Nk @ D) - (Bv + Cv) @ Nk + Nk @ Fv
-        return spectral_norm(lhs - Bk)
+        h = _FD_STEP * (1.0 + t)
+        Nm2, Nm1, Nk, Np1, Np2 = self.N_total(t + h * np.arange(-2.0, 3.0), xi)
+        dtN = -1j * ((8 * (Np1 - Nm1) - (Np2 - Nm2)) / (12 * h))
+        pre = preliminary_transform(self.model, xi)
+        hier = _sweeps(self.model, xi, t, self.k, 0, with_B=True)
+        lhs = (dtN - (pre.D @ Nk - Nk @ pre.D) - (pre.B(t) + pre.C(t)) @ Nk
+               + Nk @ _at(t, hier.F[0]))
+        return spectral_norm(lhs - _at(t, hier.B[0]))
 
 
 def _inv2(M):
@@ -283,25 +242,25 @@ def preliminary_transform(model, xi_norm):
 
 def build_stage(model, k, config):
     """Construct the k-sweep hierarchy; k must leave one derivative order of
-    headroom in the smoothness budget."""
+    headroom in the model's smoothness budget."""
     if k < 1:
         raise ValueError("at least one sweep is required")
-    if k > model.ell - 1:
+    if k > model.budget - 1:
         raise UnsupportedOrderError(
-            f"k={k} sweeps need ell >= {k + 1}, model has ell={model.ell}")
-    N_parts = []
-    F_parts = []
-    for j in range(1, k + 1):
-        N_parts.append(SymbolMatrix(
-            jet=lambda t, xi, order, j=j: _StageEval(model, xi, t).N_part(j, order),
-            order=(-j, j), smoothness=model.ell - j + 1, name=f"N^({j})"))
-    for j in range(0, k):
-        F_parts.append(SymbolMatrix(
-            jet=lambda t, xi, order, j=j: _StageEval(model, xi, t).F_part(j, order),
-            order=(-j, j + 1), smoothness=model.ell - j, name=f"F^({j})"))
+            f"k={k} sweeps need a smoothness budget >= {k + 1}, model has {model.budget}")
+    N_parts = [SymbolMatrix(
+        jet=lambda t, xi, order, j=j:
+            _sweeps(model, xi, t, j, order, with_B=False).N_parts[-1],
+        order=(-j, j), smoothness=model.budget - j + 1, name=f"N^({j})")
+        for j in range(1, k + 1)]
+    F_parts = [SymbolMatrix(
+        jet=lambda t, xi, order, j=j:
+            _sweeps(model, xi, t, j + 1, order, with_B=False).F_parts[-1],
+        order=(-j, j + 1), smoothness=model.budget - j, name=f"F^({j})")
+        for j in range(0, k)]
     B_k = SymbolMatrix(
-        jet=lambda t, xi, order: _StageEval(model, xi, t).B_part(k, order),
-        order=(-k, k + 1), smoothness=model.ell - k, name=f"B^({k})")
+        jet=lambda t, xi, order: _sweeps(model, xi, t, k, order, with_B=True).B,
+        order=(-k, k + 1), smoothness=model.budget - k, name=f"B^({k})")
     return DiagonalizationStage(model=model, config=config, k=k,
                                 N_parts=N_parts, F_parts=F_parts, B_k=B_k)
 

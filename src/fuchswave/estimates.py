@@ -24,6 +24,12 @@ FIT_TOLERANCE = 0.05
 DEFAULT_WINDOW = (1e2, 1e4)
 # kappa margin moment_parameters adds when sigma > 1 makes the inequality strict
 MOMENT_SLACK = 0.1
+# relative full- vs half-grid norm deviation a frequency grid may show
+_RESOLUTION_TOL = 0.01
+# oracle rtol of scattering_operator; scattering_residual evolves the
+# scattering basis this many times past its horizon
+_SCATTERING_RTOL = 1e-9
+_W_HORIZON_FACTOR = 4.0
 
 
 class ResolutionError(RuntimeError):
@@ -138,12 +144,12 @@ class EnergyTrace:
     grid: np.ndarray
 
 
-def _check_resolution(u0, u1, r, n_dim, tol=0.01):
+def _check_resolution(u0, u1, r, n_dim):
     full = radial_norm(np.abs(u0) + np.abs(u1), r, n_dim)
     half = radial_norm((np.abs(u0) + np.abs(u1))[::2], r[::2], n_dim)
     if full == 0.0:
         return
-    if abs(full - half) / full > tol:
+    if abs(full - half) / full > _RESOLUTION_TOL:
         raise ResolutionError(
             f"half-grid norm deviates by {abs(full - half) / full:.1%}; refine the grid")
 
@@ -368,8 +374,7 @@ class ScatteringOperator:
         return float(np.linalg.svd(self.W, compute_uv=False)[:, 0].max())
 
 
-def scattering_operator(model, config, freq_samples, horizon=1e5, tol=1e-3,
-                        rtol=1e-9, eps=1e-3):
+def scattering_operator(model, config, freq_samples, horizon=1e5, tol=1e-3, eps=1e-3):
     """W_plus(xi) = lim lam(t) E_fr(t,0,xi)^{-1} E(t,0,xi), evaluated at
     doubling times until Cauchy within tol; uniform only away from xi = 0, so
     samples below eps are rejected."""
@@ -378,7 +383,8 @@ def scattering_operator(model, config, freq_samples, horizon=1e5, tol=1e-3,
     if np.any(r < eps):
         raise ValueError(f"samples must satisfy |xi| >= {eps}")
     times = 2.0 ** np.arange(0, int(math.floor(math.log2(horizon))) + 1)
-    Phi = modal.state_propagator_checkpoints(model, r, times, rtol=rtol, atol=rtol * 1e-6)
+    Phi = modal.state_propagator_checkpoints(model, r, times, rtol=_SCATTERING_RTOL,
+                                             atol=_SCATTERING_RTOL * 1e-6)
     W = _wave_operator_samples(model, config, r, times, Phi)
     inc = np.linalg.norm(np.diff(W, axis=0), ord=2, axis=(2, 3))  # (nt-1, nr)
     conv = np.full(r.size, np.nan)
@@ -406,7 +412,7 @@ class ScatteringResidual:
 
 
 def scattering_residual(model, config, data_spec, freq_grid, horizon=1e4,
-                        n_dim=1, rtol=1e-9, w_horizon_factor=4.0):
+                        n_dim=1, rtol=1e-9):
     """Evolve u with the oracle and v freely from V0 = W_plus U0; the rescaled
     derivative differences must trend down and end below 10% of their start."""
     _check_scattering_regime(model)
@@ -417,7 +423,7 @@ def scattering_residual(model, config, data_spec, freq_grid, horizon=1e4,
 
     n_dbl = int(math.floor(math.log2(horizon)))
     times = 2.0 ** np.arange(0, n_dbl + 1)
-    w_times = 2.0 ** np.arange(0, n_dbl + int(round(math.log2(w_horizon_factor))) + 1)
+    w_times = 2.0 ** np.arange(0, n_dbl + int(round(math.log2(_W_HORIZON_FACTOR))) + 1)
     Phi = modal.state_propagator_checkpoints(model, r, w_times, rtol=rtol,
                                              atol=rtol * 1e-6)
     Wall = _wave_operator_samples(model, config, r, w_times, Phi)

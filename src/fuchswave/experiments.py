@@ -47,10 +47,10 @@ _DATA_KEYS = {"kind", "width", "center", "zero_order", "support", "path",
               "amp0", "amp1"}
 _GRID_KEYS = {"n_dim", "points_per_dim", "box_length"}
 _TOP_KEYS = {"schema", "experiment", "model", "zone", "data", "grid", "n_dim",
-             "times", "tolerances", "sweep_cells", "freq_samples", "strict",
+             "times", "tolerances", "sweep_cells", "strict",
              "seed", "xi", "steps"}
-# accepted and ignored: never changed a result; older manifests carry it
-_IGNORED_KEYS = {"threads"}
+# accepted and ignored: never changed a result; older manifests carry them
+_IGNORED_KEYS = {"threads", "freq_samples"}
 
 
 def _reject_unknown(d, allowed, where):
@@ -72,7 +72,6 @@ class ExperimentConfig:
     rtol: float = 1e-9
     fit_tol: float = 0.05
     sweep_cells: tuple = DEFAULT_SWEEP_CELLS
-    freq_samples: tuple = ()
     strict: bool = False
     seed: int = 20240901
     xi: float = 1e-4
@@ -118,7 +117,6 @@ class ExperimentConfig:
             rtol=float(tols.get("rtol", 1e-9)),
             fit_tol=float(tols.get("fit", 0.05)),
             sweep_cells=tuple(tuple(c) for c in d.get("sweep_cells", DEFAULT_SWEEP_CELLS)),
-            freq_samples=tuple(d.get("freq_samples", ())),
             strict=bool(d.get("strict", False)),
             seed=int(d.get("seed", 20240901)),
             xi=float(d.get("xi", 1e-4)),
@@ -135,7 +133,6 @@ class ExperimentConfig:
             "times": {"t_final": self.t_final, "checkpoints": self.checkpoints},
             "tolerances": {"rtol": self.rtol, "fit": self.fit_tol},
             "sweep_cells": [list(c) for c in self.sweep_cells],
-            "freq_samples": list(self.freq_samples),
             "strict": self.strict,
             "seed": self.seed,
             "xi": self.xi,

@@ -129,15 +129,14 @@ def _ode_rhs(sys):
     return lambda t, y: (1j * system_matrix(sys, t) @ y.reshape(2, 2)).ravel()
 
 
-def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL, atol=None):
+def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL):
     """E(t_i, s, xi) for all checkpoint times in one adaptive integration."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < s):
         raise ValueError("checkpoints must satisfy t >= s")
-    atol = rtol * 1e-4 if atol is None else atol
     y0 = np.eye(2, dtype=complex).ravel()
     sol = solve_ivp(_ode_rhs(sys), (s, float(times[-1])), y0, method="DOP853",
-                    t_eval=times, rtol=rtol, atol=atol, dense_output=False)
+                    t_eval=times, rtol=rtol, atol=rtol * 1e-4, dense_output=False)
     if not sol.success:
         raise StiffnessError(sol.message, t=sol.t[-1] if sol.t.size else s, xi=sys.xi_norm)
     return sol.y.T.reshape(-1, 2, 2)
@@ -325,12 +324,12 @@ def scale_invariant_norm_traces(cells, config, xi, times, rtol=DEFAULT_RTOL):
     return np.linalg.svd(E, compute_uv=False)[..., 0]
 
 
-def dump_trajectory(sys, s, t, path, n_checkpoints=64, rtol=DEFAULT_RTOL):
+def dump_trajectory(sys, s, t, path, n_checkpoints=64):
     """Write the propagator trajectory to CSV at log-spaced checkpoints:
     columns t, e11_re, e11_im, e12_re, e12_im, e21_re, e21_im, e22_re, e22_im."""
     times = np.geomspace(s + 1.0, t + 1.0, n_checkpoints) - 1.0
     times[0], times[-1] = s, t
-    E = propagator_checkpoints(sys, s, times, rtol=rtol)
+    E = propagator_checkpoints(sys, s, times)
     with open(path, "w") as fh:
         fh.write("t,e11_re,e11_im,e12_re,e12_im,e21_re,e21_im,e22_re,e22_im\n")
         for ti, Ei in zip(times, E):
@@ -343,12 +342,12 @@ def dump_trajectory(sys, s, t, path, n_checkpoints=64, rtol=DEFAULT_RTOL):
     return path
 
 
-def evolve_micro_energy(sys, u0_hat, u1_hat, t, rtol=DEFAULT_RTOL):
+def evolve_micro_energy(sys, u0_hat, u1_hat, t):
     """Micro-energy U(t,xi) from initial data (u0_hat, u1_hat); the weighted
     pair is formed from the unweighted state at output time, so the blended
     weight h never has to be differentiated inside the ODE."""
     model, config, xi = sys.model, sys.config, sys.xi_norm
-    u, v = evolve_state(model, [xi], [u0_hat], [u1_hat], [t], rtol=rtol)
+    u, v = evolve_state(model, [xi], [u0_hat], [u1_hat], [t])
     h = float(zones.micro_weight(config, t, xi))
     value = np.array([h * u[0, 0], -1j * v[0, 0]], dtype=complex)
     return MicroEnergy(value=value, t=float(t), xi_norm=xi)

@@ -18,3 +18,32 @@ def test_benchmark_tracer_finds_every_patched_name(monkeypatch):
     finally:
         restored = tracer.uninstall()
     assert restored > 0
+
+
+def test_benchmark_tracer_counts_the_q_quadrature(monkeypatch):
+    # the tracer reads Q_k's quadrature nodes off DiagonalizationStage.q_generator
+    # calls made inside diagonalize.q_propagator; a q_propagator that stopped
+    # calling the method would read as 0 nodes without this check
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    from fuchswave import diagonalize
+    from fuchswave.coeffs import example_bounded
+    from fuchswave.zones import ZoneConfig
+
+    model = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    stage = diagonalize.build_stage(model, 2, ZoneConfig(N=1.0))
+    s, t, xi = 0.0, 10.0, 2.0
+    n_grid = int(2.0 * xi * (t - s) / 0.02) + 9       # q_propagator's series grid
+    tracer = Tracer("q_nodes")
+    try:
+        tracer.install()
+        res = diagonalize.q_propagator(stage, s, t, xi)
+    finally:
+        tracer.uninstall()
+    assert res.path == "series"
+    assert tracer.q_nodes == [n_grid]
+    assert tracer.counts["diagonalize.DiagonalizationStage.q_generator"] >= 1
+    metrics = tracer.layer_metrics()
+    assert metrics["diagonalize.q_nodes"] == n_grid
+    assert metrics["diagonalize.symbol_s"] > 0.0

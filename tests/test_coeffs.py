@@ -212,6 +212,17 @@ def test_tabulated_derivatives_are_the_splines_up_to_order_3():
             jet_of(t, 4)
 
 
+def test_check_hypotheses_reads_the_tabulated_budget():
+    # ell = 8 by default, but the spline supplies derivatives up to order 3
+    # only, so the sampled Hyp.-1 orders stop there
+    model = _table_model(1e3, 4001)
+    rep = check_hypotheses(model, 1e3)
+    assert model.ell == 8 and model.budget == 3
+    assert [c["k"] for c in rep.hyp1_constants] == [0, 1, 2, 3]
+    assert all(np.isfinite(c["sup_b"]) and np.isfinite(c["sup_m"])
+               for c in rep.hyp1_constants)
+
+
 def test_tabulated_family_does_not_extrapolate():
     model = _table_model(200.0, 801)
     for evaluate, t in ((model.b, 1e3), (model.m, 1e3), (model.lam, 300.0),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fuchswave.coeffs import CoefficientModel, UnsupportedOrderError, example_bounded
+from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, UnsupportedOrderError,
+                              example_bounded, example_log)
 from fuchswave.diagonalize import (M_ROT, M_ROT_INV,
                                    ZoneConstantError, assemble_from_boundary,
                                    assemble_representation, audit_symbol,
@@ -63,10 +64,44 @@ def test_free_case_hierarchy_vanishes():
     assert spectral_norm(stage.B_k_at(7.0, 1.5)) == 0.0
 
 
+@pytest.mark.parametrize("model", [EX31, example_log(2.0, 0.5, b1=0.3, m1=0.1, gamma=0.9)],
+                         ids=["bounded", "log"])
+def test_symbol_jets_match_finite_differences(model):
+    # every symbol of a k = 2 stage: the order-1 jet entry is the t-derivative
+    # of the order-0 values, and the order-0 entry of a longer jet is the
+    # order-0 jet itself
+    stage = build_stage(model, 2, CFG)
+    for t, xi in [(2.0, 1.3), (15.0, 0.5), (120.0, 4.0)]:
+        h = 1e-3 * (1.0 + t)
+        taus = t + h * np.array([-2.0, -1.0, 1.0, 2.0])
+        for sym in stage.N_parts + stage.F_parts + [stage.B_k]:
+            jet = sym.jet(np.array([t]), xi, 1)[..., 0]
+            assert np.array_equal(jet[0], sym.jet(np.array([t]), xi, 0)[0, ..., 0])
+            v = np.moveaxis(sym.jet(taus, xi, 0)[0], -1, 0)
+            fd = (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
+            assert spectral_norm(jet[1] - fd) <= 1e-6 * spectral_norm(jet[1]), sym.name
+
+
 def test_smoothness_budget_enforced():
     model = CoefficientModel(b0=2.0, m0=1.0, ell=2)
     with pytest.raises(UnsupportedOrderError):
         build_stage(model, 2, CFG)
+
+
+def test_tabulated_stage_keeps_one_order_of_headroom():
+    # a cubic spline has 3 exact derivatives, so the budget is 3 whatever ell
+    # says; k = 3 sweeps would run q_generator (a pass opened at order k) on
+    # the piecewise-constant third derivative with no order of headroom left
+    ts = np.linspace(0.0, 1e3, 4001)
+    model = CoefficientModel(
+        b0=2.0, m0=1.0, family="tabulated",
+        b_table=TabulatedCoefficient.from_columns(ts, 2.0 / (1.0 + ts)),
+        m_table=TabulatedCoefficient.from_columns(ts, 1.0 / (1.0 + ts) ** 2))
+    with pytest.raises(UnsupportedOrderError):
+        build_stage(model, 3, CFG)
+    stage = build_stage(model, 2, CFG)
+    G = stage.q_generator(np.linspace(10.0, 20.0, 5), 2.0)
+    assert G.shape == (5, 2, 2) and np.all(np.isfinite(G))
 
 
 def test_operator_identity_residual_random_points():
