@@ -388,14 +388,14 @@ def assemble_representation(stage, s, t, xi):
     exact identity, provenance 'representation'."""
     if (1.0 + s) * xi < stage.config.N * (1.0 - 1e-12):
         raise ValueError("(s, xi) must lie in the oscillatory zone (boundary included)")
-    for tau in (s, t):
-        if spectral_norm(stage.N_total(tau, xi) - np.eye(2)) >= 1.0:
+    Nk_s, Nk_t = stage.N_total(s, xi), stage.N_total(t, xi)
+    for tau, Nk in ((s, Nk_s), (t, Nk_t)):
+        if spectral_norm(Nk - np.eye(2)) >= 1.0:
             raise ZoneConstantError(
                 f"N_k not safely invertible at (t={tau:g}, xi={xi:g}); "
                 "raise the zone constant")
     lam_ratio = float(stage.model.lam(s) / stage.model.lam(t))
-    Nk_t = stage.N_total(t, xi)
-    Nk_s_inv = _inv2(stage.N_total(s, xi))
+    Nk_s_inv = _inv2(Nk_s)
     E0 = free_phase(t, s, xi)
     q = q_propagator(stage, s, t, xi)
     E = lam_ratio * (M_ROT @ Nk_t @ E0 @ q.matrix @ Nk_s_inv @ M_ROT_INV)
@@ -439,23 +439,6 @@ def audit_symbol(sym, config, t_factors=(1.0, 3.0, 10.0, 100.0),
     return out
 
 
-def stage_audit_report(stage, k_max=1, alpha_max=2):
-    """JSON-able audit of every symbol in the hierarchy: claimed orders,
-    sampled grid description and worst weighted constant per derivative."""
-    report = {"k": stage.k, "zone_constant": stage.config.N, "symbols": []}
-    for sym in stage.N_parts + stage.F_parts + [stage.B_k]:
-        consts = audit_symbol(sym, stage.config, k_max=k_max, alpha_max=alpha_max)
-        report["symbols"].append({
-            "name": sym.name,
-            "order": list(sym.order),
-            "smoothness": sym.smoothness,
-            "grid": "xi in [N/4, 32N] log, t/theta in {1, 3, 10, 100}",
-            "worst_constant": {f"k={k},alpha={a}": c
-                               for (k, a), c in consts.items()},
-        })
-    return report
-
-
 def _dxi_of_jet(sym, t, xi, k, alpha):
     def f(x):
         return sym.jet(np.array([t]), x, k)[k][..., 0]
@@ -466,32 +449,3 @@ def _dxi_of_jet(sym, t, xi, k, alpha):
     if alpha == 1:
         return (f(xi + h) - f(xi - h)) / (2.0 * h)
     return (f(xi + h) - 2.0 * f(xi) + f(xi - h)) / h ** 2
-
-
-def boundary_symbol_audit(model, config, xi_values, alpha_max=2, rtol=1e-11):
-    """Sampled homogeneous-symbol constants of S(xi) = lam(theta) E(theta,0,xi):
-    ||D_xi^a S|| |xi|^a should stay comparable across dyadic frequency ranges.
-    The FD step grows with the derivative order so oracle noise (ca. rtol)
-    stays below the difference quotients."""
-    from .modal import weighted_propagator
-
-    def S(r):
-        th = theta(config, r)
-        E = weighted_propagator(model, config, r, [th], rtol=rtol)[0]
-        return float(model.lam(th)) * E
-
-    out = {}
-    for alpha in range(alpha_max + 1):
-        consts = []
-        h_rel = {0: 0.0, 1: 1e-3, 2: 0.02}[alpha]
-        for r in xi_values:
-            h = h_rel * r
-            if alpha == 0:
-                val = S(r)
-            elif alpha == 1:
-                val = (S(r + h) - S(r - h)) / (2.0 * h)
-            else:
-                val = (S(r + h) - 2.0 * S(r) + S(r - h)) / h ** 2
-            consts.append(spectral_norm(val) * r ** alpha)
-        out[alpha] = np.asarray(consts)
-    return out

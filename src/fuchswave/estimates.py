@@ -157,7 +157,9 @@ def _check_resolution(u0, u1, r, n_dim):
 def energy_trace(model, config, data_spec, freq_grid, times, n_dim=1,
                  rtol=1e-10):
     """Evolve every frequency with the reference oracle and collect the
-    L2-over-frequency norms of the solution components."""
+    L2-over-frequency norms of the solution components.  For a scale-invariant
+    model each octave band runs DOP853 only to z = xi (1+t) = modal.Z_MATCH
+    and Hankel's expansion from there (modal.evolve_state)."""
     r = np.asarray(freq_grid, dtype=float)
     times = np.asarray(times, dtype=float)
     u0, u1 = data_spec.sample(r)

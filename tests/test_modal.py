@@ -4,12 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fuchswave import modal
 from fuchswave.coeffs import CoefficientModel, classify_regime, example_bounded
 from fuchswave.estimates import fit_decay
 from fuchswave.modal import (FORM_DISS, FORM_FUCHS, FORM_HYP, ModalSystem,
                              check_cocycle, evolve_micro_energy, evolve_state,
                              fuchs_remainder, integrate_fundamental,
-                             liouville_modulus, propagator_checkpoints,
+                             propagator_checkpoints,
                              propagator_norm_trace,
                              scale_invariant_norm_traces, spectral_norm,
                              state_propagator_checkpoints, system_matrix,
@@ -18,6 +19,8 @@ from fuchswave.zones import ZoneConfig
 
 CFG = ZoneConfig(N=1.0)
 FREE = CoefficientModel(b0=0.0, m0=0.0)
+EIGHT_CELLS = [(1.0, 1.0), (1.0, 0.01), (2.0, 0.75), (2.0, 2.0),
+               (3.0, 0.0), (4.0, 0.0), (2.0, 0.25), (0.0, 5.0)]
 
 
 def test_system_matrix_diss_free():
@@ -90,6 +93,17 @@ def test_determinant_identity_unweighted():
     for i, t in enumerate(times):
         predicted = float(model.lam(t)) ** -2
         assert abs(np.linalg.det(Phi[i])) == pytest.approx(predicted, rel=1e-8)
+
+
+def liouville_modulus(sys, s, t):
+    """Predicted |det E(t,s,xi)| from the trace of the generator."""
+    model = sys.model
+    lam_ratio = float(model.lam(s) / model.lam(t))
+    if sys.form == FORM_HYP:
+        return lam_ratio ** 2
+    if sys.form in (FORM_DISS, FORM_FUCHS):
+        return (1.0 + s) / (1.0 + t) * lam_ratio ** 2
+    raise ValueError(sys.form)
 
 
 def test_determinant_identity_weighted_forms():
@@ -227,3 +241,63 @@ def test_trajectory_dump(tmp_path):
     assert len(lines) == 17
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0 and first[1] == 1.0 and first[2] == 0.0
+
+
+@pytest.mark.parametrize("xi", [2.0, 8.0])
+def test_hankel_continuation_matches_the_single_system_oracle(xi):
+    # pure-family propagators continue in Hankel's expansion beyond
+    # z = xi (1+t) = Z_MATCH (t = 11.5 at xi = 2, 2.125 at xi = 8); the
+    # hyp_system oracle integrates the same equation with DOP853 throughout
+    times = np.geomspace(1.0, 1e3, 25)
+    T, T_inv = np.diag([xi, -1j]), np.diag([1.0 / xi, 1j])
+    for b0, m0 in EIGHT_CELLS:
+        model = CoefficientModel(b0=b0, m0=m0)
+        Phi = state_propagator_checkpoints(model, [xi], times, rtol=1e-12)[:, 0]
+        E = propagator_checkpoints(ModalSystem(model, CFG, xi, FORM_HYP), 0.0, times,
+                                   rtol=1e-12)
+        for t, P, E_ref in zip(times, Phi, E):
+            # 1e-13 absolute: the oracle's own absolute tolerance (1e-16 per
+            # step) sets its error once ||E|| decays to 1e-6, cell (4, 0)
+            err = spectral_norm(T @ P @ T_inv - E_ref)
+            assert err <= 1e-8 * spectral_norm(E_ref) + 1e-13, (b0, m0, t, err)
+            # Liouville: det Phi(t, 0) = exp(-int_0^t b) = (1+t)^(-b0)
+            assert abs(np.linalg.det(P)) == pytest.approx((1.0 + t) ** -b0, rel=1e-9)
+
+
+def test_pure_family_matches_its_coefficients_run_by_dop853():
+    # the same b, m as a bounded perturbation with c1 = c2 = 0, which the
+    # kernel integrates with DOP853 throughout; checkpoints on both sides of
+    # each band's matching time, xi = 30 matches at t = 0 (z > Z_MATCH), and
+    # m0 = 500 raises the matching point to z = 2|nu^2| = 999.5
+    xi = np.array([0.5, 2.0, 8.0, 30.0])
+    times = np.array([0.5, 3.0, 15.0, 40.0, 120.0])
+    u0 = np.array([1.0, 0.5j, 1.0, 1.0 - 1j])
+    u1 = np.array([0.2, 1.0, -1j, 2.0])
+    for b0, m0 in [(2.0, 2.0), (4.0, 0.0), (0.0, 0.0), (2.0, 500.0)]:
+        pure = CoefficientModel(b0=b0, m0=m0)
+        plain = example_bounded(b0, m0, c1=0.0, c2=0.0)
+        u, v = evolve_state(pure, xi, u0, u1, times, rtol=1e-12)
+        u_ref, v_ref = evolve_state(plain, xi, u0, u1, times, rtol=1e-12)
+        err = np.hypot(np.abs(u - u_ref), np.abs(v - v_ref) / xi)
+        size = np.hypot(np.abs(u_ref), np.abs(v_ref) / xi)
+        assert np.all(err <= 1e-8 * size), (b0, m0, (err / size).max())
+
+
+def test_hankel_series_refuses_to_truncate():
+    # beyond its validated range the terms grow before they converge: a
+    # typed error, never a truncated sum
+    with pytest.raises(modal.SeriesRangeError):
+        modal._hankel_series(-1e3, np.array([25.0, 1e4]))
+    # inside it (z >= max(Z_MATCH, 2|nu^2|), the kernel's matching point) it
+    # converges for every nu^2, real or imaginary nu
+    for nu2 in np.concatenate([np.linspace(-200.0, 200.0, 801), [-1e6, 1e6]]):
+        z = max(modal.Z_MATCH, 2.0 * abs(nu2)) * np.array([1.0, 1.7, 40.0])
+        modal._hankel_series(nu2, z)
+    # DLMF 10.17.5: H1_nu(z) = sqrt(2/(pi z)) e^(i(z - nu pi/2 - pi/4)) S(z)
+    from scipy.special import hankel1
+    z = np.array([25.0, 61.3, 1e3])
+    for nu in (0.0, 1.0, 1.5, 3.2):
+        S, dS = modal._hankel_series(nu ** 2, z)
+        ref = hankel1(nu, z) / (np.sqrt(2.0 / (np.pi * z))
+                                * np.exp(1j * (z - nu * np.pi / 2.0 - np.pi / 4.0)))
+        assert np.allclose(S, ref, rtol=1e-12, atol=0.0)

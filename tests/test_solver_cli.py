@@ -270,6 +270,20 @@ def test_cli_out_rerun_reproduces_manifest(experiment, tmp_path, capsys):
     assert archived[0].read_bytes() == (out / "manifest.json").read_bytes()
 
 
+@pytest.mark.parametrize("experiment, propagator", [
+    ("sweep", "dop853+hankel(z*=25)"),   # the cells are scale-invariant
+    ("levinson", "dop853"),
+    ("classify", "none"),
+])
+def test_manifest_names_the_propagator(experiment, propagator, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(CHEAP_CONFIGS[experiment]))
+    out = tmp_path / "out"
+    assert run_cli([experiment, "--config", str(cfgfile), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["propagator"] == propagator
+
+
 def test_cli_reports_persist_failure(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
