@@ -17,8 +17,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from ._jets import Jet, falling_power_jet
-
 PURE = "pure_scale_invariant"
 BOUNDED = "bounded_perturbation"
 LOG = "log_perturbation"
@@ -64,11 +62,6 @@ class TabulatedCoefficient:
         t = np.asarray(t, dtype=float)
         v = np.asarray(values, dtype=float)
         return cls(tuple(t), tuple(v), CubicSpline(t, v))
-
-    @classmethod
-    def from_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls.from_columns(data[:, 0], data[:, 1])
 
     def __call__(self, t, order=0):
         """The spline, or its exact derivative of the given order, at t."""
@@ -210,10 +203,18 @@ class CoefficientModel:
                 f"(ell={self.ell}, family {self.family})")
 
     def _log_term_jet(self, t, order, amp, power):
-        # amp / ((e+t)^power * ln(e+t)^gamma), derivatives via jet arithmetic
-        base = Jet.variable(t, order) + math.e
-        term = base.power(-float(power)) * base.log().power(-self.gamma) * amp
-        return term.d
+        # f = amp (e+t)^-power L^-gamma with L = ln(e+t) has the derivatives
+        # f^(k) = (e+t)^(-power-k) sum_j c[k, j] L^(-gamma-j), where c[0, 0] = amp
+        # and c[k+1, j] = -(power+k) c[k, j] - (gamma+j-1) c[k, j-1]
+        base = math.e + t
+        inv_log = 1.0 / np.log(base)
+        c = np.array([amp])
+        out = np.empty((order + 1,) + t.shape)
+        for k in range(order + 1):
+            out[k] = base ** (-power - k) * inv_log ** self.gamma * np.polyval(c[::-1], inv_log)
+            c = (-(power + k) * np.append(c, 0.0)
+                 - (self.gamma + np.arange(-1.0, k + 1)) * np.append(0.0, c))
+        return out
 
     @staticmethod
     def _table_jet(table, t, order):
@@ -267,6 +268,21 @@ class CoefficientModel:
             d["b_table"] = TabulatedCoefficient.from_columns(**d["b_table"])
             d["m_table"] = TabulatedCoefficient.from_columns(**d["m_table"])
         return cls(**d)
+
+
+def falling_power_jet(t, alpha, coeff, order):
+    """Derivatives of coeff*(1+t)**alpha, closed form.
+
+    Returns an array of shape (order+1, *t.shape).
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.zeros((order + 1,) + t.shape)
+    base = 1.0 + t
+    fac = coeff
+    for k in range(order + 1):
+        out[k] = fac * base ** (alpha - k)
+        fac *= alpha - k
+    return out
 
 
 def _evaluate(formula, t):

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime
 from pathlib import Path
 
@@ -41,11 +41,9 @@ class ConfigError(ValueError):
     pass
 
 
-_MODEL_KEYS = {"family", "b0", "m0", "sigma", "ell", "c1", "p1", "c2", "p2",
-               "b1", "m1", "gamma", "b_table", "m_table"}
-_DATA_KEYS = {"kind", "width", "center", "zero_order", "support", "path",
-              "amp0", "amp1"}
-_GRID_KEYS = {"n_dim", "points_per_dim", "box_length"}
+_MODEL_KEYS = {f.name for f in fields(CoefficientModel)}
+_DATA_KEYS = {f.name for f in fields(DataSpec)}
+_GRID_KEYS = {f.name for f in fields(Grid)}
 _TOP_KEYS = {"schema", "experiment", "model", "zone", "data", "grid", "n_dim",
              "times", "tolerances", "sweep_cells", "strict",
              "seed", "xi", "steps"}
@@ -139,13 +137,9 @@ class ExperimentConfig:
             "steps": self.steps,
         }
         if self.data is not None:
-            base["data"] = {k: getattr(self.data, k) for k in
-                            ("kind", "width", "center", "zero_order", "support",
-                             "path", "amp0", "amp1")}
+            base["data"] = asdict(self.data)
         if self.grid is not None:
-            base["grid"] = {"n_dim": self.grid.n_dim,
-                            "points_per_dim": self.grid.points_per_dim,
-                            "box_length": self.grid.box_length}
+            base["grid"] = asdict(self.grid)
         return base
 
 

@@ -12,16 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from fuchswave.asymptotic import hartman_wintner, levinson_solve
+from fuchswave.asymptotic import hartman_wintner
 from fuchswave.cli import run_cli
 from fuchswave.coeffs import (PURE, CoefficientModel, classify_regime,
                               example_bounded, example_log)
 from fuchswave.diagonalize import assemble_representation, build_stage, free_phase
 from fuchswave.estimates import (DataSpec, fit_decay, grid_for_data,
-                                 improved_u_bound, moment_experiment,
-                                 radial_grid, scattering_residual,
-                                 sharpness_limit)
-from fuchswave.experiments import modal_fuchs_system
+                                 improved_u_bound, radial_grid,
+                                 scattering_residual, sharpness_limit)
+from fuchswave.experiments import (ExperimentConfig, modal_fuchs_system,
+                                   run_experiment)
 from fuchswave.modal import (FORM_HYP, ModalSystem, integrate_fundamental,
                              propagator_label, scale_invariant_norm_traces,
                              spectral_norm)
@@ -156,24 +156,14 @@ def test_criterion_04_and_05_representation_identity():
 
 def test_criterion_06_levinson_solver():
     start = time.perf_counter()
-    cfg = ZoneConfig(N=0.01)
-    model = CoefficientModel(b0=3.0, m0=0.0)
-    xi = 1e-4
-    sys, _, eigvals = modal_fuchs_system(model, cfg, xi)
-    th = theta(cfg, xi)
-    t_probe = 1.0 + th / 2.0
-    ok = True
-    residuals = []
-    for k in (0, 1):
-        sol = levinson_solve(sys, k, t0=1.0, T=2.0 * (th + 1.0), tol=1e-11)
-        res = float(np.interp(math.log(t_probe), np.log(sol.grid_t),
-                              sol.residual_trace))
-        residuals.append(res)
-        ok &= res <= 0.01
-        ok &= (not sol.rates) or max(sol.rates) <= sol.contraction_bound + 1e-9
+    cfg = ExperimentConfig(experiment="levinson", model=CoefficientModel(b0=3.0, m0=0.0),
+                           zone=ZoneConfig(N=0.01), xi=1e-4)
+    record = run_experiment(cfg)
+    ok = record.all_pass
     elapsed = time.perf_counter() - start
+    out = record.outputs
     _report(6, ok and elapsed < 30.0,
-            f"residuals at theta/2: {residuals[0]:.2e}, {residuals[1]:.2e} "
+            f"residuals at theta/2: {out['residual_k0']:.2e}, {out['residual_k1']:.2e} "
             f"<= 0.01; Picard rate within contraction bound", elapsed, 30)
     assert ok
     assert elapsed < 30.0
@@ -228,14 +218,16 @@ def test_criterion_08_energy_sharpness():
 
 def test_criterion_09_moment_improvement():
     start = time.perf_counter()
-    model = CoefficientModel(b0=4.0, m0=0.0)
-    cmp = moment_experiment(model, CFG, n_dim=1, window=(1e2, 1e4), rtol=1e-9)
+    cfg = ExperimentConfig(experiment="moments", model=CoefficientModel(b0=4.0, m0=0.0),
+                           zone=CFG, n_dim=1, t_final=1e4, rtol=1e-9)
+    record = run_experiment(cfg)
+    out = record.outputs
+    ok = record.all_pass and math.isfinite(out["weighted_integral"])
     elapsed = time.perf_counter() - start
-    ok = cmp.passed
     _report(9, ok and elapsed < 120.0,
-            f"generic {cmp.generic_fit.exponent:+.3f} vs -1, moment "
-            f"{cmp.moment_fit.exponent:+.3f} vs -2 (zero order "
-            f"{cmp.moment_data.zero_order}); {propagator_label(model.family)}",
+            f"generic {out['generic_fit']:+.3f} vs -1, moment "
+            f"{out['moment_fit']:+.3f} vs -2 (zero order "
+            f"{out['zero_order']}); {record.propagator}",
             elapsed, 120)
     assert ok
     assert elapsed < 120.0
