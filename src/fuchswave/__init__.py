@@ -26,10 +26,8 @@ from .asymptotic import (
     HWTransform,
     LevinsonSolution,
     check_dichotomy,
-    fundamental_from_basis,
     hartman_wintner,
     levinson_solve,
-    scaling_uniformity,
 )
 from .diagonalize import (
     DiagonalizationStage,

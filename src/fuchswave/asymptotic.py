@@ -3,10 +3,9 @@
     t dV/dt = (D(t) + R(t)) V,   t >= 1,   D = diag(mu_1..mu_d),
 
 as a general d x d library: dichotomy checking, Levinson solution
-construction by Picard iteration on the split integral equation,
-fundamental-matrix assembly with a Hadamard-certified bound, scaling
-uniformity sweeps, and the Hartman-Wintner remainder reduction that trades
-an L^sigma remainder for an L^max(sigma/2,1) one.
+construction by Picard iteration on the split integral equation, and the
+Hartman-Wintner remainder reduction that trades an L^sigma remainder for an
+L^max(sigma/2,1) one.
 
 All integrals live on the logarithmic variable x = ln t, the natural
 variable of the dt/t measure; improper upper limits are truncated at the
@@ -283,55 +282,6 @@ def integrate_fuchs(sys, a, b, rtol=1e-11):
     if not sol.success:
         raise HorizonError(sol.message)
     return sol.y[:, -1].reshape(d, d)
-
-
-def fundamental_from_basis(solutions, s):
-    """E_V(t,s) = (V_1|..|V_d)(t) (V_1|..|V_d)(s)^{-1} plus the Hadamard bound
-    ||E_V(t,s)|| <= C (t/s)^{max Re mu} certified on the sample grid."""
-    d = len(solutions)
-    grid = solutions[0].grid_t
-    Vt = np.stack([sol.values for sol in solutions], axis=2)  # (n, d, d) columns
-    Vs = np.stack([sol(s) for sol in solutions], axis=1)
-    det = np.linalg.det(Vs)
-    if abs(det) < 1e-12 * max(np.linalg.norm(Vs, 2), 1.0) ** d:
-        raise np.linalg.LinAlgError("degenerate solution basis at the anchor time")
-    Vs_inv = np.linalg.inv(Vs)
-
-    # exponents from the stored integrals: Re mu_k ~ slope of mu_k_integral
-    re_mu = [sol.mu_k_integral[-1].real / math.log(sol.grid_t[-1] / sol.grid_t[0])
-             for sol in solutions]
-    max_re = max(re_mu)
-    # column growth constants M_k = sup ||V_k(t)|| (t/s)^{-Re mu_k}
-    Ms = [float(np.max(np.linalg.norm(sol.values, axis=1)
-                       / (sol.grid_t / s) ** rk)) for sol, rk in zip(solutions, re_mu)]
-    hadamard = d * max(np.linalg.norm(Vs, axis=0)) ** (d - 1) / abs(det)
-    C = sum(Ms) * hadamard
-
-    def eval_at(t):
-        cols = np.stack([sol(t) for sol in solutions], axis=1)
-        return cols @ Vs_inv
-
-    return eval_at, C, max_re
-
-
-@dataclass
-class ScalingReport:
-    lambdas: tuple
-    ratios: dict
-    worst_ratio: float
-    max_re: float
-
-
-def scaling_uniformity(sys, lambdas, s, t, rtol=1e-10):
-    """||E(lambda t, lambda s)|| <= C (t/s)^{max Re mu} with C independent of
-    the scaling factor; reports the worst observed ratio."""
-    mus = sys.mu_at(t)
-    max_re = float(np.max(mus.real))
-    ratios = {}
-    for lam in lambdas:
-        E = integrate_fuchs(sys, lam * s, lam * t, rtol=rtol)
-        ratios[lam] = float(np.linalg.norm(E, 2) / (t / s) ** max_re)
-    return ScalingReport(tuple(lambdas), ratios, max(ratios.values()), max_re)
 
 
 @dataclass

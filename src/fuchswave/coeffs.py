@@ -405,22 +405,33 @@ def check_hypotheses(model, T, sigma=None):
                 hyp1_ok = False
 
     def sig_int(weighted, nodes, lo, hi):
-        # integrate |weighted(t)|^sigma dt/t on [lo, hi] via x = ln t, one quad
-        # per table interval: a spline's deviation has a kink at every node,
-        # and thousands of kinks stall a single adaptive quad
-        f = lambda x: abs(weighted(math.exp(x))) ** sigma
-        edges = [math.log(t) for t in (lo, *(t for t in nodes if lo < t < hi), hi)]
-        return sum(quad(f, a, b, limit=400, epsabs=1e-12 / (len(edges) - 1), epsrel=1e-9)[0]
-                   for a, b in zip(edges[:-1], edges[1:]))
+        # integrate |weighted(t)|^sigma dt/t on [lo, hi] via x = ln t
+        f = lambda x: abs(float(weighted(math.exp(x)))) ** sigma
+        edges = np.log(np.r_[lo, nodes[(nodes > lo) & (nodes < hi)], hi])
+        eps = 1e-12 / (edges.size - 1)
+        quad_on = lambda a, b: quad(f, a, b, limit=400, epsabs=eps, epsrel=1e-9)[0]
+        if edges.size == 2:
+            return quad_on(*edges)
+        # a spline's deviation has a kink at every node and, in some intervals,
+        # a sign change inside: Gauss-Legendre rules of 8 and 16 nodes on every
+        # table interval at once, and one quad on each interval where they
+        # disagree by more than the tolerance
+        half = 0.5 * np.diff(edges)[:, None]
+        g8, g16 = (np.sum(half * w * np.abs(weighted(np.exp(edges[:-1, None] + half * (1.0 + x))))
+                          ** sigma, axis=1)
+                   for x, w in map(np.polynomial.legendre.leggauss, (8, 16)))
+        bad = np.abs(g16 - g8) > np.maximum(eps, 1e-9 * np.abs(g16))
+        return float(g16[~bad].sum()) + sum(map(quad_on, edges[:-1][bad], edges[1:][bad]))
 
     # weighted deviations (1+t)b - b0 and (1+t)^2 m - m0; these vanish
     # identically for the scale-invariant family
     if model.family == PURE:
         wb = wm = lambda t: 0.0
     else:
-        wb = lambda t: (1.0 + t) * float(model.b(t)) - model.b0
-        wm = lambda t: (1.0 + t) ** 2 * float(model.m(t)) - model.m0
-    nb, nm = (model.b_table.t, model.m_table.t) if model.family == TABULATED else ((), ())
+        wb = lambda t: (1.0 + t) * model.b(t) - model.b0
+        wm = lambda t: (1.0 + t) ** 2 * model.m(t) - model.m0
+    nb, nm = ((np.asarray(model.b_table.t), np.asarray(model.m_table.t))
+              if model.family == TABULATED else (np.empty(0), np.empty(0)))
     ib = sig_int(wb, nb, 1.0, T)
     im = sig_int(wm, nm, 1.0, T)
     tb = sig_int(wb, nb, T / 2.0, T)

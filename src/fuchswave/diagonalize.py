@@ -59,6 +59,9 @@ _ZONE_N_XI = 25
 _Q_LIMIT_MAX_STEPS = 48
 # operator_identity_residual: finite-difference step relative to 1+t
 _FD_STEP = 1e-4
+# q_propagator: nodes per q_generator call; bounds the hierarchy's
+# (order+1, 2, 2, nodes) temporaries whatever the grid length
+_Q_CHUNK = 8192
 
 
 class ZoneConstantError(RuntimeError):
@@ -201,6 +204,18 @@ class DiagonalizationStage:
         return spectral_norm(lhs - _at(t, hier.B[0]))
 
 
+def _norm2(G):
+    """Spectral norms of stacked 2x2 matrices (..., 2, 2) in closed form,
+    sqrt((|G|_F^2 + sqrt(|G|_F^4 - 4 |det G|^2)) / 2); the discriminant is
+    summed as (p - r)^2 + 4 |q|^2 over G G^H = [[p, q], [q*, r]], which does
+    not cancel when the two singular values nearly agree."""
+    a, b, c, d = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
+    p = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
+    r = c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2
+    q = a * c.conj() + b * d.conj()
+    return np.sqrt(0.5 * (p + r + np.sqrt((p - r) ** 2 + 4.0 * (q.real ** 2 + q.imag ** 2))))
+
+
 def _inv2(M):
     """Inverse of (possibly stacked) 2x2 matrices."""
     M = np.asarray(M)
@@ -317,6 +332,19 @@ def _conjugated_generator(stage, taus, anchor, xi):
     return G
 
 
+def _sampled_generator(stage, taus, anchor, xi):
+    """The conjugated generator on a grid, entrywise as a contiguous (2, 2, n)
+    array, and its spectral norms; evaluated _Q_CHUNK nodes at a time, which
+    is exact because the hierarchy is pointwise in tau."""
+    G = np.empty((2, 2, taus.size), dtype=complex)
+    norms = np.empty(taus.size)
+    for lo in range(0, taus.size, _Q_CHUNK):
+        part = _conjugated_generator(stage, taus[lo:lo + _Q_CHUNK], anchor, xi)
+        norms[lo:lo + _Q_CHUNK] = _norm2(part)
+        G[:, :, lo:lo + _Q_CHUNK] = part.transpose(1, 2, 0)
+    return G, norms
+
+
 def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,
                  anchor=None):
     """Q_k(t,s,xi) by truncated Peano-Baker series with factorial tail bound;
@@ -334,19 +362,20 @@ def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,
     n = max(801, n_needed)
     if n <= max_grid:
         taus = np.linspace(s, t, n)
-        G = _conjugated_generator(stage, taus, anchor, xi)
-        norms = np.linalg.svd(G, compute_uv=False)[:, 0]
+        G, norms = _sampled_generator(stage, taus, anchor, xi)
         C_total = float(simpson(norms, x=taus))
         tail = math.exp(C_total) * C_total ** (depth + 1) / math.factorial(depth + 1)
         if tail <= tol:
-            term = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-            Q = term.copy()
+            # term_j(tau) = int_s^tau i G term_{j-1} from term_0 = I, each
+            # product G term as 8 entrywise vector products over the grid
+            h = (t - s) / (n - 1)
+            Q = np.eye(2, dtype=complex)
+            term = np.eye(2)[:, :, None]
             for _ in range(depth):
-                integrand = 1j * np.matmul(G, term)
-                term = (cumulative_simpson(integrand.real, x=taus, axis=0, initial=0.0)
-                        + 1j * cumulative_simpson(integrand.imag, x=taus, axis=0, initial=0.0))
-                Q += term
-            return QResult(Q[-1] @ q0, s, t, xi, stage.k, "series", depth, C_total, tail)
+                term = cumulative_simpson(1j * (G[:, :1] * term[:1] + G[:, 1:] * term[1:]),
+                                          dx=h, axis=-1, initial=0.0)
+                Q += term[..., -1]
+            return QResult(Q @ q0, s, t, xi, stage.k, "series", depth, C_total, tail)
     # direct integration path
     def rhs(tau, y):
         Gt = _conjugated_generator(stage, np.array([tau]), anchor, xi)[0]
@@ -358,8 +387,7 @@ def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,
         raise HorizonError(sol.message)
     # C_total on a coarse audit grid (bound bookkeeping only)
     taus = np.linspace(s, t, 4001)
-    G = _conjugated_generator(stage, taus, anchor, xi)
-    C_total = float(simpson(np.linalg.svd(G, compute_uv=False)[:, 0], x=taus))
+    C_total = float(simpson(_sampled_generator(stage, taus, anchor, xi)[1], x=taus))
     return QResult(sol.y[:, -1].reshape(2, 2), s, t, xi, stage.k, "ode", 0, C_total, 0.0)
 
 

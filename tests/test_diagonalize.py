@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
 
 from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, UnsupportedOrderError,
                               example_bounded, example_log)
 from fuchswave.diagonalize import (M_ROT, M_ROT_INV,
-                                   ZoneConstantError, assemble_from_boundary,
+                                   ZoneConstantError, _conjugated_generator, _norm2,
+                                   assemble_from_boundary,
                                    assemble_representation, audit_symbol,
                                    build_stage,
                                    free_phase, min_zone_constant,
@@ -157,6 +160,68 @@ def test_q_propagator_paths_agree():
     assert a.tail_bound < 1e-9
 
 
+def _series_reference(stage, s, t, xi, depth=8):
+    """Q_k(t,s,xi) and C_total as the series path computed them on stacked
+    (n, 2, 2) matrices: one generator call on the whole grid, np.matmul,
+    cumulative_simpson on x for the real and imaginary parts, svd norms."""
+    taus = np.linspace(s, t, max(801, int(2.0 * xi * (t - s) / 0.02) + 9))
+    G = _conjugated_generator(stage, taus, s, xi)
+    C_total = float(simpson(np.linalg.svd(G, compute_uv=False)[:, 0], x=taus))
+    term = np.broadcast_to(np.eye(2, dtype=complex), G.shape).copy()
+    Q = term.copy()
+    for _ in range(depth):
+        integrand = 1j * np.matmul(G, term)
+        term = (cumulative_simpson(integrand.real, x=taus, axis=0, initial=0.0)
+                + 1j * cumulative_simpson(integrand.imag, x=taus, axis=0, initial=0.0))
+        Q += term
+    return Q[-1], C_total
+
+
+@pytest.mark.parametrize("s, t, xi", [(1.0, 200.0, 2.0), (2.0, 50.0, 4.0), (10.0, 1000.0, 1.1)])
+def test_q_series_matches_stacked_matmul_reference(s, t, xi):
+    # the series path sums entrywise on a (2, 2, n) layout from a generator
+    # sampled in slices; the last point has over 100k nodes, so many slices
+    stage = build_stage(EX31, 2, CFG)
+    res = q_propagator(stage, s, t, xi)
+    Q_ref, C_ref = _series_reference(stage, s, t, xi)
+    assert res.path == "series"
+    assert spectral_norm(res.matrix - Q_ref) <= 1e-13
+    assert abs(res.C_total - C_ref) <= 1e-13 * C_ref
+
+
+def test_q_series_memory_is_flat_in_the_grid():
+    # 2 xi (t - s) / 0.02 + 9 = 108,909 nodes; the hierarchy evaluated on
+    # the whole grid at once peaked at about 170 MB here
+    stage = build_stage(EX31, 2, CFG)
+    tracemalloc.start()
+    try:
+        res = q_propagator(stage, 10.0, 1000.0, 1.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.path == "series"
+    assert peak <= 64e6
+
+
+def test_closed_form_2x2_norm_matches_svd():
+    rng = np.random.default_rng(11)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def unitary():
+        return np.linalg.qr(cplx(2, 2))[0]
+
+    stacks = [cplx(500, 2, 2), 1e-12 * cplx(50, 2, 2), 1e12 * cplx(50, 2, 2),
+              np.array([unitary() @ np.diag([1.0, 1.0 + d]) @ unitary()
+                        for d in (0.0, 1e-15, 1e-9, 1e-4)]),
+              np.array([np.outer(cplx(2), cplx(2).conj()) for _ in range(20)]),
+              np.zeros((3, 2, 2), dtype=complex)]
+    for G in stacks:
+        ref = np.linalg.svd(G, compute_uv=False)[:, 0]
+        assert np.all(np.abs(_norm2(G) - ref) <= 1e-13 * ref)
+
+
 def test_q_determinant_bound():
     stage = build_stage(EX31, 2, CFG)
     for (s, t, xi) in [(0.0, 100.0, 1.5), (2.0, 50.0, 4.0), (10.0, 1000.0, 1.1)]:
@@ -186,7 +251,6 @@ def test_q_limit_tail_tracks_remainder_integral():
         Qt = q_propagator(stage, s, t, xi).matrix
         gap = spectral_norm(lim.matrix - Qt)
         taus = np.linspace(t, t * 4096.0, 20001)
-        from fuchswave.diagonalize import _conjugated_generator
         G = _conjugated_generator(stage, taus, s, xi)
         tail = float(np.trapezoid(np.linalg.svd(G, compute_uv=False)[:, 0], taus))
         assert gap <= 3.0 * tail
