@@ -358,15 +358,12 @@ def hartman_wintner(sys, sigma, t0, horizon, n=4000):
     N_norms = np.linalg.norm(N_grid, ord=2, axis=(1, 2))
 
     ok = N_norms < 0.5
-    # valid_from: first grid point from which ||N|| stays below 1/2
-    idx = None
-    for a in range(n):
-        if ok[a:].all():
-            idx = a
-            break
-    if idx is None:
+    if not ok[-1]:
         raise HorizonError("||N|| never settles below 1/2 on the horizon")
-    valid_from = float(ts[idx])
+    # valid_from: first grid point from which ||N|| stays below 1/2, one past
+    # the last point where it does not
+    bad = np.flatnonzero(~ok)
+    valid_from = float(ts[bad[-1] + 1 if bad.size else 0])
 
     def interp_mat(grid_vals):
         def f(t):

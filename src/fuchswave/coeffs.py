@@ -368,8 +368,8 @@ class HypothesisReport:
     sigma: float
     hyp1_constants: list          # per k: sampled sup of weighted |d^k b|, |d^k m|
     hyp1_pass: bool
-    integral_b: float             # int_1^T |t b - b0|^sigma dt/t
-    integral_m: float             # int_1^T |t^2 m - m0|^sigma dt/t
+    integral_b: float             # int_1^T |(1+t) b - b0|^sigma dt/t
+    integral_m: float             # int_1^T |(1+t)^2 m - m0|^sigma dt/t
     tail_b: float                 # same integrand over [T/2, T]
     tail_m: float
     hyp2_pass: bool

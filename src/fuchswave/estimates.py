@@ -122,9 +122,10 @@ def grid_for_data(spec, lo=1e-4, hi=64.0, n_points=256, n_refine=200):
 
 
 def radial_norm(values, r, n_dim):
-    """Continuum L2 norm of a radial frequency profile."""
+    """Continuum L2 norm of a radial frequency profile; of each row of a
+    (times x r) array at once."""
     w = SURFACE_MEASURE[n_dim] / (2.0 * math.pi) ** n_dim
-    return math.sqrt(w * np.trapezoid(np.abs(values) ** 2 * r ** (n_dim - 1), r))
+    return np.sqrt(w * np.trapezoid(np.abs(values) ** 2 * r ** (n_dim - 1), r, axis=-1))
 
 
 # --------------------------------------------------------------------------
@@ -166,21 +167,12 @@ def energy_trace(model, config, data_spec, freq_grid, times, n_dim=1,
     _check_resolution(u0, u1, r, n_dim)
     u, v = modal.evolve_state(model, r, u0, u1, times, rtol=rtol)
 
-    values = np.empty(times.size)
-    u_over = np.empty(times.size)
-    grad = np.empty(times.size)
-    ut = np.empty(times.size)
-    u_norm = np.empty(times.size)
-    for i, t in enumerate(times):
-        h = zones.micro_weight(config, t, r)
-        U = np.stack([h * u[i], -1j * v[i]])
-        values[i] = math.sqrt(radial_norm(U[0], r, n_dim) ** 2
-                              + radial_norm(U[1], r, n_dim) ** 2)
-        u_norm[i] = radial_norm(u[i], r, n_dim)
-        u_over[i] = u_norm[i] / (1.0 + t)
-        grad[i] = radial_norm(r * u[i], r, n_dim)
-        ut[i] = radial_norm(v[i], r, n_dim)
-    return EnergyTrace(times=times, values=values, u_over_1pt=u_over, grad=grad,
+    # micro-energy U = (h u_hat, D_t u_hat) with |D_t u_hat| = |u_t_hat|
+    h = zones.micro_weight(config, times[:, None], r)
+    u_norm = radial_norm(u, r, n_dim)
+    ut = radial_norm(v, r, n_dim)
+    return EnergyTrace(times=times, values=np.sqrt(radial_norm(h * u, r, n_dim) ** 2 + ut ** 2),
+                       u_over_1pt=u_norm / (1.0 + times), grad=radial_norm(r * u, r, n_dim),
                        ut=ut, u_norm=u_norm, n_dim=n_dim, data_spec=data_spec, grid=r)
 
 
@@ -446,10 +438,8 @@ def scattering_residual(model, config, data_spec, freq_grid, horizon=1e4,
     v_t = 1j * V[..., 1]       # V2 = D_t v_hat = -i v_t
     grad_v = V[..., 0]         # V1 = |xi| v_hat
 
-    res_dt = np.array([radial_norm(lam[i] * v[i] - v_t[i], r, n_dim)
-                       for i in range(times.size)])
-    res_grad = np.array([radial_norm(lam[i] * r * u[i] - grad_v[i], r, n_dim)
-                         for i in range(times.size)])
+    res_dt = radial_norm(lam[:, None] * v - v_t, r, n_dim)
+    res_grad = radial_norm(lam[:, None] * r * u - grad_v, r, n_dim)
     # residuals at the integration-noise floor count as converged
     floor = 1e-6 * (radial_norm(U0[:, 0], r, n_dim) + radial_norm(U0[:, 1], r, n_dim))
 

@@ -92,7 +92,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad model block: {exc}") from exc
         zone_d = dict(d.get("zone", {}))
         _reject_unknown(zone_d, {"N"}, "config.zone")
-        zone = ZoneConfig(N=float(zone_d.get("N", 1.0)))
+        zone = ZoneConfig(**{k: float(v) for k, v in zone_d.items()})
         data = None
         if d.get("data"):
             data_d = dict(d["data"])
@@ -107,19 +107,17 @@ class ExperimentConfig:
         _reject_unknown(times, {"t_final", "checkpoints"}, "config.times")
         tols = dict(d.get("tolerances", {}))
         _reject_unknown(tols, {"rtol", "fit"}, "config.tolerances")
-        return cls(
-            experiment=exp, model=model, zone=zone, data=data, grid=grid,
-            n_dim=int(d.get("n_dim", 1)),
-            t_final=float(times.get("t_final", 1e4)),
-            checkpoints=int(times.get("checkpoints", 61)),
-            rtol=float(tols.get("rtol", 1e-9)),
-            fit_tol=float(tols.get("fit", 0.05)),
-            sweep_cells=tuple(tuple(c) for c in d.get("sweep_cells", DEFAULT_SWEEP_CELLS)),
-            strict=bool(d.get("strict", False)),
-            seed=int(d.get("seed", 20240901)),
-            xi=float(d.get("xi", 1e-4)),
-            steps=int(d.get("steps", 2)),
-        )
+        # (block, key, field, coercion) of every plain field; an absent key
+        # keeps the dataclass default
+        given = ((d, "n_dim", "n_dim", int), (times, "t_final", "t_final", float),
+                 (times, "checkpoints", "checkpoints", int), (tols, "rtol", "rtol", float),
+                 (tols, "fit", "fit_tol", float),
+                 (d, "sweep_cells", "sweep_cells", lambda cells: tuple(map(tuple, cells))),
+                 (d, "strict", "strict", bool), (d, "seed", "seed", int),
+                 (d, "xi", "xi", float), (d, "steps", "steps", int))
+        return cls(experiment=exp, model=model, zone=zone, data=data, grid=grid,
+                   **{name: cast(block[key]) for block, key, name, cast in given
+                      if key in block})
 
     def canonical(self):
         base = {

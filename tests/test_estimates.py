@@ -55,6 +55,10 @@ def test_radial_norm_against_closed_form():
     for n, omega in ((1, 2.0), (2, 2 * math.pi), (3, 4 * math.pi)):
         exact = omega / (2.0 * math.pi) ** n * math.gamma(n / 2.0) / 2.0
         assert radial_norm(vals, r, n) ** 2 == pytest.approx(exact, rel=1e-6)
+        # a (times x r) array: one norm per row, bit for bit the row's own
+        rows = np.outer([1.0, 0.5, 3.0], vals) * np.exp(1j * r)
+        assert np.array_equal(radial_norm(rows, r, n),
+                              [radial_norm(row, r, n) for row in rows])
 
 
 def test_energy_trace_free_conservation_and_zero_data():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fuchswave import modal
 from fuchswave.cli import build_parser, run_cli
 from fuchswave.coeffs import CoefficientModel
 from fuchswave.estimates import DataSpec, ResolutionError, energy_trace, grid_for_data
@@ -50,6 +51,45 @@ def test_fft_round_trip():
         assert fft_roundtrip_error(grid) < 1e-12
 
 
+def physical_space_norms(model, grid, data_spec, times, rtol):
+    """Reference for simulate_fields: every mode on the FFT mesh, an inverse
+    FFT of u, u_t and each component of grad u per checkpoint, and Riemann
+    sums of their squares over the box."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_dim, d=grid.box_length / grid.points_per_dim)
+    axes = np.meshgrid(*([k] * grid.n_dim), indexing="ij")
+    xi = np.sqrt(sum(a ** 2 for a in axes))
+    uniq, inverse = np.unique(np.round(xi.ravel(), 12), return_inverse=True)
+    prof = data_spec.profile(uniq)
+    u_modes, v_modes = modal.evolve_state(model, uniq, data_spec.amp0 * prof,
+                                          data_spec.amp1 * prof, times, rtol=rtol)
+    scale = (grid.points_per_dim / grid.box_length) ** grid.n_dim
+    dV = (grid.box_length / grid.points_per_dim) ** grid.n_dim
+    cols = np.empty((4, times.size))
+    for i, t in enumerate(times):
+        u_hat = (u_modes[i][inverse] * scale).reshape(xi.shape)
+        v_hat = (v_modes[i][inverse] * scale).reshape(xi.shape)
+        u_sq = np.sum(np.abs(np.fft.ifftn(u_hat)) ** 2) * dV
+        ut_sq = np.sum(np.abs(np.fft.ifftn(v_hat)) ** 2) * dV
+        grad_sq = sum(np.sum(np.abs(np.fft.ifftn(1j * a * u_hat)) ** 2) * dV for a in axes)
+        cols[:, i] = (np.sqrt(u_sq) / (1.0 + t), np.sqrt(grad_sq), np.sqrt(ut_sq),
+                      0.5 * (grad_sq + ut_sq))
+    return cols
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 256, 60.0), Grid(2, 32, 20.0), Grid(3, 16, 12.0)],
+                         ids=["1d", "2d", "3d"])
+def test_parseval_norms_match_physical_space_ffts(grid):
+    model = CoefficientModel(family="bounded_perturbation", b0=2.0, m0=0.75,
+                             c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    data = DataSpec(kind="ring", center=2.0, width=1.0, amp0=1.0, amp1=0.7)
+    times = np.array([0.0, 0.5, 2.0, 6.0])
+    trace = simulate_fields(model, CFG, grid, data, times, rtol=1e-10)
+    ref = physical_space_norms(model, grid, data, times, rtol=1e-10)
+    cols = np.array([trace.u_over_1pt, trace.grad, trace.ut, trace.energy])
+    assert np.all(ref > 0.0)
+    assert np.max(np.abs(cols - ref) / ref) <= 1e-12
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(1, 1000, 10.0)   # not a power of two
@@ -85,7 +125,8 @@ def test_resolution_warning_and_strict_mode():
 
 
 def test_plancherel_consistency_with_radial_quadrature():
-    # physical-space norms from the box run vs continuum radial quadrature
+    # box norms of the box run (Parseval over its discrete modes) vs
+    # continuum radial quadrature
     model = CoefficientModel(b0=2.0, m0=1.0)
     data = DataSpec(kind="ring", center=2.0, width=0.5, amp0=1.0, amp1=0.7)
     grid = Grid(1, 8192, 1600.0)
@@ -112,6 +153,13 @@ def test_config_validation_and_hash_determinism():
         ExperimentConfig.from_dict({"experiment": "unknown"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "classify", "schema": 99})
+
+
+def test_config_defaults_come_from_the_dataclasses():
+    for exp in EXPERIMENTS:
+        cfg = ExperimentConfig.from_dict({"experiment": exp})
+        assert cfg.canonical() == ExperimentConfig(exp, CoefficientModel(),
+                                                   ZoneConfig()).canonical()
 
 
 def test_ignored_config_keys_leave_the_run_unchanged():
