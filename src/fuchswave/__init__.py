@@ -19,7 +19,6 @@ from .modal import (
     check_cocycle,
     evolve_micro_energy,
     integrate_fundamental,
-    system_matrix,
 )
 from .asymptotic import (
     FuchsSystem,

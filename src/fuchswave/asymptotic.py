@@ -290,7 +290,6 @@ class HWTransform:
 
     N_matrix: callable
     B_matrix: callable
-    F_diag: callable
     valid_from: float
     grid_t: np.ndarray
     N_norms: np.ndarray
@@ -386,7 +385,7 @@ def hartman_wintner(sys, sigma, t0, horizon, n=4000):
         return Nt @ F_of(t) - sys.R_at(t) @ Nt
 
     transform = HWTransform(
-        N_matrix=N_of, B_matrix=B_of, F_diag=F_of, valid_from=valid_from,
+        N_matrix=N_of, B_matrix=B_of, valid_from=valid_from,
         grid_t=ts, N_norms=N_norms, tail_bound=tail_total, ordering=order,
     )
 

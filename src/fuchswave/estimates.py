@@ -350,7 +350,8 @@ def _check_scattering_regime(model):
 def _wave_operator_samples(model, config, r, times, Phi):
     """W(t_j, xi) = lam(t_j) E_fr(t_j)^{-1} E(t_j, 0, xi) for every frequency,
     from the unweighted fundamental matrices Phi(t_j, 0, xi)."""
-    E = modal.weight_conjugation(config, r, times, Phi)
+    E = modal.weight_conjugation(zones.sharp_weight(config, times[:, None], r),
+                                 zones.sharp_weight(config, 0.0, r), Phi)
     Efr_inv = free_micro_propagator(-times, r)
     lam = np.asarray(model.lam(times))
     return lam[:, None, None, None] * np.matmul(Efr_inv, E)

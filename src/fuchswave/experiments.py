@@ -57,6 +57,26 @@ def _reject_unknown(d, allowed, where):
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
+# JSON type of each plain field: (what it must be, test, stored value); a
+# wrong type is a ConfigError naming the field, never a coercion, and the
+# types are exact, so a bool is neither an integer nor a number
+_INTEGER = ("an integer", lambda v: type(v) is int, int)
+_NUMBER = ("a number", lambda v: type(v) in (int, float), float)
+_FLAG = ("true or false", lambda v: type(v) is bool, bool)
+# cells are stored as given: floats would change the config hash of integer cells
+_CELLS = ("a list of [b0, m0, sigma] number lists",
+          lambda v: type(v) is list and all(type(c) is list and len(c) == 3
+                                            and all(map(_NUMBER[1], c)) for c in v),
+          lambda v: tuple(map(tuple, v)))
+
+
+def _read(value, kind, where):
+    what, valid, store = kind
+    if not valid(value):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return store(value)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -92,7 +112,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad model block: {exc}") from exc
         zone_d = dict(d.get("zone", {}))
         _reject_unknown(zone_d, {"N"}, "config.zone")
-        zone = ZoneConfig(**{k: float(v) for k, v in zone_d.items()})
+        zone = ZoneConfig(**{k: _read(v, _NUMBER, f"zone.{k}") for k, v in zone_d.items()})
         data = None
         if d.get("data"):
             data_d = dict(d["data"])
@@ -107,16 +127,16 @@ class ExperimentConfig:
         _reject_unknown(times, {"t_final", "checkpoints"}, "config.times")
         tols = dict(d.get("tolerances", {}))
         _reject_unknown(tols, {"rtol", "fit"}, "config.tolerances")
-        # (block, key, field, coercion) of every plain field; an absent key
+        # (block, key, field, JSON type) of every plain field; an absent key
         # keeps the dataclass default
-        given = ((d, "n_dim", "n_dim", int), (times, "t_final", "t_final", float),
-                 (times, "checkpoints", "checkpoints", int), (tols, "rtol", "rtol", float),
-                 (tols, "fit", "fit_tol", float),
-                 (d, "sweep_cells", "sweep_cells", lambda cells: tuple(map(tuple, cells))),
-                 (d, "strict", "strict", bool), (d, "seed", "seed", int),
-                 (d, "xi", "xi", float), (d, "steps", "steps", int))
+        given = ((d, "n_dim", "n_dim", _INTEGER), (times, "t_final", "t_final", _NUMBER),
+                 (times, "checkpoints", "checkpoints", _INTEGER),
+                 (tols, "rtol", "rtol", _NUMBER), (tols, "fit", "fit_tol", _NUMBER),
+                 (d, "sweep_cells", "sweep_cells", _CELLS), (d, "strict", "strict", _FLAG),
+                 (d, "seed", "seed", _INTEGER), (d, "xi", "xi", _NUMBER),
+                 (d, "steps", "steps", _INTEGER))
         return cls(experiment=exp, model=model, zone=zone, data=data, grid=grid,
-                   **{name: cast(block[key]) for block, key, name, cast in given
+                   **{name: _read(block[key], kind, key) for block, key, name, kind in given
                       if key in block})
 
     def canonical(self):
@@ -241,9 +261,8 @@ def run_sweep(cfg):
         except Exception as exc:  # per-cell failures recorded, sweep continues
             rows.append((b0, m0, sigma, "error", 0.0, 0.0, f"error:{exc}"))
             verdicts[name] = False
-    csv_rows = [(r[0], r[1], r[2], r[3], r[4], r[5], r[6]) for r in rows]
     return verdicts, {"cells": len(cfg.sweep_cells)}, [
-        ("sweep_results", "b0,m0,sigma,zone,predicted,fitted,verdict", csv_rows)]
+        ("sweep_results", "b0,m0,sigma,zone,predicted,fitted,verdict", rows)]
 
 
 def run_scatter(cfg):

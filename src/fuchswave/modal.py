@@ -4,17 +4,15 @@ Everything downstream (zone-rate fits, representation identities, scattering)
 is validated against the fundamental matrices integrated here with an
 embedded Runge-Kutta pair (DOP853, PI step control) at tight tolerance.
 
-Forms of the first-order system for a single frequency:
+One state is integrated per frequency: X = (u_hat, u_hat'), with
+X' = [[0, 1], [-(xi^2+m), -b]] X and real fundamental matrix Phi(t,s).  Each
+form of the micro-energy U = (h u_hat, D_t u_hat), D_t = -i d/dt, conjugates
+Phi by T = diag(h, -i) (weight_conjugation):
 
-  diss_system   D_t U = [[i/(1+t), N/(1+t)], [(1+t)(xi^2+m)/N, i b]] U,
-                U = (N/(1+t) u_hat, D_t u_hat)
-  fuchs_form    (1+t) dU/dt = (A + R(t,xi)) U with constant
-                A = [[-1, iN], [i m0/N, -b0]]
-  hyp_system    D_t U = [[0, xi], [xi + m/xi, i b]] U,  U = (xi u_hat, D_t u_hat)
-
-with D_t = -i d/dt.  The unweighted state X = (u_hat, u_hat') obeys
-X' = [[0, 1], [-(xi^2+m), -b]] X; all weighted propagators are conjugations
-of its fundamental matrix by diag(h, -i).
+  diss_system   h = N/(1+t):  D_t U = [[i/(1+t), N/(1+t)], [(1+t)(xi^2+m)/N, i b]] U,
+                in Fuchs form (1+t) dU/dt = (A + R(t,xi)) U, A = [[-1, iN], [i m0/N, -b0]]
+  hyp_system    h = xi:       D_t U = [[0, xi], [xi + m/xi, i b]] U
+  sharp weight  h = max(N/(1+t), xi): diss up to the zone boundary, hyp beyond
 
 For the scale-invariant family b = b0/(1+t), m = m0/(1+t)^2, u(t) = f(z) with
 z = xi (1+t), and z^((b0-1)/2) f solves Bessel's equation.  The batched
@@ -37,7 +35,6 @@ from .coeffs import PURE
 from .zones import ZoneConfig, sharp_weight
 
 FORM_DISS = "diss_system"
-FORM_FUCHS = "fuchs_form"
 FORM_HYP = "hyp_system"
 
 DEFAULT_RTOL = 1e-10  # relative, per unit log-time of the integration span
@@ -78,7 +75,7 @@ class ModalSystem:
     form: str = FORM_DISS
 
     def __post_init__(self):
-        if self.form not in (FORM_DISS, FORM_FUCHS, FORM_HYP):
+        if self.form not in (FORM_DISS, FORM_HYP):
             raise ValueError(f"unknown system form {self.form!r}")
         if self.form == FORM_HYP and self.xi_norm == 0.0:
             raise ValueError("hyp_system is singular at xi = 0")
@@ -125,43 +122,27 @@ def fuchs_remainder(model, config, t, xi_norm):
     return np.array([[0.0, 0.0], [r21, r22]], dtype=complex)
 
 
-def system_matrix(sys, t, out=None):
-    """Exact coefficient matrix of the selected form at time t (for D_t U = A U,
-    or the full Fuchs matrix A + R for (1+t) dU/dt = (A+R) U), written into
-    the complex 2x2 array `out` when one is given."""
-    model, xi, N = sys.model, sys.xi_norm, sys.config.N
-    b = float(model.b(t))
-    m = float(model.m(t))
-    w = 1.0 + t
-    A = np.empty((2, 2), dtype=complex) if out is None else out
-    if sys.form == FORM_DISS:
-        A[0, 0], A[0, 1], A[1, 0], A[1, 1] = 1j / w, N / w, w * (xi ** 2 + m) / N, 1j * b
-    elif sys.form == FORM_FUCHS:
-        A[:] = fuchs_constant_matrix(model, sys.config) + fuchs_remainder(model, sys.config, t, xi)
-    else:
-        A[0, 0], A[0, 1], A[1, 0], A[1, 1] = 0.0, xi, xi + m / xi, 1j * b
-    return A
-
-
-def _ode_rhs(sys):
-    A = np.empty((2, 2), dtype=complex)  # one buffer for every call
-    if sys.form == FORM_FUCHS:
-        return lambda t, y: (system_matrix(sys, t, A) @ y.reshape(2, 2) / (1.0 + t)).ravel()
-    # D_t E = A E  <=>  E' = i A E
-    return lambda t, y: (1j * system_matrix(sys, t, A) @ y.reshape(2, 2)).ravel()
-
-
 def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL):
-    """E(t_i, s, xi) for all checkpoint times in one adaptive integration."""
+    """E(t_i, s, xi) for all checkpoint times in one adaptive integration of
+    the real fundamental matrix Phi(t, s), conjugated by T = diag(h, -i)."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < s):
         raise ValueError("checkpoints must satisfy t >= s")
-    y0 = np.eye(2, dtype=complex).ravel()
-    sol = solve_ivp(_ode_rhs(sys), (s, float(times[-1])), y0, method="DOP853",
-                    t_eval=times, rtol=rtol, atol=rtol * 1e-4, dense_output=False)
+    model, xi2 = sys.model, sys.xi_norm ** 2
+
+    def rhs(t, y):  # y = (Phi00, Phi01, Phi10, Phi11)
+        k = -(xi2 + model.m(t))
+        b = model.b(t)
+        return np.array([y[2], y[3], k * y[0] - b * y[2], k * y[1] - b * y[3]])
+
+    sol = solve_ivp(rhs, (s, float(times[-1])), np.eye(2).ravel(), method="DOP853",
+                    t_eval=times, rtol=rtol, atol=rtol * 1e-4)
     if not sol.success:
         raise StiffnessError(sol.message, t=sol.t[-1] if sol.t.size else s, xi=sys.xi_norm)
-    return sol.y.T.reshape(-1, 2, 2)
+    Phi = sol.y.T.reshape(-1, 2, 2)
+    if sys.form == FORM_HYP:
+        return weight_conjugation(sys.xi_norm, sys.xi_norm, Phi)
+    return weight_conjugation(sys.config.N / (1.0 + times), sys.config.N / (1.0 + s), Phi)
 
 
 def integrate_fundamental(sys, s, t, tol=DEFAULT_RTOL, verify=False):
@@ -359,30 +340,29 @@ def state_propagator_checkpoints(model, xi, times, rtol=DEFAULT_RTOL, atol=None)
     return _fundamental(u, v)
 
 
-def weight_conjugation(config, xi, times, Phi):
-    """Micro-energy propagator E(t,0) = T(t) Phi(t,0) T(0)^-1 with T = diag(h, -i)
-    and the sharp weight h(t) = max(N/(1+t), xi), for Phi of shape
-    (len(times), n, 2, 2) and xi one frequency or one per mode."""
-    h_t = sharp_weight(config, times[:, None], xi)
-    h_0 = sharp_weight(config, 0.0, xi)
-    E = np.empty_like(Phi)
-    E[..., 0, 0] = h_t / h_0 * Phi[..., 0, 0]
+def weight_conjugation(h_t, h_s, Phi):
+    """Micro-energy propagator E(t,s) = T(t) Phi(t,s) T(s)^-1 with T = diag(h, -i),
+    for the weights h_t = h(t) and h_s = h(s) broadcasting against
+    Phi[..., 0, 0]; complex for a real Phi too."""
+    E = np.empty(np.shape(Phi), dtype=complex)
+    E[..., 0, 0] = h_t / h_s * Phi[..., 0, 0]
     E[..., 0, 1] = 1j * h_t * Phi[..., 0, 1]
-    E[..., 1, 0] = -1j / h_0 * Phi[..., 1, 0]
+    E[..., 1, 0] = -1j / h_s * Phi[..., 1, 0]
     E[..., 1, 1] = Phi[..., 1, 1]
     return E
 
 
 def weighted_propagator(model, config, xi, times, rtol=DEFAULT_RTOL):
     """Cross-zone propagator E(t,0) of the micro-energy with the sharp weight
-    (see weight_conjugation); shape (len(times), 2, 2).
+    h(t) = max(N/(1+t), xi) (see weight_conjugation); shape (len(times), 2, 2).
 
     Inside the slow zone this is exactly the diss_system propagator, beyond
     the boundary exactly the hyp_system one.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     Phi = state_propagator_checkpoints(model, [xi], times, rtol=rtol)
-    return weight_conjugation(config, xi, times, Phi)[:, 0]
+    return weight_conjugation(sharp_weight(config, times[:, None], xi),
+                              sharp_weight(config, 0.0, xi), Phi)[:, 0]
 
 
 def propagator_norm_trace(model, config, xi, times, rtol=DEFAULT_RTOL):
@@ -405,7 +385,8 @@ def scale_invariant_norm_traces(cells, config, xi, times, rtol=DEFAULT_RTOL):
     u, v = _solve_modes(lambda t: b0s / (1.0 + t), lambda t: m0s / (1.0 + t) ** 2,
                         np.full(b0s.size, float(xi)), y0, times, rtol, rtol * 1e-4,
                         (b0s, m0s))
-    E = weight_conjugation(config, xi, times, _fundamental(u, v))
+    E = weight_conjugation(sharp_weight(config, times[:, None], xi),
+                           sharp_weight(config, 0.0, xi), _fundamental(u, v))
     return np.linalg.svd(E, compute_uv=False)[..., 0]
 
 

@@ -16,7 +16,7 @@ from fuchswave.diagonalize import (M_ROT, M_ROT_INV,
                                    preliminary_transform, q_limit,
                                    q_propagator)
 from fuchswave.modal import (FORM_HYP, ModalSystem, integrate_fundamental,
-                             spectral_norm, system_matrix, weighted_propagator)
+                             spectral_norm, weighted_propagator)
 from fuchswave.zones import ZoneConfig, theta
 
 CFG = ZoneConfig(N=1.0)
@@ -29,10 +29,11 @@ def test_rotation_inverse():
 
 
 def test_preliminary_transform_conjugation():
-    pre = preliminary_transform(EX31, 1.7)
-    sys = ModalSystem(EX31, CFG, 1.7, FORM_HYP)
+    xi = 1.7
+    pre = preliminary_transform(EX31, xi)
     for t in (0.0, 3.0, 42.0):
-        A = system_matrix(sys, t)
+        b, m = float(EX31.b(t)), float(EX31.m(t))
+        A = np.array([[0.0, xi], [xi + m / xi, 1j * b]])  # hyp_system: D_t U = A U
         residual = pre.M_inv @ A @ pre.M - (pre.D + pre.B(t) + pre.C(t))
         assert spectral_norm(residual) < 1e-12
 

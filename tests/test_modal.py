@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from fuchswave import modal
-from fuchswave.coeffs import CoefficientModel, classify_regime, example_bounded
+from fuchswave.asymptotic import FuchsSystem, integrate_fuchs
+from fuchswave.coeffs import CoefficientModel, classify_regime, example_bounded, example_log
 from fuchswave.estimates import fit_decay
-from fuchswave.modal import (FORM_DISS, FORM_FUCHS, FORM_HYP, ModalSystem,
+from fuchswave.modal import (FORM_DISS, FORM_HYP, ModalSystem,
                              check_cocycle, evolve_micro_energy, evolve_state,
-                             fuchs_remainder, integrate_fundamental,
-                             propagator_checkpoints,
+                             fuchs_constant_matrix, fuchs_remainder,
+                             integrate_fundamental, propagator_checkpoints,
                              propagator_norm_trace,
                              scale_invariant_norm_traces, spectral_norm,
-                             state_propagator_checkpoints, system_matrix,
+                             state_propagator_checkpoints,
                              weighted_propagator)
 from fuchswave.zones import ZoneConfig
 
@@ -23,28 +24,32 @@ EIGHT_CELLS = [(1.0, 1.0), (1.0, 0.01), (2.0, 0.75), (2.0, 2.0),
                (3.0, 0.0), (4.0, 0.0), (2.0, 0.25), (0.0, 5.0)]
 
 
-def test_system_matrix_diss_free():
-    sys = ModalSystem(FREE, CFG, 0.0, FORM_DISS)
-    A = system_matrix(sys, 0.0)
-    assert np.allclose(A, [[1j, 1.0], [0.0, 0.0]])
-    A = system_matrix(sys, 1.0)
-    assert np.allclose(A, [[0.5j, 0.5], [0.0, 0.0]])
-
-
-def test_system_matrix_hyp_free():
-    sys = ModalSystem(FREE, CFG, 2.0, FORM_HYP)
-    assert np.allclose(system_matrix(sys, 5.0), [[0.0, 2.0], [2.0, 0.0]])
-
-
 def test_fuchs_remainder_scale_invariant():
     model = CoefficientModel(b0=2.0, m0=3.0)
-    sys = ModalSystem(model, CFG, 0.5, FORM_FUCHS)
+    assert np.allclose(fuchs_constant_matrix(model, CFG), [[-1.0, 1j], [3j, -2.0]])
     for t in (0.0, 4.0, 99.0):
         R = fuchs_remainder(model, CFG, t, 0.5)
         expected = np.array([[0, 0], [1j * (1 + t) ** 2 * 0.25, 0]])
         assert np.allclose(R, expected, atol=1e-12)
-        A = system_matrix(sys, t)
-        assert np.allclose(A - R, [[-1.0, 1j], [3j, -2.0]])
+
+
+@pytest.mark.parametrize("model", [
+    CoefficientModel(b0=2.0, m0=1.0),
+    example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.3, p2=0.25),
+    example_log(3.0, 0.5, b1=0.5, m1=0.5, gamma=1.0)], ids=["pure", "bounded", "log"])
+@pytest.mark.parametrize("xi", [0.0, 0.01, 0.4])
+def test_fuchs_form_matches_the_diss_propagator(model, xi):
+    # (1+t) dU/dt = (A + R) U is the diss system on the same U and clock:
+    # its direct Fuchs oracle on tau = 1+t reproduces the single-system
+    # oracle's E(t,s), which integrates Phi and conjugates it
+    s, t = 1.0, 50.0
+    A = fuchs_constant_matrix(model, CFG)
+    fuchs = FuchsSystem(dimension=2, mu=lambda tau: np.zeros(2),
+                        R=lambda tau: A + fuchs_remainder(model, CFG, tau - 1.0, xi))
+    E_fuchs = integrate_fuchs(fuchs, 1.0 + s, 1.0 + t, rtol=1e-12)
+    E = propagator_checkpoints(ModalSystem(model, CFG, xi, FORM_DISS), s, [t],
+                               rtol=1e-12)[0]
+    assert spectral_norm(E_fuchs - E) <= 1e-9 * spectral_norm(E)
 
 
 def test_free_wave_closed_form():
@@ -101,14 +106,14 @@ def liouville_modulus(sys, s, t):
     lam_ratio = float(model.lam(s) / model.lam(t))
     if sys.form == FORM_HYP:
         return lam_ratio ** 2
-    if sys.form in (FORM_DISS, FORM_FUCHS):
+    if sys.form == FORM_DISS:
         return (1.0 + s) / (1.0 + t) * lam_ratio ** 2
     raise ValueError(sys.form)
 
 
 def test_determinant_identity_weighted_forms():
     model = CoefficientModel(b0=2.0, m0=1.0)
-    for form in (FORM_DISS, FORM_HYP, FORM_FUCHS):
+    for form in (FORM_DISS, FORM_HYP):
         xi = 0.4 if form != FORM_HYP else 2.0
         sys = ModalSystem(model, CFG, xi, form)
         E = integrate_fundamental(sys, 1.0, 50.0, tol=1e-11)
@@ -189,7 +194,7 @@ def test_batched_traces_match_reference_oracle():
         ref = propagator_norm_trace(model, CFG, 2.0, times, rtol=1e-11)
         assert np.allclose(batched[:, j], ref, rtol=1e-7)
         # at xi = 2N the sharp weight is xi for every t >= 0, so the weighted
-        # propagator is the hyp_system one, integrated by the system_matrix
+        # propagator is the hyp_system one, integrated by the single-system
         # oracle, which shares no code with the batched kernel
         sys = ModalSystem(model, CFG, 2.0, FORM_HYP)
         E = propagator_checkpoints(sys, 0.0, times, rtol=1e-11)

@@ -155,6 +155,34 @@ def test_config_validation_and_hash_determinism():
         ExperimentConfig.from_dict({"experiment": "classify", "schema": 99})
 
 
+@pytest.mark.parametrize("field, raw", [
+    ("strict", {"strict": "false"}), ("strict", {"strict": 1}),
+    ("n_dim", {"n_dim": 2.7}), ("n_dim", {"n_dim": True}),
+    ("checkpoints", {"times": {"checkpoints": 61.0}}), ("seed", {"seed": "11"}),
+    ("steps", {"steps": False}), ("t_final", {"times": {"t_final": "1e4"}}),
+    ("rtol", {"tolerances": {"rtol": True}}), ("fit", {"tolerances": {"fit": None}}),
+    ("xi", {"xi": [1e-4]}), ("zone.N", {"zone": {"N": "1"}}),
+    ("sweep_cells", {"sweep_cells": [[2.0, 2.0]]}),
+    ("sweep_cells", {"sweep_cells": [[2.0, "2", 1.0]]}),
+    ("sweep_cells", {"sweep_cells": [[2.0, 2.0, False]]}),
+    ("sweep_cells", {"sweep_cells": {"b0": 2.0}})])
+def test_config_rejects_wrong_json_types_naming_the_field(field, raw):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        ExperimentConfig.from_dict({"experiment": "sweep", **raw})
+
+
+def test_config_numbers_are_stored_as_floats_and_canonical_reads_back():
+    cfg = ExperimentConfig.from_dict({"experiment": "sweep", "xi": 1, "zone": {"N": 2},
+                                      "times": {"t_final": 100, "checkpoints": 7},
+                                      "tolerances": {"rtol": 1e-9, "fit": 0}})
+    assert (cfg.xi, cfg.zone.N, cfg.t_final, cfg.fit_tol) == (1.0, 2.0, 100.0, 0.0)
+    assert all(type(x) is float for x in (cfg.xi, cfg.zone.N, cfg.t_final, cfg.fit_tol))
+    assert cfg.checkpoints == 7
+    for exp, extra in CHEAP_CONFIGS.items():
+        cfg = ExperimentConfig.from_dict({"experiment": exp, **extra})
+        assert config_hash(ExperimentConfig.from_dict(cfg.canonical())) == config_hash(cfg)
+
+
 def test_config_defaults_come_from_the_dataclasses():
     for exp in EXPERIMENTS:
         cfg = ExperimentConfig.from_dict({"experiment": exp})
