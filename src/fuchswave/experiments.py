@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, asymptotic, diagonalize, estimates, modal, zones
-from .coeffs import PURE, CoefficientModel, classify_regime, predicted_decay
+from .coeffs import (PURE, CoefficientModel, RegimeUnsupportedError, classify_regime,
+                     predicted_decay)
 from .estimates import DataSpec, DEFAULT_WINDOW, fit_decay, grid_for_data
 from .solver import Grid, simulate_fields
 from .zones import ZoneConfig
@@ -41,9 +42,6 @@ class ConfigError(ValueError):
     pass
 
 
-_MODEL_KEYS = {f.name for f in fields(CoefficientModel)}
-_DATA_KEYS = {f.name for f in fields(DataSpec)}
-_GRID_KEYS = {f.name for f in fields(Grid)}
 _TOP_KEYS = {"schema", "experiment", "model", "zone", "data", "grid", "n_dim",
              "times", "tolerances", "sweep_cells", "strict",
              "seed", "xi", "steps"}
@@ -63,6 +61,9 @@ def _reject_unknown(d, allowed, where):
 _INTEGER = ("an integer", lambda v: type(v) is int, int)
 _NUMBER = ("a number", lambda v: type(v) in (int, float), float)
 _FLAG = ("true or false", lambda v: type(v) is bool, bool)
+_TEXT = ("a string", lambda v: type(v) is str, str)
+# the JSON type of a block field by its annotation; others (tables) pass as given
+_FIELD_KINDS = {"int": _INTEGER, "float": _NUMBER, "bool": _FLAG, "str": _TEXT}
 # cells are stored as given: floats would change the config hash of integer cells
 _CELLS = ("a list of [b0, m0, sigma] number lists",
           lambda v: type(v) is list and all(type(c) is list and len(c) == 3
@@ -75,6 +76,16 @@ def _read(value, kind, where):
     if not valid(value):
         raise ConfigError(f"{where} must be {what}, got {value!r}")
     return store(value)
+
+
+def _read_block(d, cls, where):
+    """The fields of a model/data/grid block, each read with the JSON type of
+    its annotation in cls; unknown fields are rejected."""
+    block = dict(d)
+    kinds = {f.name: _FIELD_KINDS.get(f.type) for f in fields(cls)}
+    _reject_unknown(block, set(kinds), where)
+    return {k: v if kinds[k] is None else _read(v, kinds[k], f"{where}.{k}")
+            for k, v in block.items()}
 
 
 @dataclass
@@ -104,10 +115,9 @@ class ExperimentConfig:
         exp = d.get("experiment")
         if exp not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-        model_d = dict(d.get("model", {}))
-        _reject_unknown(model_d, _MODEL_KEYS, "config.model")
+        model_d = _read_block(d.get("model", {}), CoefficientModel, "config.model")
         try:
-            model = CoefficientModel.from_json(json.dumps(model_d)) if model_d else CoefficientModel()
+            model = CoefficientModel.from_json(model_d) if model_d else CoefficientModel()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad model block: {exc}") from exc
         zone_d = dict(d.get("zone", {}))
@@ -115,14 +125,10 @@ class ExperimentConfig:
         zone = ZoneConfig(**{k: _read(v, _NUMBER, f"zone.{k}") for k, v in zone_d.items()})
         data = None
         if d.get("data"):
-            data_d = dict(d["data"])
-            _reject_unknown(data_d, _DATA_KEYS, "config.data")
-            data = DataSpec(**data_d)
+            data = DataSpec(**_read_block(d["data"], DataSpec, "config.data"))
         grid = None
         if d.get("grid"):
-            grid_d = dict(d["grid"])
-            _reject_unknown(grid_d, _GRID_KEYS, "config.grid")
-            grid = Grid(**grid_d)
+            grid = Grid(**_read_block(d["grid"], Grid, "config.grid"))
         times = dict(d.get("times", {}))
         _reject_unknown(times, {"t_final", "checkpoints"}, "config.times")
         tols = dict(d.get("tolerances", {}))
@@ -258,7 +264,9 @@ def run_sweep(cfg):
             rows.append((b0, m0, sigma, "hyp", fit_h.predicted, fit_h.exponent,
                          "pass" if fit_h.verdict else "fail"))
             verdicts[name] = bool(fit_d.verdict and fit_h.verdict)
-        except Exception as exc:  # per-cell failures recorded, sweep continues
+        # a cell whose integration or regime fails is a failed row, and the
+        # sweep continues; any other exception is a fault of the program
+        except (modal.StiffnessError, modal.SeriesRangeError, RegimeUnsupportedError) as exc:
             rows.append((b0, m0, sigma, "error", 0.0, 0.0, f"error:{exc}"))
             verdicts[name] = False
     return verdicts, {"cells": len(cfg.sweep_cells)}, [

@@ -1,8 +1,11 @@
 """Per-frequency ODE systems and the brute-force reference propagators.
 
 Everything downstream (zone-rate fits, representation identities, scattering)
-is validated against the fundamental matrices integrated here with an
-embedded Runge-Kutta pair (DOP853, PI step control) at tight tolerance.
+is validated against the fundamental matrices integrated here at tight
+tolerance by Hairer's Fortran DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+II.10) through scipy.integrate.ode, on real states: the steps run in Fortran,
+only the right-hand side is called back, and each checkpoint is landed on
+exactly, one integration leg per checkpoint (solve_ivp).
 
 One state is integrated per frequency: X = (u_hat, u_hat'), with
 X' = [[0, 1], [-(xi^2+m), -b]] X and real fundamental matrix Phi(t,s).  Each
@@ -24,11 +27,12 @@ single-system oracle propagator_checkpoints, run DOP853 throughout.
 
 from __future__ import annotations
 
-import math
+import collections
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode
 
 from . import zones
 from .coeffs import PURE
@@ -65,6 +69,65 @@ class HorizonError(RuntimeError):
     def __init__(self, message, last_increment=None):
         super().__init__(message)
         self.last_increment = last_increment
+
+
+@dataclass(frozen=True)
+class IvpResult:
+    """The part of scipy's solve_ivp result the modal solves read: the
+    checkpoints reached, the state there (shape (len(y0), len(t))), and the
+    right-hand-side calls made."""
+
+    t: np.ndarray
+    y: np.ndarray
+    success: bool
+    message: str
+    nfev: int
+
+
+def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
+    """y' = fun(t, y) for a real state y0 at t_span[0], integrated by Hairer's
+    DOP853 to every checkpoint in t_eval (ascending, within t_span).  Each
+    checkpoint ends one call of the Fortran code, landing on it exactly; the
+    next call starts with the last full accepted step (recorded through
+    solout), written as its initial step WORK(7), so a checkpoint costs its
+    landing step and one restart, not a fresh step-size search.  A failed
+    call ends the solve with success False; y then holds the checkpoints
+    reached."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    y = np.empty((t_eval.size, len(y0)))
+    # no step limit (the largest IWORK(1)), as in scipy's solve_ivp
+    solver = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=2 ** 31 - 1)
+    xs = collections.deque(maxlen=3)  # the last accepted step ends
+    solver.set_solout(lambda x, _: xs.append(x))
+    solver.set_initial_value(y0, float(t_span[0]))
+    integrator = solver._integrator  # its work and counter arrays, one per solve
+    t_now, nfev, done, message = solver.t, 0, 0, "the solver reached every checkpoint"
+    try:
+        with warnings.catch_warnings():  # a failed call warns; it is reported below
+            warnings.filterwarnings("ignore", "dop853: ", UserWarning)
+            for done, t in enumerate(t_eval):
+                if t > t_now:
+                    xs.clear()
+                    solver.integrate(t)
+                    # NFCN, IWORK(17), counts a call for the initial-step
+                    # guess, which a given WORK(7) skips
+                    nfev += int(integrator.iwork[16]) - bool(integrator.work[6])
+                    if not solver.successful():
+                        message = integrator.messages.get(solver.get_return_code(),
+                                                          "DOP853 failed")
+                        break
+                    if len(xs) == 3:  # the call took a full step before landing
+                        integrator.work[6] = xs[1] - xs[0]
+                    t_now = t
+                y[done] = solver.y
+            else:
+                done = t_eval.size
+    finally:
+        # scipy's wrapper keeps a reference to the integrator from every
+        # call; let go of the state-sized work array
+        integrator.reset(0, False)
+    return IvpResult(t=t_eval[:done], y=y[:done].T, success=done == t_eval.size,
+                     message=message, nfev=nfev)
 
 
 @dataclass(frozen=True)
@@ -135,8 +198,8 @@ def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL):
         b = model.b(t)
         return np.array([y[2], y[3], k * y[0] - b * y[2], k * y[1] - b * y[3]])
 
-    sol = solve_ivp(rhs, (s, float(times[-1])), np.eye(2).ravel(), method="DOP853",
-                    t_eval=times, rtol=rtol, atol=rtol * 1e-4)
+    sol = solve_ivp(rhs, (s, float(times[-1])), np.eye(2).ravel(), t_eval=times,
+                    rtol=rtol, atol=rtol * 1e-4)
     if not sol.success:
         raise StiffnessError(sol.message, t=sol.t[-1] if sol.t.size else s, xi=sys.xi_norm)
     Phi = sol.y.T.reshape(-1, 2, 2)
@@ -209,9 +272,11 @@ def _hankel_series(nu2, z):
 
 
 def _hankel_continue(b0, nu2, xi, t0, y0, times):
-    """y = (u, u') at times >= t0 of scale-invariant modes in state y0 at t0:
-    y(t) = W(z) W(z0)^-1 y0, W = [[f+, f-], [xi f+', xi f-']], f- = conj(f+),
-    with z0 = xi (1+t0) and f+ normalised to S(z0) there; shape (2n, len(times))."""
+    """y = (u, u') at times >= t0 of scale-invariant modes in the real state
+    y0 at t0: y(t) = W(z) W(z0)^-1 y0, W = [[f+, f-], [xi f+', xi f-']],
+    f- = conj(f+), with z0 = xi (1+t0) and f+ normalised to S(z0) there; the
+    f- coefficient is the conjugate of the f+ one, so y = 2 Re(c+ (f+, xi f+'));
+    shape (2n, len(times))."""
     z0, z = xi * (1.0 + t0), xi * (1.0 + times[:, None])
 
     def basis(z, amp):  # (f+, xi f+') for f+ = amp S(z)
@@ -221,16 +286,13 @@ def _hankel_continue(b0, nu2, xi, t0, y0, times):
     p0, q0 = basis(z0, 1.0)
     p, q = basis(z, (z / z0) ** (-b0 / 2.0) * np.exp(1j * xi * (times[:, None] - t0)))
     u0, v0 = np.split(y0, 2)
-    det = p0 * q0.conj() - p0.conj() * q0
-    c_plus = (q0.conj() * u0 - p0.conj() * v0) / det
-    c_minus = (p0 * v0 - q0 * u0) / det
-    return np.vstack(((c_plus * p + c_minus * p.conj()).T,
-                      (c_plus * q + c_minus * q.conj()).T))
+    c_plus = (q0.conj() * u0 - p0.conj() * v0) / (p0 * q0.conj() - p0.conj() * q0)
+    return 2.0 * np.vstack(((c_plus * p).real.T, (c_plus * q).real.T))
 
 
 def _solve_modes(b, m, xi, y0, times, rtol, atol, cells=None):
     """One DOP853 solve of u'' + b(t) u' + (xi^2 + m(t)) u = 0 for a stack of
-    modes, state y = (u_1..u_n, u'_1..u'_n) from t = 0.  b(t) and m(t) return
+    modes, real state y = (u_1..u_n, u'_1..u'_n) from t = 0.  b(t) and m(t) return
     either a scalar shared by every mode (one model) or one value per mode.
     Scale-invariant modes pass cells = (b0, m0), scalars or one per mode: the
     solve then stops once every mode has z = xi (1+t) >= max(Z_MATCH, 2|nu|^2),
@@ -256,8 +318,8 @@ def _solve_modes(b, m, xi, y0, times, rtol, atol, cells=None):
     t_eval = np.append(times[~late], t_match) if hankel else times
     y = y0[:, None]
     if not hankel or t_match > 0.0:
-        sol = solve_ivp(rhs, (0.0, float(t_eval[-1])), y0, method="DOP853",
-                        t_eval=t_eval, rtol=rtol, atol=atol)
+        sol = solve_ivp(rhs, (0.0, float(t_eval[-1])), y0, t_eval=t_eval,
+                        rtol=rtol, atol=atol)
         if not sol.success:
             raise StiffnessError(sol.message, t=float(sol.t[-1]) if sol.t.size else 0.0,
                                  xi=float(xi.max()))
@@ -286,15 +348,17 @@ def _band_slices(xi):
 
 
 def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
-    """Evolve (u_hat, u_hat') for every frequency; returns arrays of shape
-    (len(times), len(xi)).  Zero-data modes are skipped, live modes are
-    normalised to unit initial size (linearity) so the absolute-error floor
-    never swamps strongly decaying or widely scaled data.  A scale-invariant
-    model's modes continue in Hankel's expansion beyond z = xi (1+t) =
-    Z_MATCH (see _solve_modes)."""
+    """Evolve (u_hat, u_hat') for every frequency; returns complex arrays of
+    shape (len(times), len(xi)).  The coefficients are real, so the real and
+    the imaginary part of each frequency's data evolve as two real modes.
+    Zero-data modes (the imaginary part of real data, say) are skipped, live
+    modes are normalised to unit initial size (linearity) so the
+    absolute-error floor never swamps strongly decaying or widely scaled
+    data.  A scale-invariant model's modes continue in Hankel's expansion
+    beyond z = xi (1+t) = Z_MATCH (see _solve_modes)."""
     xi = np.asarray(xi, dtype=float)
-    u0 = np.asarray(u0, dtype=complex)
-    u1 = np.asarray(u1, dtype=complex)
+    u0 = np.ascontiguousarray(u0, dtype=complex)
+    u1 = np.ascontiguousarray(u1, dtype=complex)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     atol = rtol * 1e-6 if atol is None else atol
 
@@ -304,17 +368,21 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
         u_out[:] = u0[None, :]
         v_out[:] = u1[None, :]
         return u_out, v_out
-    live = np.flatnonzero((np.abs(u0) > 0) | (np.abs(u1) > 0))
+    # real modes (Re, Im) of each frequency, interleaved as in the complex
+    # arrays, so the float views of the outputs take the results directly
+    a0, a1, xi = u0.view(float), u1.view(float), np.repeat(xi, 2)
+    U, V = u_out.view(float), v_out.view(float)
+    live = np.flatnonzero((a0 != 0) | (a1 != 0))
     if live.size == 0:
         return u_out, v_out
-    scale = np.maximum(np.abs(u0), np.abs(u1))
+    scale = np.maximum(np.abs(a0), np.abs(a1))
     cells = (model.b0, model.m0) if model.family == PURE else None
     for band in _band_slices(xi[live]):
         idx = live[band]
-        y0 = np.concatenate((u0[idx] / scale[idx], u1[idx] / scale[idx]))
+        y0 = np.concatenate((a0[idx] / scale[idx], a1[idx] / scale[idx]))
         u, v = _solve_modes(model.b, model.m, xi[idx], y0, times, rtol, atol, cells)
-        u_out[:, idx] = u * scale[idx]
-        v_out[:, idx] = v * scale[idx]
+        U[:, idx] = u * scale[idx]
+        V[:, idx] = v * scale[idx]
     return u_out, v_out
 
 
@@ -322,7 +390,7 @@ def _fundamental(u, v):
     """Phi(t,0) per mode, shape (len(times), n, 2, 2), from the solutions u, v
     of 2n modes whose first n start at (1, 0) and the next n at (0, 1)."""
     n = u.shape[1] // 2
-    Phi = np.empty((u.shape[0], n, 2, 2), dtype=complex)
+    Phi = np.empty((u.shape[0], n, 2, 2), dtype=u.dtype)
     Phi[..., 0, 0], Phi[..., 0, 1] = u[:, :n], u[:, n:]
     Phi[..., 1, 0], Phi[..., 1, 1] = v[:, :n], v[:, n:]
     return Phi
@@ -335,7 +403,7 @@ def state_propagator_checkpoints(model, xi, times, rtol=DEFAULT_RTOL, atol=None)
     columns share every octave band's adaptive steps."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     atol = rtol * 1e-4 if atol is None else atol
-    u0, u1 = np.repeat(np.eye(2, dtype=complex), xi.size, axis=1)
+    u0, u1 = np.repeat(np.eye(2), xi.size, axis=1)
     u, v = evolve_state(model, np.tile(xi, 2), u0, u1, times, rtol=rtol, atol=atol)
     return _fundamental(u, v)
 
@@ -381,7 +449,7 @@ def scale_invariant_norm_traces(cells, config, xi, times, rtol=DEFAULT_RTOL):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     b0s = np.tile([float(c[0]) for c in cells], 2)
     m0s = np.tile([float(c[1]) for c in cells], 2)
-    y0 = np.repeat(np.eye(2, dtype=complex), len(cells), axis=1).ravel()
+    y0 = np.repeat(np.eye(2), len(cells), axis=1).ravel()
     u, v = _solve_modes(lambda t: b0s / (1.0 + t), lambda t: m0s / (1.0 + t) ** 2,
                         np.full(b0s.size, float(xi)), y0, times, rtol, rtol * 1e-4,
                         (b0s, m0s))

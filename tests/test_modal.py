@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +18,7 @@ from fuchswave.modal import (FORM_DISS, FORM_HYP, ModalSystem,
                              propagator_norm_trace,
                              scale_invariant_norm_traces, spectral_norm,
                              state_propagator_checkpoints,
-                             weighted_propagator)
+                             weight_conjugation, weighted_propagator)
 from fuchswave.zones import ZoneConfig
 
 CFG = ZoneConfig(N=1.0)
@@ -306,3 +309,114 @@ def test_hankel_series_refuses_to_truncate():
         ref = hankel1(nu, z) / (np.sqrt(2.0 / (np.pi * z))
                                 * np.exp(1j * (z - nu * np.pi / 2.0 - np.pi / 4.0)))
         assert np.allclose(S, ref, rtol=1e-12, atol=0.0)
+
+
+def _damped_wave_phi(xi, times, s):
+    """Exact Phi(t, s) for b = 2/(1+t), m = 0, shape (len(times), 2, 2): the
+    solutions are sin(xi (1+t))/(1+t) and cos(xi (1+t))/(1+t)."""
+    def W(t):  # rows (f, f'), one column per solution
+        w = 1.0 + np.asarray(t, dtype=float)
+        f = np.array([np.sin(xi * w), np.cos(xi * w)]) / w
+        df = xi * np.array([np.cos(xi * w), -np.sin(xi * w)]) / w - f / w
+        return np.moveaxis(np.array([f, df]), -1, 0)
+    return W(times) @ np.linalg.inv(W([s])[0])
+
+
+@pytest.mark.parametrize("xi", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("n_checkpoints", [1, 120])
+def test_dop853_kernels_match_the_closed_form_damped_wave(xi, n_checkpoints):
+    # xi (t - s) = 1000 at rtol 1e-12, the last of n log-spaced checkpoints;
+    # the oracle lands on every one, and the batched kernel (from t = 0)
+    # runs DOP853 throughout, without cells
+    model = CoefficientModel(b0=2.0, m0=0.0)
+    s, span = 3.0, 1000.0 / xi
+    offsets = np.geomspace(1.0, 1.0 + span, n_checkpoints + 1)[1:] - 1.0
+    offsets[-1] = span
+    E = propagator_checkpoints(ModalSystem(model, CFG, xi, FORM_HYP), s, s + offsets,
+                               rtol=1e-12)
+    E_exact = weight_conjugation(xi, xi, _damped_wave_phi(xi, s + offsets, s))
+    assert max(spectral_norm(a - b) / spectral_norm(b) for a, b in zip(E, E_exact)) <= 1e-10
+
+    u, v = modal._solve_modes(model.b, model.m, np.array([xi, xi]),
+                              np.array([1.0, 0.0, 0.0, 1.0]), offsets, 1e-12, 1e-16)
+    assert u.dtype == v.dtype == float
+    Phi = np.stack((u, v), axis=1)  # (len(times), 2, 2): rows u, u'; columns the data
+    E, E_exact = (weight_conjugation(xi, xi, P)
+                  for P in (Phi, _damped_wave_phi(xi, offsets, 0.0)))
+    assert max(spectral_norm(a - b) / spectral_norm(b) for a, b in zip(E, E_exact)) <= 1e-10
+
+
+def test_checkpoints_carry_the_step_size():
+    # each checkpoint ends one Fortran call; the next starts from the last
+    # full accepted step, so 120 log-spaced checkpoints cost under 2.5x the
+    # right-hand-side calls of one (1.8x; a restart from Hairer's initial
+    # step guess at each checkpoint costs 3x)
+    xi, calls = 0.05, []
+
+    def rhs(t, y):
+        calls.append(t)
+        return np.array([y[1], -xi * xi * y[0] - 2.0 / (1.0 + t) * y[1]])
+
+    counts = []
+    for times in (np.array([1e3]), np.geomspace(1.0, 1e3, 120)):
+        calls.clear()
+        sol = modal.solve_ivp(rhs, (0.0, 1e3), np.array([1.0, 0.0]), t_eval=times,
+                              rtol=1e-10, atol=1e-14)
+        assert sol.success and sol.nfev == len(calls)
+        assert np.array_equal(sol.t, times) and sol.y.shape == (2, times.size)
+        counts.append(len(calls))
+    assert counts[1] <= 2.5 * counts[0], counts
+
+
+def test_a_solve_keeps_only_its_output_alive():
+    # scipy's wrapper keeps a reference to the integrator of every call: a
+    # solve must let go of its state-sized work array (11 n + 21 doubles),
+    # and integrators must not pile up over the checkpoints
+    n = 4000
+    xi = np.linspace(1.0, 1.9, n)
+    y0 = np.concatenate((np.ones(n), np.zeros(n)))
+    times = np.linspace(0.25, 10.0, 41)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        u, v = modal._solve_modes(lambda t: 2.0 / (1.0 + t), lambda t: 0.0, xi, y0, times,
+                                  1e-10, 1e-16)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    output, work = times.size * 2 * n * 8, (11 * 2 * n + 21) * 8
+    assert u.shape == v.shape == (times.size, n)
+    assert kept - output <= work / 4, (kept, output, work)
+
+
+def test_a_failing_integration_raises_stiffness_error_at_the_last_checkpoint():
+    # the Fortran integrator itself fails: m = -1/(2-t)^4 blows the modes up
+    # at t = 2; its warning does not leak, the error names the checkpoint
+    # reached and the band's frequency
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(modal.StiffnessError) as info:
+            modal._solve_modes(lambda t: 0.0, lambda t: -1.0 / (2.0 - t) ** 4,
+                               np.array([0.5, 1.0]), np.array([1.0, 1.0, 0.0, 0.0]),
+                               np.array([1.0, 3.0]), 1e-10, 1e-16)
+    assert info.value.t == 1.0 and info.value.xi == 1.0
+
+
+def test_scipy_dop853_reads_the_initial_step_from_its_work_array():
+    # solve_ivp sets WORK(7) and reads NFCN, IWORK(17), through
+    # scipy.integrate.ode's private _integrator; a scipy that moves them fails here
+    from scipy.integrate import ode
+
+    calls, ends = [], []
+    solver = ode(lambda t, y: calls.append(t) or -y).set_integrator("dop853", rtol=1e-6)
+    solver.set_solout(lambda x, _: ends.append(x))
+    solver.set_initial_value(np.ones(3), 0.0)
+    integrator = solver._integrator
+    assert integrator.work.shape == (11 * 3 + 21,) and integrator.iwork.shape == (21,)
+    integrator.work[6] = 0.25
+    solver.integrate(10.0)
+    assert solver.successful() and ends[:2] == [0.0, 0.25]
+    # NFCN counts the initial-step guess's call, skipped here
+    assert integrator.iwork[16] == len(calls) + 1

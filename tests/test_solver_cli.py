@@ -165,7 +165,13 @@ def test_config_validation_and_hash_determinism():
     ("sweep_cells", {"sweep_cells": [[2.0, 2.0]]}),
     ("sweep_cells", {"sweep_cells": [[2.0, "2", 1.0]]}),
     ("sweep_cells", {"sweep_cells": [[2.0, 2.0, False]]}),
-    ("sweep_cells", {"sweep_cells": {"b0": 2.0}})])
+    ("sweep_cells", {"sweep_cells": {"b0": 2.0}}),
+    ("config.model.b0", {"model": {"b0": "3"}}),
+    ("config.model.ell", {"model": {"ell": 8.0}}),
+    ("config.model.family", {"model": {"family": 1}}),
+    ("config.data.center", {"data": {"kind": "ring", "center": "1"}}),
+    ("config.grid.points_per_dim", {"grid": {"n_dim": 1, "points_per_dim": 512.0,
+                                             "box_length": 200.0}})])
 def test_config_rejects_wrong_json_types_naming_the_field(field, raw):
     with pytest.raises(ConfigError, match=f"^{field} must be"):
         ExperimentConfig.from_dict({"experiment": "sweep", **raw})
@@ -178,6 +184,12 @@ def test_config_numbers_are_stored_as_floats_and_canonical_reads_back():
     assert (cfg.xi, cfg.zone.N, cfg.t_final, cfg.fit_tol) == (1.0, 2.0, 100.0, 0.0)
     assert all(type(x) is float for x in (cfg.xi, cfg.zone.N, cfg.t_final, cfg.fit_tol))
     assert cfg.checkpoints == 7
+    # so do the model, data and grid blocks: an integer hashes like its float
+    as_int, as_float = (ExperimentConfig.from_dict(
+        {"experiment": "scatter", "model": {"b0": b0}, "data": {"kind": "ring", "center": b0}})
+        for b0 in (3, 3.0))
+    assert type(as_int.model.b0) is float and type(as_int.data.center) is float
+    assert config_hash(as_int) == config_hash(as_float)
     for exp, extra in CHEAP_CONFIGS.items():
         cfg = ExperimentConfig.from_dict({"experiment": exp, **extra})
         assert config_hash(ExperimentConfig.from_dict(cfg.canonical())) == config_hash(cfg)
@@ -314,6 +326,29 @@ def test_cli_empty_sweep(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["verdicts"] == {}
+
+
+def test_sweep_records_a_failed_cell_and_exits_on_a_program_fault(tmp_path, capsys,
+                                                                   monkeypatch):
+    # an integration that fails is a failed row (exit 2); any other exception
+    # in a cell is a fault of the program (exit 1), not a verdict
+    cfgfile = tmp_path / "sweep.json"
+    cfgfile.write_text(json.dumps({"experiment": "sweep", **CHEAP_CONFIGS["sweep"]}))
+
+    def fails(error):
+        def trace(*args, **kwargs):
+            raise error
+        return trace
+
+    monkeypatch.setattr(modal, "propagator_norm_trace",
+                        fails(modal.StiffnessError("step size becomes too small", 1.0, 1e-3)))
+    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["verdicts"] == {"b0=3,m0=0,sigma=1": False}
+    monkeypatch.setattr(modal, "propagator_norm_trace", fails(TypeError("a bug")))
+    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "p")]) == 1
+    assert "TypeError: a bug" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_cli_simulate_run(tmp_path, capsys):
