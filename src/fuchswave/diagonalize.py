@@ -33,16 +33,25 @@ each level is one jet order shorter than the one before: B^(k) at jet
 order r opens the pass at order r + k.  Derivatives are exact jets, never
 finite differences: the pass nests k derivative levels and FD noise would
 compound.
+
+Q_k's Peano-Baker terms are integrated spectrally on Gauss-Legendre panels
+(Greengard, SIAM J. Numer. Anal. 28, 1991).  [s, t] is cut into segments
+in which 1 + tau at most doubles, so one panel resolves the power-law decay
+of the generator, and each segment into equal panels spanning at most 4 rad
+of the phase 2 xi tau, 16 nodes each.  A term's running integral is the
+panel's 16x16 Lagrange-integral matrix applied to the integrand plus the
+running sum of the Gauss-weighted totals of the panels before it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .coeffs import UnsupportedOrderError
 from .modal import FundamentalMatrix, HorizonError, spectral_norm
@@ -62,6 +71,10 @@ _FD_STEP = 1e-4
 # q_propagator: nodes per q_generator call; bounds the hierarchy's
 # (order+1, 2, 2, nodes) temporaries whatever the grid length
 _Q_CHUNK = 8192
+# q_propagator's panel rule: Gauss-Legendre nodes per panel
+_GAUSS_NODES = 16
+# phase 2 xi tau spanned by one panel at most
+_PANEL_PHASE = 4.0
 
 
 class ZoneConstantError(RuntimeError):
@@ -345,12 +358,58 @@ def _sampled_generator(stage, taus, anchor, xi):
     return G, norms
 
 
+@functools.cache
+def _gauss_rule():
+    """Gauss-Legendre nodes x and weights w on [-1, 1], and S[i, j] =
+    int_{-1}^{x_i} l_j, the integral of the j-th Lagrange basis polynomial up
+    to node i, from the nodes' exact Legendre transform; read-only.  Built on
+    first use: the node solve pages in LAPACK, which costs about 1 MB of
+    resident memory in a run that never reaches Q_k."""
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(_GAUSS_NODES)
+    S = leg.legvander(x, _GAUSS_NODES) @ leg.legint(
+        leg.legvander(x, _GAUSS_NODES - 1).T * w * (np.arange(_GAUSS_NODES) + 0.5)[:, None],
+        lbnd=-1, axis=0)
+    for a in (x, w, S):
+        a.setflags(write=False)
+    return x, w, S
+
+
+def _panel_layout(s, t, xi):
+    """q_propagator's panel layout on [s, t]: the edges of the segments in
+    which 1 + tau at most doubles, and how many equal panels, each spanning
+    at most _PANEL_PHASE of 2 xi tau, cut each segment."""
+    n_seg = max(1, math.ceil(math.log2((1.0 + t) / (1.0 + s))))
+    edges = np.minimum((1.0 + s) * 2.0 ** np.arange(n_seg + 1.0) - 1.0, t)
+    edges[0], edges[-1] = s, t
+    counts = np.maximum(1, np.ceil(2.0 * xi * np.diff(edges) / _PANEL_PHASE)).astype(int)
+    return edges, counts
+
+
+def _gauss_panels(edges, counts):
+    """The layout's Gauss-Legendre nodes, panel by panel, and the panels'
+    half-widths."""
+    lo = np.concatenate([np.linspace(a, b, c, endpoint=False)
+                         for a, b, c in zip(edges[:-1], edges[1:], counts)])
+    hw = np.repeat(np.diff(edges) / (2.0 * counts), counts)
+    return ((lo + hw)[:, None] + hw[:, None] * _gauss_rule()[0]).ravel(), hw
+
+
+def _panel_sum(norms, hw):
+    """The panel rule's integral of a function sampled at its nodes."""
+    return float(norms.reshape(hw.size, -1) @ _gauss_rule()[1] @ hw)
+
+
 def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,
                  anchor=None):
     """Q_k(t,s,xi) by truncated Peano-Baker series with factorial tail bound;
     falls back to direct integration of D_t Q = R Q when the bound exceeds
-    tol or the oscillation would need too fine a grid.  `anchor` keeps the
-    phase reference fixed when a long run is split into segments."""
+    tol or the panel rule would need more than max_grid nodes.  The series
+    integrates on Gauss-Legendre panels (module docstring): 16 nodes per at
+    most 4 rad of 2 xi (t - s), within segments where 1 + tau at most
+    doubles.  C_total is the Gauss-weighted sum of the generator's norms;
+    the ODE path takes it on one panel a segment.  `anchor` keeps the phase
+    reference fixed when a long run is split into segments."""
     if t < s:
         raise ValueError("need t >= s")
     anchor = s if anchor is None else anchor
@@ -358,23 +417,27 @@ def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,
     if t == s:
         return QResult(q0.copy(), s, t, xi, stage.k, "series", 0, 0.0, 0.0)
 
-    n_needed = int(abs(2.0 * xi * (t - s)) / 0.02) + 9
-    n = max(801, n_needed)
-    if n <= max_grid:
-        taus = np.linspace(s, t, n)
+    edges, counts = _panel_layout(s, t, xi)
+    if _GAUSS_NODES * counts.sum() <= max_grid:
+        taus, hw = _gauss_panels(edges, counts)
         G, norms = _sampled_generator(stage, taus, anchor, xi)
-        C_total = float(simpson(norms, x=taus))
+        C_total = _panel_sum(norms, hw)
         tail = math.exp(C_total) * C_total ** (depth + 1) / math.factorial(depth + 1)
         if tail <= tol:
             # term_j(tau) = int_s^tau i G term_{j-1} from term_0 = I, each
-            # product G term as 8 entrywise vector products over the grid
-            h = (t - s) / (n - 1)
+            # product G term as 8 entrywise vector products over the
+            # (panel, node) grid; a panel's running integral starts from the
+            # totals of the panels before it
+            G = G.reshape(2, 2, hw.size, _GAUSS_NODES)
+            _, w, S = _gauss_rule()
             Q = np.eye(2, dtype=complex)
-            term = np.eye(2)[:, :, None]
+            term = np.eye(2)[:, :, None, None]
             for _ in range(depth):
-                term = cumulative_simpson(1j * (G[:, :1] * term[:1] + G[:, 1:] * term[1:]),
-                                          dx=h, axis=-1, initial=0.0)
-                Q += term[..., -1]
+                f = 1j * (G[:, :1] * term[:1] + G[:, 1:] * term[1:])
+                totals = (f @ w) * hw
+                ends = np.cumsum(totals, axis=-1)
+                term = (f @ S.T) * hw[:, None] + (ends - totals)[..., None]
+                Q += ends[..., -1]
             return QResult(Q @ q0, s, t, xi, stage.k, "series", depth, C_total, tail)
     # direct integration path
     def rhs(tau, y):
@@ -385,9 +448,10 @@ def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,
                     rtol=min(tol, 1e-9), atol=min(tol, 1e-9) * 1e-2)
     if not sol.success:
         raise HorizonError(sol.message)
-    # C_total on a coarse audit grid (bound bookkeeping only)
-    taus = np.linspace(s, t, 4001)
-    C_total = float(simpson(_sampled_generator(stage, taus, anchor, xi)[1], x=taus))
+    # C_total (bound bookkeeping only) by the panel rule with one panel a
+    # segment: conjugation by the phase leaves the generator's norm unchanged
+    taus, hw = _gauss_panels(*_panel_layout(s, t, 0.0))
+    C_total = _panel_sum(_norm2(_conjugated_generator(stage, taus, anchor, xi)), hw)
     return QResult(sol.y[:, -1].reshape(2, 2), s, t, xi, stage.k, "ode", 0, C_total, 0.0)
 
 

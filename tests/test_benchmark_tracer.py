@@ -34,7 +34,9 @@ def test_benchmark_tracer_counts_the_q_quadrature(monkeypatch):
     model = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
     stage = diagonalize.build_stage(model, 2, ZoneConfig(N=1.0))
     s, t, xi = 0.0, 10.0, 2.0
-    n_grid = int(2.0 * xi * (t - s) / 0.02) + 9       # q_propagator's series grid
+    # 16 nodes a panel; panels span at most 4 rad of 2 xi tau within the
+    # segments [0, 1], [1, 3], [3, 7] and [7, 10], where 1 + tau at most doubles
+    n_grid = 16 * (1 + 2 + 4 + 3)
     tracer = Tracer("q_nodes")
     try:
         tracer.install()

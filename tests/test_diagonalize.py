@@ -159,49 +159,112 @@ def test_q_propagator_paths_agree():
     assert a.path == "series" and b.path == "ode"
     assert spectral_norm(a.matrix - b.matrix) < 1e-9
     assert a.tail_bound < 1e-9
+    # both paths take C_total by the panel rule; the generator's norm does
+    # not see the phase, so the fallback's one panel a segment suffices
+    assert abs(b.C_total - a.C_total) <= 1e-12 * a.C_total
 
 
-def _series_reference(stage, s, t, xi, depth=8):
-    """Q_k(t,s,xi) and C_total as the series path computed them on stacked
-    (n, 2, 2) matrices: one generator call on the whole grid, np.matmul,
-    cumulative_simpson on x for the real and imaginary parts, svd norms."""
-    taus = np.linspace(s, t, max(801, int(2.0 * xi * (t - s) / 0.02) + 9))
-    G = _conjugated_generator(stage, taus, s, xi)
-    C_total = float(simpson(np.linalg.svd(G, compute_uv=False)[:, 0], x=taus))
-    term = np.broadcast_to(np.eye(2, dtype=complex), G.shape).copy()
-    Q = term.copy()
+def _panel_reference(stage, s, t, xi, depth=8):
+    """Q_k(t,s,xi) and C_total by the series path's panel rule on stacked
+    (panel, node, 2, 2) matrices: panels laid out one by one, the Lagrange
+    integrals from a solve with the Legendre Vandermonde matrix, one
+    generator call on the whole grid, np.matmul, svd norms."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    coef = np.linalg.solve(np.polynomial.legendre.legvander(x, 15), np.eye(16))
+    S = np.polynomial.legendre.legval(x, np.polynomial.legendre.legint(coef, lbnd=-1)).T
+    panels = []
+    a = s
+    while a < t:                      # segments where 1 + tau at most doubles
+        b = min(2.0 * a + 1.0, t)
+        edges = np.linspace(a, b, max(1, math.ceil(2.0 * xi * (b - a) / 4.0)) + 1)
+        panels += zip(edges[:-1], edges[1:])
+        a = b
+    lo, hi = np.array(panels).T
+    hw = 0.5 * (hi - lo)
+    taus = (0.5 * (lo + hi))[:, None] + hw[:, None] * x
+    G = _conjugated_generator(stage, taus.ravel(), s, xi).reshape(taus.shape + (2, 2))
+    C_total = float(np.sum(hw * (np.linalg.svd(G, compute_uv=False)[..., 0] @ w)))
+    term = np.broadcast_to(np.eye(2, dtype=complex), G.shape)
+    Q = np.eye(2, dtype=complex)
     for _ in range(depth):
         integrand = 1j * np.matmul(G, term)
-        term = (cumulative_simpson(integrand.real, x=taus, axis=0, initial=0.0)
-                + 1j * cumulative_simpson(integrand.imag, x=taus, axis=0, initial=0.0))
-        Q += term
-    return Q[-1], C_total
+        totals = hw[:, None, None] * np.einsum("j,pjab->pab", w, integrand)
+        before = np.cumsum(totals, axis=0) - totals
+        term = (hw[:, None, None, None] * np.einsum("ij,pjab->piab", S, integrand)
+                + before[:, None])
+        Q += totals.sum(axis=0)
+    return Q, C_total
 
 
-@pytest.mark.parametrize("s, t, xi", [(1.0, 200.0, 2.0), (2.0, 50.0, 4.0), (10.0, 1000.0, 1.1)])
+# the last point has 31,680 nodes, four _Q_CHUNK slices of the generator
+REFERENCE_POINTS = [(1.0, 200.0, 2.0), (2.0, 50.0, 4.0), (10.0, 1000.0, 4.0)]
+
+
+@pytest.mark.parametrize("s, t, xi", REFERENCE_POINTS)
 def test_q_series_matches_stacked_matmul_reference(s, t, xi):
-    # the series path sums entrywise on a (2, 2, n) layout from a generator
-    # sampled in slices; the last point has over 100k nodes, so many slices
+    # the series path sums entrywise on a (2, 2, panel, node) layout from a
+    # generator sampled in slices
     stage = build_stage(EX31, 2, CFG)
     res = q_propagator(stage, s, t, xi)
-    Q_ref, C_ref = _series_reference(stage, s, t, xi)
+    Q_ref, C_ref = _panel_reference(stage, s, t, xi)
     assert res.path == "series"
     assert spectral_norm(res.matrix - Q_ref) <= 1e-13
     assert abs(res.C_total - C_ref) <= 1e-13 * C_ref
 
 
-def test_q_series_memory_is_flat_in_the_grid():
-    # 2 xi (t - s) / 0.02 + 9 = 108,909 nodes; the hierarchy evaluated on
-    # the whole grid at once peaked at about 170 MB here
+def _simpson_series(stage, s, t, xi, spacing, depth=8):
+    """Q_k(t,s,xi) and C_total by scipy's cumulative_simpson and simpson on a
+    uniform grid with a node every `spacing` rad of 2 xi (t - s), one column
+    of the Peano-Baker terms at a time."""
+    n = max(801, int(2.0 * xi * (t - s) / spacing) + 9)
+    taus = np.linspace(s, t, n)
+    G = np.concatenate([_conjugated_generator(stage, taus[lo:lo + 8192], s, xi)
+                        for lo in range(0, n, 8192)])
+    C_total = float(simpson(_norm2(G), x=taus))
+    h = (t - s) / (n - 1)
+    Q = np.eye(2, dtype=complex)
+    for c in range(2):
+        col = np.zeros((2, n), dtype=complex)
+        col[c] = 1.0
+        for _ in range(depth):
+            col = np.array([cumulative_simpson(1j * (G[:, a, 0] * col[0] + G[:, a, 1] * col[1]),
+                                               dx=h, initial=0.0) for a in range(2)])
+            Q[:, c] += col[:, -1]
+    return Q, C_total, n
+
+
+@pytest.mark.parametrize("s, t, xi", REFERENCE_POINTS)
+def test_q_series_is_the_limit_of_simpson_grids(s, t, xi):
+    # Simpson is 4th order: halving its spacing cuts its distance to the
+    # panel rule 16-fold, until that distance reaches the roundoff of
+    # Simpson's n-term running sums, sqrt(n) eps C_total; every series
+    # integral is bounded by C_total
     stage = build_stage(EX31, 2, CFG)
-    tracemalloc.start()
-    try:
-        res = q_propagator(stage, 10.0, 1000.0, 1.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.path == "series"
-    assert peak <= 64e6
+    res = q_propagator(stage, s, t, xi)
+    gaps = []
+    for spacing in (0.02, 0.01, 0.005):
+        Q, C_total, n = _simpson_series(stage, s, t, xi, spacing)
+        floor = math.sqrt(n) * np.finfo(float).eps * res.C_total
+        gaps.append((spectral_norm(Q - res.matrix), abs(C_total - res.C_total), floor))
+    for coarse, fine in zip(gaps, gaps[1:]):
+        for k in range(2):
+            assert coarse[k] <= coarse[2] or fine[k] <= 0.1 * coarse[k]
+    assert gaps[-1][0] <= 1e-13 and gaps[-1][1] <= 1e-13
+
+
+def test_q_series_memory_is_flat_in_the_grid():
+    # 8,784 and 95,040 nodes; the hierarchy evaluated on the whole grid at
+    # once peaked at about 170 MB for 108,909 nodes
+    stage = build_stage(EX31, 2, CFG)
+    for s, t, xi in ((10.0, 1000.0, 1.1), (10.0, 1000.0, 12.0)):
+        tracemalloc.start()
+        try:
+            res = q_propagator(stage, s, t, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.path == "series"
+        assert peak <= 64e6
 
 
 def test_closed_form_2x2_norm_matches_svd():

@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from fuchswave import modal
 from fuchswave.asymptotic import FuchsSystem, integrate_fuchs
-from fuchswave.coeffs import CoefficientModel, classify_regime, example_bounded, example_log
+from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, classify_regime,
+                              example_bounded, example_log)
 from fuchswave.estimates import fit_decay
 from fuchswave.modal import (FORM_DISS, FORM_HYP, ModalSystem,
                              check_cocycle, evolve_micro_energy, evolve_state,
@@ -244,7 +246,7 @@ def test_trajectory_dump(tmp_path):
     model = CoefficientModel(b0=2.0, m0=1.0)
     sys = ModalSystem(model, CFG, 0.3, FORM_DISS)
     path = dump_trajectory(sys, 0.0, 10.0, tmp_path / "traj.csv", n_checkpoints=16)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("t,e11_re,e11_im")
     assert len(lines) == 17
     first = [float(x) for x in lines[1].split(",")]
@@ -344,6 +346,41 @@ def test_dop853_kernels_match_the_closed_form_damped_wave(xi, n_checkpoints):
     E, E_exact = (weight_conjugation(xi, xi, P)
                   for P in (Phi, _damped_wave_phi(xi, offsets, 0.0)))
     assert max(spectral_norm(a - b) / spectral_norm(b) for a, b in zip(E, E_exact)) <= 1e-10
+
+
+_TS = np.linspace(0.0, 400.0, 801)
+
+
+@pytest.mark.parametrize("model", [
+    example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5),
+    example_log(2.0, 2.0),
+    CoefficientModel(b0=2.0, m0=1.0, family="tabulated",
+                     b_table=TabulatedCoefficient.from_columns(_TS, 2.0 / (1.0 + _TS)),
+                     m_table=TabulatedCoefficient.from_columns(_TS, 1.0 / (1.0 + _TS) ** 2))])
+def test_oracle_rhs_on_python_floats_matches_the_numpy_scalar_rhs(model, monkeypatch):
+    # the oracle's right-hand side unpacks the state into Python floats and
+    # returns a list; the same arithmetic on numpy scalars into an array
+    # gives the same checkpoints bit for bit at the same number of calls
+    xi, s, times = 2.0, 1.0, np.array([1.5, 40.0, 300.0])
+    solves, solve_ivp = [], modal.solve_ivp
+
+    def recorded(*args, **kwargs):
+        solves.append(solve_ivp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(modal, "solve_ivp", recorded)
+    E = propagator_checkpoints(ModalSystem(model, CFG, xi, FORM_HYP), s, times, rtol=1e-12)
+    monkeypatch.undo()
+
+    def numpy_rhs(t, y):
+        k = -(xi ** 2 + model.m(t))
+        b = model.b(t)
+        return np.array([y[2], y[3], k * y[0] - b * y[2], k * y[1] - b * y[3]])
+
+    sol = modal.solve_ivp(numpy_rhs, (s, times[-1]), np.eye(2).ravel(), t_eval=times,
+                          rtol=1e-12, atol=1e-16)
+    assert sol.success and sol.nfev == solves[0].nfev
+    assert np.array_equal(E, weight_conjugation(xi, xi, sol.y.T.reshape(-1, 2, 2)))
 
 
 def test_checkpoints_carry_the_step_size():
