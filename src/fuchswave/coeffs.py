@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,15 +57,33 @@ class TabulatedCoefficient:
     t: tuple
     values: tuple
     spline: CubicSpline = field(repr=False, default=None)
+    # per table interval, the spline's four coefficients in ascending powers
+    pieces: tuple = field(repr=False, default=None)
 
     @classmethod
     def from_columns(cls, t, values):
         t = np.asarray(t, dtype=float)
         v = np.asarray(values, dtype=float)
-        return cls(tuple(t), tuple(v), CubicSpline(t, v))
+        spline = CubicSpline(t, v)
+        return cls(tuple(t.tolist()), tuple(v), spline,
+                   tuple(map(tuple, spline.c[::-1].T.tolist())))
 
     def __call__(self, t, order=0):
-        """The spline, or its exact derivative of the given order, at t."""
+        """The spline, or its exact derivative of the given order, at t.  The
+        value at a float t is a float, computed as scipy's PPoly computes it,
+        bit for bit: piece i with t[i] <= t < t[i+1] (the last piece at the
+        last node), summed in ascending powers of s = t - t[i]."""
+        if order == 0 and isinstance(t, float):
+            nodes = self.t
+            if t > nodes[-1] or t < nodes[0]:
+                self._check_span(t)
+            i = min(bisect_right(nodes, t), len(nodes) - 1) - 1
+            s = t - nodes[i]
+            value, power = 0.0, 1.0
+            for c in self.pieces[i]:
+                value = value + c * power
+                power *= s
+            return value
         self._check_span(t)
         return self.spline(t, order)
 
@@ -136,30 +155,57 @@ class CoefficientModel:
     # -- point evaluation ---------------------------------------------------
 
     def b(self, t):
-        return _evaluate(self._b, t)
+        return self.kernel()(t)[0]
 
     def m(self, t):
-        return _evaluate(self._m, t)
+        return self.kernel()(t)[1]
 
-    def _b(self, t, log):
-        if self.family == PURE:
-            return self.b0 / (1.0 + t)
-        if self.family == BOUNDED:
-            return (self.b0 + self.c1 * (1.0 + t) ** (-self.p1)) / (1.0 + t)
-        if self.family == LOG:
-            e = math.e
-            return self.b0 / (1.0 + t) + self.b1 / ((e + t) * log(e + t) ** self.gamma)
-        return self.b_table(t)
+    def kernel(self):
+        """t -> (b(t), m(t)) from the family's one formula, its constants bound
+        once: the coefficient call an ODE right-hand side makes per step.  A
+        float time t > -1 runs on Python floats with math.log, several times
+        cheaper than a 0-d array; any other t, and a float whose arithmetic
+        overflows, runs on a float array with np.log, so both give the same
+        nan/inf (at t <= -1 a float power of 1+t would turn complex or divide
+        by zero).  The tabulated family's splines have a float path of their own."""
+        pair = self._formula()
 
-    def _m(self, t, log):
+        def kernel(t):
+            if isinstance(t, float) and t > -1.0:
+                try:
+                    return pair(float(t), math.log)
+                except OverflowError:
+                    pass
+            return pair(np.asarray(t, dtype=float), np.log)
+
+        return kernel
+
+    def _formula(self):
+        """The family's (b, m) as one function of (t, log)."""
+        b0, m0 = self.b0, self.m0
         if self.family == PURE:
-            return self.m0 / (1.0 + t) ** 2
-        if self.family == BOUNDED:
-            return (self.m0 + self.c2 * (1.0 + t) ** (-self.p2)) / (1.0 + t) ** 2
-        if self.family == LOG:
-            e = math.e
-            return self.m0 / (1.0 + t) ** 2 + self.m1 / ((e + t) ** 2 * log(e + t) ** self.gamma)
-        return self.m_table(t)
+            def pair(t, log):
+                w = 1.0 + t
+                return b0 / w, m0 / w ** 2
+        elif self.family == BOUNDED:
+            c1, q1, c2, q2 = self.c1, -self.p1, self.c2, -self.p2
+
+            def pair(t, log):
+                w = 1.0 + t
+                return (b0 + c1 * w ** q1) / w, (m0 + c2 * w ** q2) / w ** 2
+        elif self.family == LOG:
+            b1, m1, gamma = self.b1, self.m1, self.gamma
+
+            def pair(t, log):
+                w, e = 1.0 + t, math.e + t
+                log_gamma = log(e) ** gamma
+                return b0 / w + b1 / (e * log_gamma), m0 / w ** 2 + m1 / (e ** 2 * log_gamma)
+        else:
+            b_table, m_table = self.b_table, self.m_table
+
+            def pair(t, log):
+                return b_table(t), m_table(t)
+        return pair
 
     # -- derivative jets ----------------------------------------------------
 
@@ -283,22 +329,6 @@ def falling_power_jet(t, alpha, coeff, order):
         out[k] = fac * base ** (alpha - k)
         fac *= alpha - k
     return out
-
-
-def _evaluate(formula, t):
-    """formula(t, log) of b or m.  A scalar float time t > -1, the one time an
-    ODE right-hand side asks for per call, runs on a Python float with
-    math.log, several times cheaper than a 0-d array; any other t, and a float
-    whose arithmetic overflows, runs on a float array with np.log, so both
-    give the same nan/inf (at t <= -1 a float power of 1+t would turn complex
-    or divide by zero).  The tabulated family's spline evaluates on arrays
-    either way."""
-    if isinstance(t, float) and t > -1.0:
-        try:
-            return formula(float(t), math.log)
-        except OverflowError:
-            pass
-    return formula(np.asarray(t, dtype=float), np.log)
 
 
 @dataclass(frozen=True)
@@ -428,8 +458,9 @@ def check_hypotheses(model, T, sigma=None):
     if model.family == PURE:
         wb = wm = lambda t: 0.0
     else:
-        wb = lambda t: (1.0 + t) * model.b(t) - model.b0
-        wm = lambda t: (1.0 + t) ** 2 * model.m(t) - model.m0
+        coefficients = model.kernel()
+        wb = lambda t: (1.0 + t) * coefficients(t)[0] - model.b0
+        wm = lambda t: (1.0 + t) ** 2 * coefficients(t)[1] - model.m0
     nb, nm = ((np.asarray(model.b_table.t), np.asarray(model.m_table.t))
               if model.family == TABULATED else (np.empty(0), np.empty(0)))
     ib = sig_int(wb, nb, 1.0, T)

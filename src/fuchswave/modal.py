@@ -5,7 +5,10 @@ is validated against the fundamental matrices integrated here at tight
 tolerance by Hairer's Fortran DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 II.10) through scipy.integrate.ode, on real states: the steps run in Fortran,
 only the right-hand side is called back, and each checkpoint is landed on
-exactly, one integration leg per checkpoint (solve_ivp).
+exactly, one integration leg per checkpoint (solve_ivp).  A right-hand side
+evaluates the coefficients once per call, through the model's kernel
+t -> (b(t), m(t)) (CoefficientModel.kernel), and the batched one writes into
+one preallocated buffer, so it allocates nothing per call.
 
 One state is integrated per frequency: X = (u_hat, u_hat'), with
 X' = [[0, 1], [-(xi^2+m), -b]] X and real fundamental matrix Phi(t,s).  Each
@@ -95,8 +98,13 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
     reached."""
     t_eval = np.asarray(t_eval, dtype=float)
     y = np.empty((t_eval.size, len(y0)))
+    # scipy's wrapper keeps a reference to the callable of every call: it gets
+    # a forwarder to fun, emptied when the solve ends, so whatever fun holds
+    # is freed with it
+    target = [fun]
     # no step limit (the largest IWORK(1)), as in scipy's solve_ivp
-    solver = ode(fun).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=2 ** 31 - 1)
+    solver = ode(lambda t, y: target[0](t, y)).set_integrator(
+        "dop853", rtol=rtol, atol=atol, nsteps=2 ** 31 - 1)
     xs = collections.deque(maxlen=3)  # the last accepted step ends
     solver.set_solout(lambda x, _: xs.append(x))
     solver.set_initial_value(y0, float(t_span[0]))
@@ -123,9 +131,10 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
             else:
                 done = t_eval.size
     finally:
-        # scipy's wrapper keeps a reference to the integrator from every
-        # call; let go of the state-sized work array
+        # scipy's wrapper keeps the integrator too: let go of its state-sized
+        # work array
         integrator.reset(0, False)
+        target.clear()
     return IvpResult(t=t_eval[:done], y=y[:done].T, success=done == t_eval.size,
                      message=message, nfev=nfev)
 
@@ -191,14 +200,14 @@ def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < s):
         raise ValueError("checkpoints must satisfy t >= s")
-    model, xi2 = sys.model, sys.xi_norm ** 2
+    coefficients, xi2 = sys.model.kernel(), sys.xi_norm ** 2
 
     def rhs(t, y):  # y = (Phi00, Phi01, Phi10, Phi11)
         # Python floats in and a list out cost less per call than numpy
         # scalars and a new array, with the same arithmetic
         y0, y1, y2, y3 = y.tolist()
-        k = -(xi2 + model.m(t))
-        b = model.b(t)
+        b, m = coefficients(t)
+        k = -(xi2 + m)
         return [y2, y3, k * y0 - b * y2, k * y1 - b * y3]
 
     sol = solve_ivp(rhs, (s, float(times[-1])), np.eye(2).ravel(), t_eval=times,
@@ -293,21 +302,35 @@ def _hankel_continue(b0, nu2, xi, t0, y0, times):
     return 2.0 * np.vstack(((c_plus * p).real.T, (c_plus * q).real.T))
 
 
-def _solve_modes(b, m, xi, y0, times, rtol, atol, cells=None):
+def _solve_modes(coefficients, xi, y0, times, rtol, atol, cells=None):
     """One DOP853 solve of u'' + b(t) u' + (xi^2 + m(t)) u = 0 for a stack of
-    modes, real state y = (u_1..u_n, u'_1..u'_n) from t = 0.  b(t) and m(t) return
-    either a scalar shared by every mode (one model) or one value per mode.
+    modes, real state y = (u_1..u_n, u'_1..u'_n) from t = 0.  coefficients(t)
+    returns the pair (b(t), m(t)) (a model's kernel), each either a scalar
+    shared by every mode or one value per mode.  The right-hand side makes
+    one coefficients call, holds b and m in arrays shaped like their values
+    at t = 0, and writes y' into one preallocated 2n buffer (the Fortran
+    callback copies what it returns), in the order (-xi^2 - m) u - b u', so
+    it allocates nothing per call.
     Scale-invariant modes pass cells = (b0, m0), scalars or one per mode: the
     solve then stops once every mode has z = xi (1+t) >= max(Z_MATCH, 2|nu|^2),
     and Hankel's expansion carries each on.  Returns u and u' at the
     checkpoint times, each of shape (len(times), n)."""
     n = xi.size
     neg_xi2 = -xi ** 2  # neg_xi2 - m equals -(xi^2 + m) exactly
+    b, m = (np.array(c, dtype=float) for c in coefficients(0.0))
+    dy, bv = np.empty(2 * n), np.empty(n)
+    du, dv = dy[:n], dy[n:]
 
     def rhs(t, y):
+        b[()], m[()] = coefficients(t)
         u = y[:n]
         v = y[n:]
-        return np.concatenate((v, (neg_xi2 - m(t)) * u - b(t) * v))
+        du[:] = v
+        np.subtract(neg_xi2, m, out=dv)
+        np.multiply(dv, u, out=dv)
+        np.multiply(b, v, out=bv)
+        np.subtract(dv, bv, out=dv)
+        return dy
 
     t_match = float(times[-1])
     if cells is not None:
@@ -380,10 +403,11 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
         return u_out, v_out
     scale = np.maximum(np.abs(a0), np.abs(a1))
     cells = (model.b0, model.m0) if model.family == PURE else None
+    coefficients = model.kernel()
     for band in _band_slices(xi[live]):
         idx = live[band]
         y0 = np.concatenate((a0[idx] / scale[idx], a1[idx] / scale[idx]))
-        u, v = _solve_modes(model.b, model.m, xi[idx], y0, times, rtol, atol, cells)
+        u, v = _solve_modes(coefficients, xi[idx], y0, times, rtol, atol, cells)
         U[:, idx] = u * scale[idx]
         V[:, idx] = v * scale[idx]
     return u_out, v_out
@@ -453,7 +477,7 @@ def scale_invariant_norm_traces(cells, config, xi, times, rtol=DEFAULT_RTOL):
     b0s = np.tile([float(c[0]) for c in cells], 2)
     m0s = np.tile([float(c[1]) for c in cells], 2)
     y0 = np.repeat(np.eye(2), len(cells), axis=1).ravel()
-    u, v = _solve_modes(lambda t: b0s / (1.0 + t), lambda t: m0s / (1.0 + t) ** 2,
+    u, v = _solve_modes(lambda t: (b0s / (1.0 + t), m0s / (1.0 + t) ** 2),
                         np.full(b0s.size, float(xi)), y0, times, rtol, rtol * 1e-4,
                         (b0s, m0s))
     E = weight_conjugation(sharp_weight(config, times[:, None], xi),

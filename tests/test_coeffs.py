@@ -278,33 +278,68 @@ def _tabulated_model():
         m_table=TabulatedCoefficient.from_columns(ts, 1.0 / (1.0 + ts) ** 2))
 
 
-@pytest.mark.parametrize("model", [
+_FOUR_FAMILIES = [
     CoefficientModel(b0=2.0, m0=0.75),
     example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=-0.3, p2=0.7),
     example_log(2.0, 0.5, b1=0.3, m1=0.1, gamma=0.9),
     _tabulated_model(),
-], ids=lambda model: model.family)
+]
+
+
+@pytest.mark.parametrize("model", _FOUR_FAMILIES, ids=lambda model: model.family)
 def test_scalar_time_fast_path_matches_array_path(model):
-    # ODE right-hand sides pass one float time per call (numpy.float64 from
-    # solve_ivp).  The closed-form families then evaluate on Python floats and
-    # must agree with the array path, a 0-d array here, to 1 ulp; the
-    # tabulated family has no fast path, its spline evaluates on arrays
-    # whatever it is given.
+    # ODE right-hand sides pass one float time per call.  The closed-form
+    # families then evaluate on Python floats and must agree with the array
+    # path, a 0-d array here, to 1 ulp; the tabulated family's splines
+    # evaluate a float as scipy's PPoly does, bit for bit.
     for f in (model.b, model.m):
         for t in (0.0, 0.3, 1.0, 7.5, 49.0, 123.4, 1e4, 3.7e7):
             ref = f(np.asarray(t))
             for scalar in (t, np.float64(t)):
                 value = f(scalar)
+                assert type(value) is float
                 if model.family == "tabulated":
-                    assert isinstance(value, np.ndarray) and value.ndim == 0
                     assert value == ref
                 else:
-                    assert type(value) is float
                     assert abs(value - ref) <= np.spacing(abs(ref))
     if model.family != "tabulated":
         # (1+t)^2 overflows a Python float; the array path's answer is kept
         with np.errstate(over="ignore"):
             assert model.m(1e200) == model.m(np.asarray(1e200))
+
+
+@pytest.mark.parametrize("model", _FOUR_FAMILIES, ids=lambda model: model.family)
+def test_kernel_gives_b_and_m_in_one_call(model):
+    # the kernel an ODE right-hand side calls returns the pair (b, m), the
+    # same bits as the public b(t) and m(t), on floats and on arrays
+    kernel = model.kernel()
+    ts = [0.0, 0.3, 1.0, 7.5, 123.4, 1e4, 1e6]
+    if model.family == "tabulated":
+        ts += model.b_table.t[:50] + model.b_table.t[-3:]
+    for t in ts:
+        b, m = kernel(t)
+        assert type(b) is type(m) is float
+        assert (b, m) == (model.b(t), model.m(t))
+    b, m = kernel(np.array(ts))
+    assert np.array_equal(b, model.b(np.array(ts))) and np.array_equal(m, model.m(np.array(ts)))
+
+
+def test_tabulated_value_at_a_float_is_the_splines_bit_for_bit():
+    # the float path finds the piece and sums it as scipy's PPoly does:
+    # every node, both neighbours of every node, the ends and 1e5 random times
+    model = _table_model(1e3, 4001)
+    nodes = np.asarray(model.b_table.t)
+    rng = np.random.default_rng(7)
+    ts = np.concatenate((nodes, np.nextafter(nodes[1:], -np.inf),
+                         np.nextafter(nodes[:-1], np.inf),
+                         rng.uniform(nodes[0], nodes[-1], 100_000)))
+    for table in (model.b_table, model.m_table):
+        values = np.array([table(t) for t in ts.tolist()])
+        assert np.array_equal(values.view(np.uint64), table.spline(ts).view(np.uint64))
+        assert table(0.0) == table.spline(0.0) and table(1e3) == table.spline(1e3)
+        for t in (np.nextafter(0.0, -1.0), np.nextafter(1e3, 2e3), -1.0, 1e9):
+            with pytest.raises(ValueError, match="does not extrapolate"):
+                table(float(t))
 
 
 def test_json_round_trip():

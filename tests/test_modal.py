@@ -339,7 +339,7 @@ def test_dop853_kernels_match_the_closed_form_damped_wave(xi, n_checkpoints):
     E_exact = weight_conjugation(xi, xi, _damped_wave_phi(xi, s + offsets, s))
     assert max(spectral_norm(a - b) / spectral_norm(b) for a, b in zip(E, E_exact)) <= 1e-10
 
-    u, v = modal._solve_modes(model.b, model.m, np.array([xi, xi]),
+    u, v = modal._solve_modes(model.kernel(), np.array([xi, xi]),
                               np.array([1.0, 0.0, 0.0, 1.0]), offsets, 1e-12, 1e-16)
     assert u.dtype == v.dtype == float
     Phi = np.stack((u, v), axis=1)  # (len(times), 2, 2): rows u, u'; columns the data
@@ -383,6 +383,81 @@ def test_oracle_rhs_on_python_floats_matches_the_numpy_scalar_rhs(model, monkeyp
     assert np.array_equal(E, weight_conjugation(xi, xi, sol.y.T.reshape(-1, 2, 2)))
 
 
+@pytest.mark.parametrize("per_mode", [False, True])
+def test_in_place_mode_rhs_matches_a_concatenating_rhs(per_mode, monkeypatch):
+    # the batched kernel's right-hand side writes into one reused buffer with
+    # b and m held in arrays; a right-hand side that builds a new array from
+    # b(t) and m(t) each call gives the same checkpoints bit for bit at the
+    # same number of calls
+    model = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    xi = np.linspace(1.0, 1.9, 7)
+    y0 = np.concatenate((np.linspace(1.0, -1.0, 7), np.linspace(0.5, 0.1, 7)))
+    times = np.array([0.5, 7.0, 40.0])
+    if per_mode:  # one (b, m) per mode, as the rate sweeps pass them
+        scale = np.linspace(0.5, 1.5, xi.size)
+        b = lambda t: scale * model.b(t)
+        m = lambda t: scale * model.m(t)
+    else:
+        b, m = model.b, model.m
+    solves, solve_ivp = [], modal.solve_ivp
+
+    def recorded(*args, **kwargs):
+        solves.append(solve_ivp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(modal, "solve_ivp", recorded)
+    u, v = modal._solve_modes(lambda t: (b(t), m(t)), xi, y0, times, 1e-12, 1e-16)
+    monkeypatch.undo()
+
+    def concatenating_rhs(t, y):
+        return np.concatenate((y[xi.size:], (-xi ** 2 - m(t)) * y[:xi.size] - b(t) * y[xi.size:]))
+
+    sol = modal.solve_ivp(concatenating_rhs, (0.0, times[-1]), y0, t_eval=times,
+                          rtol=1e-12, atol=1e-16)
+    assert sol.success and sol.nfev == solves[0].nfev
+    assert np.array_equal(np.hstack((u, v)), sol.y.T)
+
+
+def test_the_reused_rhs_buffer_is_not_aliased_into_results():
+    # every checkpoint of a solve, and every octave band of evolve_state, holds
+    # its own values, the same as each band evolved alone
+    model = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    times = np.array([0.5, 3.0, 9.0, 20.0])
+    u, v = evolve_state(model, [1.0, 5.0], [1.0, 1.0], [0.0, 0.0], times, rtol=1e-11)
+    for w in (u, v):
+        assert len({x.tobytes() for x in w}) == times.size
+        assert len({x.tobytes() for x in w.T}) == 2
+    for k, xi in enumerate((1.0, 5.0)):
+        u1, v1 = evolve_state(model, [xi], [1.0], [0.0], times, rtol=1e-11)
+        assert np.array_equal(u[:, k], u1[:, 0]) and np.array_equal(v[:, k], v1[:, 0])
+
+
+def test_solves_let_go_of_what_their_right_hand_side_holds():
+    # scipy's wrapper keeps a reference to the callable of every call; a
+    # solve hands it a forwarder it empties, so an array its right-hand side
+    # captures (1 MB here) is freed with the solve
+    def make_rhs():
+        ballast = np.ones(2 ** 17)
+
+        def rhs(t, y):
+            return -ballast[:2] * y
+        return rhs
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(6):
+            sol = modal.solve_ivp(make_rhs(), (0.0, 1.0), np.ones(2), [0.5, 1.0], 1e-10, 1e-14)
+            assert sol.success
+        del sol
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 6 * 16 * 1024, kept
+
+
 def test_checkpoints_carry_the_step_size():
     # each checkpoint ends one Fortran call; the next starts from the last
     # full accepted step, so 120 log-spaced checkpoints cost under 2.5x the
@@ -417,7 +492,7 @@ def test_a_solve_keeps_only_its_output_alive():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        u, v = modal._solve_modes(lambda t: 2.0 / (1.0 + t), lambda t: 0.0, xi, y0, times,
+        u, v = modal._solve_modes(lambda t: (2.0 / (1.0 + t), 0.0), xi, y0, times,
                                   1e-10, 1e-16)
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
@@ -435,7 +510,7 @@ def test_a_failing_integration_raises_stiffness_error_at_the_last_checkpoint():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(modal.StiffnessError) as info:
-            modal._solve_modes(lambda t: 0.0, lambda t: -1.0 / (2.0 - t) ** 4,
+            modal._solve_modes(lambda t: (0.0, -1.0 / (2.0 - t) ** 4),
                                np.array([0.5, 1.0]), np.array([1.0, 1.0, 0.0, 0.0]),
                                np.array([1.0, 3.0]), 1e-10, 1e-16)
     assert info.value.t == 1.0 and info.value.xi == 1.0
