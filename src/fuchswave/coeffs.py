@@ -458,9 +458,13 @@ def check_hypotheses(model, T, sigma=None):
     if model.family == PURE:
         wb = wm = lambda t: 0.0
     else:
-        coefficients = model.kernel()
-        wb = lambda t: (1.0 + t) * coefficients(t)[0] - model.b0
-        wm = lambda t: (1.0 + t) ** 2 * coefficients(t)[1] - model.m0
+        if model.family == TABULATED:  # each deviation needs its own spline only
+            b, m = model.b_table, model.m_table
+        else:
+            coefficients = model.kernel()
+            b, m = (lambda t: coefficients(t)[0]), (lambda t: coefficients(t)[1])
+        wb = lambda t: (1.0 + t) * b(t) - model.b0
+        wm = lambda t: (1.0 + t) ** 2 * m(t) - model.m0
     nb, nm = ((np.asarray(model.b_table.t), np.asarray(model.m_table.t))
               if model.family == TABULATED else (np.empty(0), np.empty(0)))
     ib = sig_int(wb, nb, 1.0, T)

@@ -1,7 +1,8 @@
 """Spectral solver on a periodic box for end-to-end runs.
 
 Initial data is synthesised from a radial frequency profile and every
-retained mode is evolved with the reference oracle (grouped by unique |xi|).
+retained mode is evolved with the reference oracle (grouped by unique |xi|,
+shells where the profile vanishes left out).
 The norms of (1+t)^{-1} u, grad u, u_t are box L2 norms, taken by Parseval
 from the mode amplitudes: one weighted sum over the |xi| shells for all
 checkpoints at once.  The mode amplitudes are scaled so that box norms
@@ -78,6 +79,9 @@ def simulate_fields(model, config, grid, data_spec, times, rtol=1e-9,
 
     uniq, counts = np.unique(np.round(grid.xi_mesh().ravel(), 12), return_counts=True)
     prof = data_spec.profile(uniq)
+    # a shell with zero data stays zero and adds nothing to a norm
+    live = prof != 0.0
+    uniq, counts, prof = uniq[live], counts[live], prof[live]
     u_modes, v_modes = modal.evolve_state(
         model, uniq, data_spec.amp0 * prof, data_spec.amp1 * prof, times, rtol=rtol)
 

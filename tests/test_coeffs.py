@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fuchswave import coeffs
 from fuchswave.coeffs import (BOUNDED, COMPLEX_PAIR, DOUBLE_ROOT, LOG, PURE,
                               REAL_LARGE, REAL_SMALL, CoefficientModel,
                               RegimeUnsupportedError, TabulatedCoefficient,
@@ -250,6 +251,37 @@ def test_check_hypotheses_integrates_a_spline_deviation_without_warning():
     assert rep.integral_b == pytest.approx(5.2452540648e-6, rel=1e-8)
     assert rep.integral_m == pytest.approx(1.7720257417e-5, rel=1e-8)
     assert rep.tail_b < 1e-13 and rep.tail_m < 1e-13 and rep.hyp2_pass
+
+
+def test_check_hypotheses_evaluates_each_spline_for_its_own_deviation(monkeypatch):
+    # (1+t) b - b0 needs b_table only and (1+t)^2 m - m0 m_table only: each
+    # quad of a deviation calls one table, where evaluating the (b, m) pair
+    # calls both
+    model = _table_model(1e3, 4001)
+    spline, quad_of_coeffs = TabulatedCoefficient.__call__, coeffs.quad
+    current, touched = [None], []
+
+    def recorded(self, t, order=0):
+        if current[0] is not None:
+            current[0].add("b" if self is model.b_table else "m")
+        return spline(self, t, order)
+
+    def one_quad(f, *args, **kwargs):
+        current[0] = set()
+        result = quad_of_coeffs(f, *args, **kwargs)
+        touched.append(current[0])
+        current[0] = None
+        return result
+
+    monkeypatch.setattr(TabulatedCoefficient, "__call__", recorded)
+    monkeypatch.setattr(coeffs, "quad", one_quad)
+    rep = check_hypotheses(model, 1e3)
+    assert all(len(tables) == 1 for tables in touched)
+    assert set().union(*touched) == {"b", "m"}
+    # the values of evaluating the pair, 5.245254066380009e-06 and
+    # 1.7720257419388797e-05, bit for bit on the machine that recorded them
+    assert rep.integral_b == pytest.approx(5.245254066380009e-06, rel=1e-14)
+    assert rep.integral_m == pytest.approx(1.7720257419388797e-05, rel=1e-14)
 
 
 def test_tabulated_family_does_not_extrapolate():

@@ -12,7 +12,7 @@ from fuchswave import modal
 from fuchswave.asymptotic import FuchsSystem, integrate_fuchs
 from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, classify_regime,
                               example_bounded, example_log)
-from fuchswave.estimates import fit_decay
+from fuchswave.estimates import DataSpec, fit_decay, grid_for_data
 from fuchswave.modal import (FORM_DISS, FORM_HYP, ModalSystem,
                              check_cocycle, evolve_micro_energy, evolve_state,
                              fuchs_constant_matrix, fuchs_remainder,
@@ -420,16 +420,113 @@ def test_in_place_mode_rhs_matches_a_concatenating_rhs(per_mode, monkeypatch):
 
 def test_the_reused_rhs_buffer_is_not_aliased_into_results():
     # every checkpoint of a solve, and every octave band of evolve_state, holds
-    # its own values, the same as each band evolved alone
-    model = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    # its own values: the bounded model's two bands share one solve, the
+    # same as one _solve_modes call at tolerances scaled by sqrt(1/2); the
+    # scale-invariant model's solve apart, each the same as its band alone
     times = np.array([0.5, 3.0, 9.0, 20.0])
-    u, v = evolve_state(model, [1.0, 5.0], [1.0, 1.0], [0.0, 0.0], times, rtol=1e-11)
-    for w in (u, v):
-        assert len({x.tobytes() for x in w}) == times.size
-        assert len({x.tobytes() for x in w.T}) == 2
+
+    def evolved(model, xi):
+        u, v = evolve_state(model, xi, np.ones(len(xi)), np.zeros(len(xi)), times,
+                            rtol=1e-11)
+        for w in (u, v):
+            assert len({x.tobytes() for x in w}) == times.size
+            assert len({x.tobytes() for x in w.T}) == len(xi)
+        return u, v
+
+    bounded = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    u, v = evolved(bounded, [1.0, 5.0])
+    c = math.sqrt(0.5)
+    u1, v1 = modal._solve_modes(bounded.kernel(), np.array([1.0, 5.0]),
+                                np.array([1.0, 1.0, 0.0, 0.0]), times,
+                                1e-11 * c, 1e-11 * 1e-6 * c)
+    assert np.array_equal(u, u1) and np.array_equal(v, v1)
+
+    pure = CoefficientModel(b0=2.0, m0=0.75)
+    u, v = evolved(pure, [1.0, 5.0])
     for k, xi in enumerate((1.0, 5.0)):
-        u1, v1 = evolve_state(model, [xi], [1.0], [0.0], times, rtol=1e-11)
+        u1, v1 = evolved(pure, [xi])
         assert np.array_equal(u[:, k], u1[:, 0]) and np.array_equal(v[:, k], v1[:, 0])
+
+
+def _recorded_solves(monkeypatch):
+    """modal.solve_ivp calls as (end of span, state size, rtol, atol)."""
+    solves, solve_ivp = [], modal.solve_ivp
+
+    def recorded(fun, t_span, y0, t_eval, rtol, atol):
+        solves.append((t_span[1], len(y0), rtol, atol))
+        return solve_ivp(fun, t_span, y0, t_eval, rtol, atol)
+
+    monkeypatch.setattr(modal, "solve_ivp", recorded)
+    return solves
+
+
+def test_octave_bands_share_one_solve_where_it_costs_less(monkeypatch):
+    bounded = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    times, atol = np.array([1.0, 5.0, 40.0]), 1e-10 * 1e-6  # evolve_state's default
+    solves = _recorded_solves(monkeypatch)
+    # four bands of one real mode each: one solve at c = sqrt(1/4), its
+    # modes in band order
+    xi = np.array([0.8, 0.15, 1.7, 0.35])
+    assert len(modal._band_slices(xi)) == 4
+    u, _ = evolve_state(bounded, xi, np.ones(4), np.zeros(4), times, rtol=1e-10)
+    assert solves == [(40.0, 8, 1e-10 * 0.5, atol * 0.5)]
+    order = np.argsort(xi)
+    u1, _ = modal._solve_modes(bounded.kernel(), xi[order], np.repeat([1.0, 0.0], 4),
+                               times, 1e-10 * 0.5, atol * 0.5)
+    assert np.array_equal(u[:, order].real, u1)
+    # scale-invariant bands leave DOP853 at their own z = xi (1+t) = Z_MATCH
+    # (t = 40, capped, 11.5 and 2.125): one solve per band
+    solves.clear()
+    evolve_state(CoefficientModel(b0=2.0, m0=0.75), [0.5, 2.0, 8.0], np.ones(3),
+                 np.zeros(3), times, rtol=1e-10)
+    assert solves == [(40.0, 2, 1e-10, atol), (11.5, 2, 1e-10, atol),
+                      (2.125, 2, 1e-10, atol)]
+    # a lone mode at 0.1 below an octave of 99 would tighten the top band's
+    # test 10-fold for a solve that takes a tenth of its steps; and a wide
+    # state pays mostly per component, so it gains little from fewer calls:
+    # both keep a solve per band
+    for xi in (np.r_[0.1, np.linspace(1.0, 1.9, 99)], np.linspace(0.5, 3.0, 5001)):
+        solves.clear()
+        evolve_state(bounded, xi, np.ones(xi.size), np.zeros(xi.size), [1.0], rtol=1e-10)
+        assert [n for _, n, _, _ in solves] == [2 * len(b) for b in modal._band_slices(xi)]
+        assert len(solves) > 1 and all(r == 1e-10 for _, _, r, _ in solves)
+
+
+_T_TABLE = np.linspace(0.0, 512.0, 1025)
+_BOUNDED = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+
+
+@pytest.mark.parametrize("lone", [False, True], ids=["scatter", "lone_low_mode"])
+@pytest.mark.parametrize("model", [
+    _BOUNDED,
+    example_log(2.0, 0.75, b1=0.5, m1=0.5),
+    CoefficientModel(b0=2.0, m0=0.75, family="tabulated",
+                     b_table=TabulatedCoefficient.from_columns(_T_TABLE, _BOUNDED.b(_T_TABLE)),
+                     m_table=TabulatedCoefficient.from_columns(_T_TABLE, _BOUNDED.m(_T_TABLE)))],
+    ids=["bounded", "log", "tabulated"])
+def test_a_shared_solve_keeps_each_bands_error(model, lone):
+    # scatter's grid (ring data on (0.1, 1.1), four octave bands), alone or
+    # below a lone frequency 0.04, a band of its own that takes c from 0.39
+    # to 0.086; both columns of Phi(t, 0) to t = 512 (each band's worst
+    # deviation comes earlier, so scatter's t = 2048 gives the same): in the
+    # shared solve each band deviates from a 1000x tighter run by no more
+    # than when it is solved alone at the given tolerances
+    data = DataSpec(kind="ring", center=0.6, width=0.5, amp0=1.0, amp1=0.7)
+    r = grid_for_data(data, lo=0.05, hi=4.0, n_points=48, n_refine=120)
+    r = np.r_[[0.04] * lone, r[np.abs(data.sample(r)[0]) > 0]]
+    xi, (u0, u1) = np.tile(r, 2), np.repeat(np.eye(2), r.size, axis=1)
+    times = 2.0 ** np.arange(10)
+    rtol, atol = 1e-9, 1e-15
+    bands = modal._band_slices(xi)
+    assert len(bands) == 4 + lone and modal._shared_tolerance(xi, bands) is not None
+    u, v = evolve_state(model, xi, u0, u1, times, rtol=rtol, atol=atol)
+    for band in bands:
+        y0 = np.concatenate((u0[band], u1[band]))
+        ref, alone = (np.hstack(modal._solve_modes(model.kernel(), xi[band], y0, times,
+                                                   rtol * f, atol * f))
+                      for f in (1e-3, 1.0))
+        shared = np.hstack((u[:, band].real, v[:, band].real))
+        assert np.abs(shared - ref).max() <= np.abs(alone - ref).max()
 
 
 def test_solves_let_go_of_what_their_right_hand_side_holds():

@@ -90,6 +90,25 @@ def test_parseval_norms_match_physical_space_ffts(grid):
     assert np.max(np.abs(cols - ref) / ref) <= 1e-12
 
 
+def test_only_shells_with_data_are_evolved(monkeypatch):
+    # ring data on (1, 3): the shells outside its support carry zeros
+    # through evolve_state and the Parseval sums, so they are left out
+    grid = Grid(2, 64, 40.0)
+    data = DataSpec(kind="ring", center=2.0, width=1.0, amp0=1.0, amp1=0.7)
+    shells = np.unique(np.round(grid.xi_mesh().ravel(), 12))
+    evolved, evolve_state = [], modal.evolve_state
+
+    def recorded(model, xi, *args, **kwargs):
+        evolved.append(np.asarray(xi))
+        return evolve_state(model, xi, *args, **kwargs)
+
+    monkeypatch.setattr(modal, "evolve_state", recorded)
+    trace = simulate_fields(FREE, CFG, grid, data, np.array([0.0, 2.0]), rtol=1e-10)
+    assert len(evolved) == 1
+    assert np.array_equal(evolved[0], shells[data.profile(shells) != 0.0])
+    assert 0 < evolved[0].size < shells.size / 2 and np.all(trace.energy > 0.0)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(1, 1000, 10.0)   # not a power of two
