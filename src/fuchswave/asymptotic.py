@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .modal import HorizonError
 
@@ -270,6 +269,8 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
 
 def integrate_fuchs(sys, a, b, rtol=1e-11):
     """Direct oracle for t E' = (D+R)E, E(a) = I, integrated in x = ln t."""
+    from scipy.integrate import solve_ivp
+
     d = sys.dimension
 
     def rhs(x, y):

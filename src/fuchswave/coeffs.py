@@ -15,8 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 PURE = "pure_scale_invariant"
 BOUNDED = "bounded_perturbation"
@@ -56,12 +54,14 @@ class TabulatedCoefficient:
 
     t: tuple
     values: tuple
-    spline: CubicSpline = field(repr=False, default=None)
+    spline: object = field(repr=False, default=None)  # scipy's CubicSpline
     # per table interval, the spline's four coefficients in ascending powers
     pieces: tuple = field(repr=False, default=None)
 
     @classmethod
     def from_columns(cls, t, values):
+        from scipy.interpolate import CubicSpline
+
         t = np.asarray(t, dtype=float)
         v = np.asarray(values, dtype=float)
         spline = CubicSpline(t, v)
@@ -404,6 +404,12 @@ class HypothesisReport:
     tail_m: float
     hyp2_pass: bool
     tail_tol: float
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on check_hypotheses' first call."""
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
 
 
 def check_hypotheses(model, T, sigma=None):

@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coeffs import UnsupportedOrderError
 from .modal import FundamentalMatrix, HorizonError, spectral_norm
@@ -398,6 +397,12 @@ def _gauss_panels(edges, counts):
 def _panel_sum(norms, hw):
     """The panel rule's integral of a function sampled at its nodes."""
     return float(norms.reshape(hw.size, -1) @ _gauss_rule()[1] @ hw)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the Q_k ODE fallback's first call."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,

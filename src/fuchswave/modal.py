@@ -3,8 +3,10 @@
 Everything downstream (zone-rate fits, representation identities, scattering)
 is validated against the fundamental matrices integrated here at tight
 tolerance by Hairer's Fortran DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-II.10) through scipy.integrate.ode, on real states: the steps run in Fortran,
-only the right-hand side is called back, and each checkpoint is landed on
+II.10) on real states.  modal calls scipy's build of it directly, its
+extension loaded from its file without scipy.integrate's package (whose
+imports cost most of a CLI run's start-up): the steps run in Fortran, only
+the right-hand side is called back, and each checkpoint is landed on
 exactly, one integration leg per checkpoint (solve_ivp).  A right-hand side
 evaluates the coefficients once per call, through the model's kernel
 t -> (b(t), m(t)) (CoefficientModel.kernel), and the batched one writes into
@@ -42,12 +44,14 @@ single-system oracle propagator_checkpoints, run DOP853 throughout.
 from __future__ import annotations
 
 import collections
+import importlib.machinery
+import importlib.util
 import math
-import warnings
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode
+import scipy
 
 from . import zones
 from .coeffs import PURE
@@ -104,6 +108,31 @@ class IvpResult:
     nfev: int
 
 
+def _load_dop853():
+    """Hairer's DOP853 as scipy builds it, the f2py extension scipy.integrate.ode
+    drives, loaded from its file: scipy.integrate's package __init__, which
+    imports scipy.special, optimize, sparse and linalg, never runs."""
+    path = os.path.join(os.path.dirname(scipy.__file__), "integrate",
+                        "_dop" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"Hairer's DOP853 extension not found at {path} "
+                          f"(scipy {scipy.__version__})", path=path)
+    loader = importlib.machinery.ExtensionFileLoader("scipy.integrate._dop", path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module.dopri853
+
+
+_dopri853 = _load_dop853()
+
+# Hairer's meaning of a negative IDID
+_DOP853_FAILURES = {-1: "input is not consistent",
+                    -2: "larger nsteps is needed",
+                    -3: "step size becomes too small",
+                    -4: "problem is probably stiff (interrupted)"}
+
+
 def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
     """y' = fun(t, y) for a real state y0 at t_span[0], integrated by Hairer's
     DOP853 to every checkpoint in t_eval (ascending, within t_span).  Each
@@ -115,42 +144,41 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
     reached."""
     t_eval = np.asarray(t_eval, dtype=float)
     y = np.empty((t_eval.size, len(y0)))
-    # scipy's wrapper keeps a reference to the callable of every call: it gets
+    state = np.asarray(y0, dtype=float)
+    work, iwork = np.zeros(11 * state.size + 21), np.zeros(21, dtype=np.int32)
+    work[1:4] = 0.9, 0.3, 6.0  # safety factor, step ratio bounds: scipy's dop853
+    # the extension keeps a reference to the callables of every call: it gets
     # a forwarder to fun, emptied when the solve ends, so whatever fun holds
     # is freed with it
     target = [fun]
-    # no step limit (the largest IWORK(1)), as in scipy's solve_ivp
-    solver = ode(lambda t, y: target[0](t, y)).set_integrator(
-        "dop853", rtol=rtol, atol=atol, nsteps=2 ** 31 - 1)
+    forward = lambda t, y: target[0](t, y)
     xs = collections.deque(maxlen=3)  # the last accepted step ends
-    solver.set_solout(lambda x, _: xs.append(x))
-    solver.set_initial_value(y0, float(t_span[0]))
-    integrator = solver._integrator  # its work and counter arrays, one per solve
-    t_now, nfev, done, message = solver.t, 0, 0, "the solver reached every checkpoint"
+    solout = lambda x, _: xs.append(x)
+    x = t_now = float(t_span[0])
+    nfev, done, message = 0, 0, "the solver reached every checkpoint"
     try:
-        with warnings.catch_warnings():  # a failed call warns; it is reported below
-            warnings.filterwarnings("ignore", "dop853: ", UserWarning)
-            for done, t in enumerate(t_eval):
-                if t > t_now:
-                    xs.clear()
-                    solver.integrate(t)
-                    # NFCN, IWORK(17), counts a call for the initial-step
-                    # guess, which a given WORK(7) skips
-                    nfev += int(integrator.iwork[16]) - bool(integrator.work[6])
-                    if not solver.successful():
-                        message = integrator.messages.get(solver.get_return_code(),
-                                                          "DOP853 failed")
-                        break
-                    if len(xs) == 3:  # the call took a full step before landing
-                        integrator.work[6] = xs[1] - xs[0]
-                    t_now = t
-                y[done] = solver.y
-            else:
-                done = t_eval.size
+        for done, t in enumerate(t_eval):
+            if t > t_now:
+                xs.clear()
+                # iout 1: solout after every accepted step; no step limit (the
+                # largest IWORK(1)), as in scipy's solve_ivp; verbosity -1:
+                # silent; fun's extra arguments () given, as scipy's ode gives
+                # them: left out, a later call crashed in the wrapper
+                x, state, idid = _dopri853(forward, x, state, t, rtol, atol, solout, 1,
+                                           work, iwork, 2 ** 31 - 1, -1, ())
+                # NFCN, IWORK(17), counts a call for the initial-step guess,
+                # which a given WORK(7) skips
+                nfev += int(iwork[16]) - bool(work[6])
+                if idid < 0:
+                    message = _DOP853_FAILURES.get(idid, "DOP853 failed")
+                    break
+                if len(xs) == 3:  # the call took a full step before landing
+                    work[6] = xs[1] - xs[0]
+                t_now = t
+            y[done] = state
+        else:
+            done = t_eval.size
     finally:
-        # scipy's wrapper keeps the integrator too: let go of its state-sized
-        # work array
-        integrator.reset(0, False)
         target.clear()
     return IvpResult(t=t_eval[:done], y=y[:done].T, success=done == t_eval.size,
                      message=message, nfev=nfev)

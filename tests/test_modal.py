@@ -1,13 +1,18 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
+import fuchswave
 from fuchswave import modal
 from fuchswave.asymptotic import FuchsSystem, integrate_fuchs
 from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, classify_regime,
@@ -274,6 +279,60 @@ def test_hankel_continuation_matches_the_single_system_oracle(xi):
             assert abs(np.linalg.det(P)) == pytest.approx((1.0 + t) ** -b0, rel=1e-9)
 
 
+def exact_pure_fundamental(b0, m0, xi, times, dps=40):
+    """Phi(t, 0) of X' = [[0, 1], [-(xi^2 + m), -b]] X for the scale-invariant
+    family b = b0/(1+t), m = m0/(1+t)^2, in closed form at dps digits: the
+    modes are f = z^a C_nu(z), z = xi (1+t), a = (1-b0)/2, C_nu = J_nu or Y_nu,
+    nu^2 = ((b0-1)/2)^2 - m0 (DLMF 10.2; nu real, zero or imaginary), and
+    Phi(t, 0) = W(t) W(0)^-1 with W's columns (f, xi df/dz).  Phi is real: the
+    imaginary part that complex nu leaves is asserted at roundoff.  Shape
+    (len(times), 2, 2).  Shares no code with DOP853 or Hankel's expansion."""
+    with mpmath.workdps(dps):
+        a = (1 - mpmath.mpf(b0)) / 2
+        nu = mpmath.sqrt(((mpmath.mpf(b0) - 1) / 2) ** 2 - mpmath.mpf(m0))
+        k = mpmath.mpf(xi)
+
+        def W(t):
+            z = k * (1 + mpmath.mpf(t))
+            cols = []
+            for C in (mpmath.besselj, mpmath.bessely):
+                f = z ** a * C(nu, z)
+                cols.append((f, k * (a * f / z + z ** a * C(nu, z, derivative=1))))
+            return mpmath.matrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+
+        W0_inv = W(0) ** -1
+        Phi = np.empty((len(times), 2, 2))
+        for i, t in enumerate(times):
+            P = W(float(t)) * W0_inv
+            imag = max(abs(mpmath.im(P[j, l])) for j in range(2) for l in range(2))
+            assert imag <= mpmath.mpf(10) ** (10 - dps) * mpmath.mnorm(P, 1), (b0, m0, t)
+            Phi[i] = [[float(mpmath.re(P[j, l])) for l in range(2)] for j in range(2)]
+    return Phi
+
+
+@pytest.mark.parametrize("xi", [2.0, 8.0])
+def test_both_oracles_match_the_exact_pure_family_propagator(xi):
+    # Bessel functions of complex order against the batched kernel (DOP853 to
+    # z = Z_MATCH, Hankel's expansion beyond: t = 11.5 at xi = 2, 2.125 at
+    # xi = 8) and the single-system oracle (DOP853 throughout), in the
+    # hyp_system weighting T = diag(xi, -i)
+    times = np.geomspace(0.25, 1e3, 10)
+    T, T_inv = np.diag([xi, -1j]), np.diag([1.0 / xi, 1j])
+    for b0, m0 in EIGHT_CELLS:
+        model = CoefficientModel(b0=b0, m0=m0)
+        exact = T @ exact_pure_fundamental(b0, m0, xi, times) @ T_inv
+        Phi = state_propagator_checkpoints(model, [xi], times, rtol=1e-12)[:, 0]
+        E = propagator_checkpoints(ModalSystem(model, CFG, xi, FORM_HYP), 0.0, times,
+                                   rtol=1e-12)
+        for t, P, E_orc, E_ex in zip(times, Phi, E, exact):
+            size = spectral_norm(E_ex)
+            # measured at most 1.8e-12 on the Hankel path
+            assert spectral_norm(T @ P @ T_inv - E_ex) <= 1e-10 * size, (b0, m0, t)
+            # the bound of the Hankel-vs-oracle test: its 1e-13 absolute term
+            # is the oracle's atol floor once ||E|| decays, cell (4, 0)
+            assert spectral_norm(E_orc - E_ex) <= 1e-8 * size + 1e-13, (b0, m0, t)
+
+
 def test_pure_family_matches_its_coefficients_run_by_dop853():
     # the same b, m as a bounded perturbation with c1 = c2 = 0, which the
     # kernel integrates with DOP853 throughout; checkpoints on both sides of
@@ -530,7 +589,7 @@ def test_a_shared_solve_keeps_each_bands_error(model, lone):
 
 
 def test_solves_let_go_of_what_their_right_hand_side_holds():
-    # scipy's wrapper keeps a reference to the callable of every call; a
+    # the DOP853 extension keeps a reference to the callable of every call; a
     # solve hands it a forwarder it empties, so an array its right-hand side
     # captures (1 MB here) is freed with the solve
     def make_rhs():
@@ -578,9 +637,9 @@ def test_checkpoints_carry_the_step_size():
 
 
 def test_a_solve_keeps_only_its_output_alive():
-    # scipy's wrapper keeps a reference to the integrator of every call: a
-    # solve must let go of its state-sized work array (11 n + 21 doubles),
-    # and integrators must not pile up over the checkpoints
+    # the DOP853 extension keeps a reference to the callables of every call:
+    # a solve must let go of its state-sized work array (11 n + 21 doubles),
+    # and nothing may pile up over the checkpoints
     n = 4000
     xi = np.linspace(1.0, 1.9, n)
     y0 = np.concatenate((np.ones(n), np.zeros(n)))
@@ -629,3 +688,76 @@ def test_scipy_dop853_reads_the_initial_step_from_its_work_array():
     assert solver.successful() and ends[:2] == [0.0, 0.25]
     # NFCN counts the initial-step guess's call, skipped here
     assert integrator.iwork[16] == len(calls) + 1
+
+
+def test_the_dop853_extension_modal_loads_reads_its_work_arrays():
+    # modal calls dopri853 from scipy's _dop file with arrays of its own: the
+    # first step is WORK(7), NFCN (IWORK(17)) counts the initial-step guess's
+    # call, skipped here, and a blow-up (m = -1/(2-t)^4 at t = 2) returns a
+    # negative IDID short of its end
+    def run(fun, y0, t_end, rtol, atol, first_step=0.0):
+        work, iwork = np.zeros(11 * y0.size + 21), np.zeros(21, dtype=np.int32)
+        work[6], ends = first_step, []
+        x, y, idid = modal._dopri853(fun, 0.0, y0, t_end, rtol, atol,
+                                     lambda x, _: ends.append(x), 1, work, iwork,
+                                     2 ** 31 - 1, -1, ())
+        return x, y, idid, ends, iwork
+
+    calls = []
+    x, y, idid, ends, iwork = run(lambda t, y: calls.append(t) or -y, np.ones(3), 10.0,
+                                  1e-6, 1e-12, first_step=0.25)
+    assert idid == 1 and x == 10.0 and ends[:2] == [0.0, 0.25]
+    assert iwork[16] == len(calls) + 1
+    assert np.allclose(y, math.exp(-10.0), rtol=1e-5)
+    x, y, idid, ends, iwork = run(
+        lambda t, y: np.array([y[1], (1.0 / (2.0 - t) ** 4 - 0.25) * y[0]]),
+        np.array([1.0, 0.0]), 3.0, 1e-10, 1e-16)
+    assert idid < 0 and x < 2.0
+
+
+def test_solve_ivp_matches_scipy_ode_imported_after_fuchswave():
+    # scipy.integrate, imported after modal has loaded the extension from its
+    # file, loads it again: modal.solve_ivp and scipy.integrate.ode("dop853"),
+    # driven checkpoint by checkpoint with the same step carried over, agree
+    # bit for bit on 120 checkpoints, and so do their right-hand-side counts;
+    # a narrow bump in m at t = 30 rejects steps down to the step-ratio bound,
+    # so the safety and step-ratio parameters (WORK(2..4)) show too
+    script = """
+import collections, math, sys
+import numpy as np
+from fuchswave import modal
+assert "scipy.integrate" not in sys.modules
+from scipy.integrate import ode
+
+xi, times = 0.05, np.geomspace(1.0, 1e3, 120)
+calls = []
+
+def rhs(t, y):
+    calls.append(t)
+    m = 1e4 * math.exp(-((t - 30.0) / 0.1) ** 2)
+    return np.array([y[1], -(xi * xi + m) * y[0] - 2.0 / (1.0 + t) * y[1]])
+
+sol = modal.solve_ivp(rhs, (0.0, 1e3), np.array([1.0, 0.0]), times, 1e-10, 1e-14)
+assert sol.success and sol.nfev == len(calls)
+calls.clear()
+solver = ode(rhs).set_integrator("dop853", rtol=1e-10, atol=1e-14, nsteps=2 ** 31 - 1)
+ends = collections.deque(maxlen=3)
+solver.set_solout(lambda x, _: ends.append(x))
+solver.set_initial_value(np.array([1.0, 0.0]), 0.0)
+work, iwork = solver._integrator.work, solver._integrator.iwork
+ys, nfev = [], 0
+for t in times:
+    ends.clear()
+    solver.integrate(t)
+    assert solver.successful()
+    nfev += int(iwork[16]) - bool(work[6])
+    if len(ends) == 3:
+        work[6] = ends[1] - ends[0]
+    ys.append(solver.y)
+assert np.array_equal(sol.y, np.array(ys).T), abs(sol.y - np.array(ys).T).max()
+assert sol.nfev == nfev == len(calls), (sol.nfev, nfev, len(calls))
+"""
+    src = str(Path(fuchswave.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fuchswave
 from fuchswave import modal
 from fuchswave.cli import build_parser, run_cli
 from fuchswave.coeffs import CoefficientModel
@@ -439,3 +444,36 @@ def test_experiment_repcheck_record(tmp_path):
     rec = run_experiment(cfg)
     assert rec.verdicts["representation_identity"]
     assert rec.outputs["worst_rel_error"] <= 1e-6
+
+
+def test_cli_experiments_leave_scipy_subpackages_unimported(tmp_path):
+    # DOP853 is loaded without scipy.integrate's package, and every other
+    # scipy import waits for its one use: in a fresh interpreter, the CLI runs
+    # of scatter, sweep, repcheck and simulate import none of the subpackages
+    # that scipy.integrate's __init__ pulls in.  The cheap repcheck config
+    # (N = 0.1) reaches the Q_k ODE fallback, which imports scipy.integrate
+    # on purpose; a bounded model at N = 1 runs the Q_k series only
+    heavy = ["scipy.integrate", "scipy.special", "scipy.optimize",
+             "scipy.interpolate", "scipy.sparse"]
+    configs = {**CHEAP_CONFIGS, "repcheck": {
+        "model": {"family": "bounded_perturbation", "b0": 2.0, "m0": 0.75,
+                  "c1": 0.5, "p1": 0.5, "c2": 0.5, "p2": 0.5}, "seed": 10543}}
+    runs = []
+    for experiment in ("scatter", "sweep", "repcheck", "simulate"):
+        cfgfile = tmp_path / f"{experiment}.json"
+        cfgfile.write_text(json.dumps(configs[experiment]))
+        runs.append([experiment, "--config", str(cfgfile),
+                     "--out", str(tmp_path / experiment)])
+    script = (
+        "import json, sys\n"
+        "from fuchswave.cli import run_cli\n"
+        f"codes = [run_cli(argv) for argv in {runs!r}]\n"
+        f"loaded = sorted(m for m in {heavy!r} if m in sys.modules)\n"
+        "print(json.dumps([codes, loaded]))\n")
+    src = str(Path(fuchswave.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert 1 not in codes, done.stderr
+    assert loaded == []
