@@ -267,24 +267,6 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
     )
 
 
-def integrate_fuchs(sys, a, b, rtol=1e-11):
-    """Direct oracle for t E' = (D+R)E, E(a) = I, integrated in x = ln t."""
-    from scipy.integrate import solve_ivp
-
-    d = sys.dimension
-
-    def rhs(x, y):
-        t = math.exp(x)
-        M = np.diag(sys.mu_at(t)) + sys.R_at(t)
-        return (M @ y.reshape(d, d)).ravel()
-
-    sol = solve_ivp(rhs, (math.log(a), math.log(b)), np.eye(d, dtype=complex).ravel(),
-                    method="DOP853", rtol=rtol, atol=rtol * 1e-2)
-    if not sol.success:
-        raise HorizonError(sol.message)
-    return sol.y[:, -1].reshape(d, d)
-
-
 @dataclass
 class HWTransform:
     """Change of unknown (I + N) removing the off-diagonal L^sigma remainder."""

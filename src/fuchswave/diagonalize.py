@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coeffs import UnsupportedOrderError
-from .modal import FundamentalMatrix, HorizonError, spectral_norm
+from .modal import FundamentalMatrix, HorizonError, solve_ivp, spectral_norm
 from .zones import theta
 
 SQRT2 = math.sqrt(2.0)
@@ -67,6 +67,10 @@ _ZONE_N_XI = 25
 _Q_LIMIT_MAX_STEPS = 48
 # operator_identity_residual: finite-difference step relative to 1+t
 _FD_STEP = 1e-4
+# q_propagator: Peano-Baker terms summed; the bound the series' tail must
+# meet, also the ODE fallback's rtol (its atol is _Q_TOL * 1e-2)
+_Q_DEPTH = 8
+_Q_TOL = 1e-9
 # q_propagator: nodes per q_generator call; bounds the hierarchy's
 # (order+1, 2, 2, nodes) temporaries whatever the grid length
 _Q_CHUNK = 8192
@@ -399,22 +403,16 @@ def _panel_sum(norms, hw):
     return float(norms.reshape(hw.size, -1) @ _gauss_rule()[1] @ hw)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the Q_k ODE fallback's first call."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
-
-
-def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,
-                 anchor=None):
-    """Q_k(t,s,xi) by truncated Peano-Baker series with factorial tail bound;
-    falls back to direct integration of D_t Q = R Q when the bound exceeds
-    tol or the panel rule would need more than max_grid nodes.  The series
-    integrates on Gauss-Legendre panels (module docstring): 16 nodes per at
-    most 4 rad of 2 xi (t - s), within segments where 1 + tau at most
-    doubles.  C_total is the Gauss-weighted sum of the generator's norms;
-    the ODE path takes it on one panel a segment.  `anchor` keeps the phase
-    reference fixed when a long run is split into segments."""
+def q_propagator(stage, s, t, xi, max_grid=400_000, q0=None, anchor=None):
+    """Q_k(t,s,xi) by the Peano-Baker series truncated after _Q_DEPTH terms,
+    with factorial tail bound; falls back to integrating D_t Q = R Q by
+    modal's DOP853 driver (solve_ivp) when the bound exceeds _Q_TOL or the
+    panel rule would need more than max_grid nodes.  The series integrates
+    on Gauss-Legendre panels (module docstring): 16 nodes per at most 4 rad
+    of 2 xi (t - s), within segments where 1 + tau at most doubles.
+    C_total is the Gauss-weighted sum of the generator's norms; the ODE path
+    takes it on one panel a segment.  `anchor` keeps the phase reference
+    fixed when a long run is split into segments."""
     if t < s:
         raise ValueError("need t >= s")
     anchor = s if anchor is None else anchor
@@ -427,8 +425,8 @@ def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,
         taus, hw = _gauss_panels(edges, counts)
         G, norms = _sampled_generator(stage, taus, anchor, xi)
         C_total = _panel_sum(norms, hw)
-        tail = math.exp(C_total) * C_total ** (depth + 1) / math.factorial(depth + 1)
-        if tail <= tol:
+        tail = math.exp(C_total) * C_total ** (_Q_DEPTH + 1) / math.factorial(_Q_DEPTH + 1)
+        if tail <= _Q_TOL:
             # term_j(tau) = int_s^tau i G term_{j-1} from term_0 = I, each
             # product G term as 8 entrywise vector products over the
             # (panel, node) grid; a panel's running integral starts from the
@@ -437,27 +435,29 @@ def q_propagator(stage, s, t, xi, depth=8, tol=1e-9, max_grid=400_000, q0=None,
             _, w, S = _gauss_rule()
             Q = np.eye(2, dtype=complex)
             term = np.eye(2)[:, :, None, None]
-            for _ in range(depth):
+            for _ in range(_Q_DEPTH):
                 f = 1j * (G[:, :1] * term[:1] + G[:, 1:] * term[1:])
                 totals = (f @ w) * hw
                 ends = np.cumsum(totals, axis=-1)
                 term = (f @ S.T) * hw[:, None] + (ends - totals)[..., None]
                 Q += ends[..., -1]
-            return QResult(Q @ q0, s, t, xi, stage.k, "series", depth, C_total, tail)
-    # direct integration path
+            return QResult(Q @ q0, s, t, xi, stage.k, "series", _Q_DEPTH, C_total, tail)
+    # direct integration path: Q as the real state of 8 floats, the float
+    # view of its complex entries
     def rhs(tau, y):
         Gt = _conjugated_generator(stage, np.array([tau]), anchor, xi)[0]
-        return (1j * Gt @ y.reshape(2, 2)).ravel()
+        return (1j * Gt @ y.view(complex).reshape(2, 2)).ravel().view(float)
 
-    sol = solve_ivp(rhs, (s, t), q0.astype(complex).ravel(), method="DOP853",
-                    rtol=min(tol, 1e-9), atol=min(tol, 1e-9) * 1e-2)
+    sol = solve_ivp(rhs, (s, t), q0.astype(complex).ravel().view(float), [t],
+                    _Q_TOL, _Q_TOL * 1e-2)
     if not sol.success:
         raise HorizonError(sol.message)
     # C_total (bound bookkeeping only) by the panel rule with one panel a
     # segment: conjugation by the phase leaves the generator's norm unchanged
     taus, hw = _gauss_panels(*_panel_layout(s, t, 0.0))
     C_total = _panel_sum(_norm2(_conjugated_generator(stage, taus, anchor, xi)), hw)
-    return QResult(sol.y[:, -1].reshape(2, 2), s, t, xi, stage.k, "ode", 0, C_total, 0.0)
+    return QResult(sol.y[:, -1].view(complex).reshape(2, 2), s, t, xi, stage.k, "ode", 0,
+                   C_total, 0.0)
 
 
 def q_limit(stage, s, xi, tol=1e-8, t_start=None, growth=2.0):

@@ -133,6 +133,31 @@ _DOP853_FAILURES = {-1: "input is not consistent",
                     -4: "problem is probably stiff (interrupted)"}
 
 
+# the extension keeps a reference to the callables of every call, so every
+# solve hands it the same two.  _forward calls the running solve's fun, held
+# in _target only while the solve runs, so whatever fun holds is freed with
+# it.  An exception raised in the extension's callback would not stop
+# DOP853, so _forward keeps it in _raised and returns zeros from then on,
+# and _solout, which records the last accepted step ends, interrupts the
+# integration at the next one; solve_ivp raises it
+_target, _raised = [], []
+_step_ends = collections.deque(maxlen=3)
+
+
+def _forward(t, y):
+    if not _raised:
+        try:
+            return _target[0](t, y)
+        except BaseException as exc:
+            _raised.append(exc)
+    return np.zeros_like(y)
+
+
+def _solout(x, _):
+    _step_ends.append(x)
+    return -1 if _raised else 0
+
+
 def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
     """y' = fun(t, y) for a real state y0 at t_span[0], integrated by Hairer's
     DOP853 to every checkpoint in t_eval (ascending, within t_span).  Each
@@ -141,45 +166,46 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
     solout), written as its initial step WORK(7), so a checkpoint costs its
     landing step and one restart, not a fresh step-size search.  A failed
     call ends the solve with success False; y then holds the checkpoints
-    reached."""
+    reached.  An exception in fun ends the solve and is raised.  Not
+    reentrant: a solve started from inside a running one's right-hand side
+    raises RuntimeError."""
+    if _target:
+        raise RuntimeError("solve_ivp called while a solve is running")
     t_eval = np.asarray(t_eval, dtype=float)
     y = np.empty((t_eval.size, len(y0)))
     state = np.asarray(y0, dtype=float)
     work, iwork = np.zeros(11 * state.size + 21), np.zeros(21, dtype=np.int32)
     work[1:4] = 0.9, 0.3, 6.0  # safety factor, step ratio bounds: scipy's dop853
-    # the extension keeps a reference to the callables of every call: it gets
-    # a forwarder to fun, emptied when the solve ends, so whatever fun holds
-    # is freed with it
-    target = [fun]
-    forward = lambda t, y: target[0](t, y)
-    xs = collections.deque(maxlen=3)  # the last accepted step ends
-    solout = lambda x, _: xs.append(x)
     x = t_now = float(t_span[0])
     nfev, done, message = 0, 0, "the solver reached every checkpoint"
+    _target.append(fun)
     try:
         for done, t in enumerate(t_eval):
             if t > t_now:
-                xs.clear()
+                _step_ends.clear()
                 # iout 1: solout after every accepted step; no step limit (the
                 # largest IWORK(1)), as in scipy's solve_ivp; verbosity -1:
                 # silent; fun's extra arguments () given, as scipy's ode gives
                 # them: left out, a later call crashed in the wrapper
-                x, state, idid = _dopri853(forward, x, state, t, rtol, atol, solout, 1,
+                x, state, idid = _dopri853(_forward, x, state, t, rtol, atol, _solout, 1,
                                            work, iwork, 2 ** 31 - 1, -1, ())
+                if _raised:
+                    raise _raised[0]
                 # NFCN, IWORK(17), counts a call for the initial-step guess,
                 # which a given WORK(7) skips
                 nfev += int(iwork[16]) - bool(work[6])
                 if idid < 0:
                     message = _DOP853_FAILURES.get(idid, "DOP853 failed")
                     break
-                if len(xs) == 3:  # the call took a full step before landing
-                    work[6] = xs[1] - xs[0]
+                if len(_step_ends) == 3:  # the call took a full step before landing
+                    work[6] = _step_ends[1] - _step_ends[0]
                 t_now = t
             y[done] = state
         else:
             done = t_eval.size
     finally:
-        target.clear()
+        _target.clear()
+        _raised.clear()
     return IvpResult(t=t_eval[:done], y=y[:done].T, success=done == t_eval.size,
                      message=message, nfev=nfev)
 

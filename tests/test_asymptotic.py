@@ -8,11 +8,11 @@ from fuchswave.asymptotic import (DichotomyViolationError, FuchsSystem,
                                   HorizonError, NeedsLargerStartError,
                                   check_dichotomy,
                                   hartman_wintner, hw_identity_residual,
-                                  integrate_fuchs, levinson_solve,
-                                  remainder_log_integral)
+                                  levinson_solve, remainder_log_integral)
 from fuchswave.coeffs import CoefficientModel
 from fuchswave.experiments import modal_fuchs_system
 from fuchswave.zones import ZoneConfig
+from oracles import integrate_fuchs
 
 
 def const_system(mus, R_fn=None, d=None):

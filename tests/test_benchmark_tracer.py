@@ -49,3 +49,28 @@ def test_benchmark_tracer_counts_the_q_quadrature(monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["diagonalize.q_nodes"] == n_grid
     assert metrics["diagonalize.symbol_s"] > 0.0
+
+
+def test_benchmark_tracer_counts_the_q_fallback_as_diagonalize(monkeypatch):
+    # diagonalize.solve_ivp is modal's driver, imported by name; the tracer
+    # wraps that name, so the Q_k ODE fallback's right-hand-side calls count
+    # as diagonalize's, and modal's solve count stays 0
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    from fuchswave import diagonalize
+    from fuchswave.coeffs import example_bounded
+    from fuchswave.zones import ZoneConfig
+
+    model = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    stage = diagonalize.build_stage(model, 2, ZoneConfig(N=1.0))
+    tracer = Tracer("q_fallback")
+    try:
+        tracer.install()
+        res = diagonalize.q_propagator(stage, 0.0, 10.0, 2.0, max_grid=10)
+    finally:
+        tracer.uninstall()
+    assert res.path == "ode"
+    metrics = tracer.layer_metrics()
+    assert metrics["diagonalize.ode_rhs_calls"] > 0
+    assert metrics["modal.ivp_calls"] == 0

@@ -14,7 +14,7 @@ import pytest
 
 import fuchswave
 from fuchswave import modal
-from fuchswave.asymptotic import FuchsSystem, integrate_fuchs
+from fuchswave.asymptotic import FuchsSystem
 from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, classify_regime,
                               example_bounded, example_log)
 from fuchswave.estimates import DataSpec, fit_decay, grid_for_data
@@ -27,6 +27,7 @@ from fuchswave.modal import (FORM_DISS, FORM_HYP, ModalSystem,
                              state_propagator_checkpoints,
                              weight_conjugation, weighted_propagator)
 from fuchswave.zones import ZoneConfig
+from oracles import integrate_fuchs
 
 CFG = ZoneConfig(N=1.0)
 FREE = CoefficientModel(b0=0.0, m0=0.0)
@@ -590,8 +591,8 @@ def test_a_shared_solve_keeps_each_bands_error(model, lone):
 
 def test_solves_let_go_of_what_their_right_hand_side_holds():
     # the DOP853 extension keeps a reference to the callable of every call; a
-    # solve hands it a forwarder it empties, so an array its right-hand side
-    # captures (1 MB here) is freed with the solve
+    # solve hands it a forwarder whose target it empties, so an array its
+    # right-hand side captures (1 MB here) is freed with the solve
     def make_rhs():
         ballast = np.ones(2 ** 17)
 
@@ -612,6 +613,67 @@ def test_solves_let_go_of_what_their_right_hand_side_holds():
     finally:
         tracemalloc.stop()
     assert kept < 6 * 16 * 1024, kept
+
+
+def test_solves_keep_nothing_per_solve():
+    # the DOP853 extension keeps a reference to the callables of every call;
+    # every solve hands it the same forwarder and solout, so 2,000 solves of a
+    # two-component state, each with a right-hand side of its own, keep under
+    # 50 B each (about 1.9 KB each when every solve made its own)
+    def solve():
+        return modal.solve_ivp(lambda t, y: np.array([y[1], -y[0]]), (0.0, 1.0),
+                               np.ones(2), [0.5, 1.0], 1e-10, 1e-14)
+
+    solve()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2000):
+            sol = solve()
+        del sol
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2000 * 50, kept
+
+
+def test_a_solve_started_inside_a_right_hand_side_raises():
+    # every solve shares the forwarder's target, so the driver is not
+    # reentrant: a right-hand side that starts a solve raises out of the
+    # running one, and the next solve works
+    def rhs(t, y):
+        return np.array([y[1], -y[0]])
+
+    def nested(t, y):
+        modal.solve_ivp(rhs, (0.0, 1.0), np.ones(2), [1.0], 1e-10, 1e-14)
+        return rhs(t, y)
+
+    with pytest.raises(RuntimeError, match="while a solve is running"):
+        modal.solve_ivp(nested, (0.0, 1.0), np.ones(2), [1.0], 1e-10, 1e-14)
+    sol = modal.solve_ivp(rhs, (0.0, 1.0), np.ones(2), [1.0], 1e-10, 1e-14)
+    assert sol.success
+    exact = [math.cos(1.0) + math.sin(1.0), math.cos(1.0) - math.sin(1.0)]
+    assert np.allclose(sol.y[:, -1], exact, rtol=1e-9, atol=0.0)
+
+
+def test_an_exception_in_the_right_hand_side_ends_the_solve():
+    # an exception raised in the extension's callback does not stop DOP853
+    # by itself (such a solve had not returned after 10 s); the forwarder
+    # keeps it, the next accepted step interrupts the integration and
+    # solve_ivp raises it, without calling the right-hand side again
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) == 20:
+            raise ValueError("raised by the right-hand side")
+        return np.array([y[1], -y[0]])
+
+    with pytest.raises(ValueError, match="raised by the right-hand side"):
+        modal.solve_ivp(rhs, (0.0, 1.0), np.ones(2), [0.5, 1.0], 1e-10, 1e-14)
+    assert len(calls) == 20
 
 
 def test_checkpoints_carry_the_step_size():

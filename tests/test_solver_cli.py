@@ -450,24 +450,34 @@ def test_cli_experiments_leave_scipy_subpackages_unimported(tmp_path):
     # DOP853 is loaded without scipy.integrate's package, and every other
     # scipy import waits for its one use: in a fresh interpreter, the CLI runs
     # of scatter, sweep, repcheck and simulate import none of the subpackages
-    # that scipy.integrate's __init__ pulls in.  The cheap repcheck config
-    # (N = 0.1) reaches the Q_k ODE fallback, which imports scipy.integrate
-    # on purpose; a bounded model at N = 1 runs the Q_k series only
+    # that scipy.integrate's __init__ pulls in.  repcheck runs twice: a
+    # bounded model at N = 1 runs the Q_k series only, the CLI-default model
+    # at N = 0.1 (the cheap config) also reaches the Q_k ODE fallback, which
+    # the script asserts
     heavy = ["scipy.integrate", "scipy.special", "scipy.optimize",
              "scipy.interpolate", "scipy.sparse"]
     configs = {**CHEAP_CONFIGS, "repcheck": {
         "model": {"family": "bounded_perturbation", "b0": 2.0, "m0": 0.75,
-                  "c1": 0.5, "p1": 0.5, "c2": 0.5, "p2": 0.5}, "seed": 10543}}
+                  "c1": 0.5, "p1": 0.5, "c2": 0.5, "p2": 0.5}, "seed": 10543},
+        "repcheck_fallback": CHEAP_CONFIGS["repcheck"]}
     runs = []
-    for experiment in ("scatter", "sweep", "repcheck", "simulate"):
-        cfgfile = tmp_path / f"{experiment}.json"
-        cfgfile.write_text(json.dumps(configs[experiment]))
-        runs.append([experiment, "--config", str(cfgfile),
-                     "--out", str(tmp_path / experiment)])
+    for name in ("scatter", "sweep", "repcheck", "repcheck_fallback", "simulate"):
+        cfgfile = tmp_path / f"{name}.json"
+        cfgfile.write_text(json.dumps(configs[name]))
+        runs.append([name.removesuffix("_fallback"), "--config", str(cfgfile),
+                     "--out", str(tmp_path / name)])
     script = (
         "import json, sys\n"
+        "from fuchswave import diagonalize\n"
         "from fuchswave.cli import run_cli\n"
+        "paths, q_propagator = [], diagonalize.q_propagator\n"
+        "def recorded(*args, **kwargs):\n"
+        "    res = q_propagator(*args, **kwargs)\n"
+        "    paths.append(res.path)\n"
+        "    return res\n"
+        "diagonalize.q_propagator = recorded\n"
         f"codes = [run_cli(argv) for argv in {runs!r}]\n"
+        "assert 'ode' in paths, paths\n"
         f"loaded = sorted(m for m in {heavy!r} if m in sys.modules)\n"
         "print(json.dumps([codes, loaded]))\n")
     src = str(Path(fuchswave.__file__).resolve().parents[1])
