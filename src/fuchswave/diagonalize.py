@@ -34,13 +34,13 @@ order r opens the pass at order r + k.  Derivatives are exact jets, never
 finite differences: the pass nests k derivative levels and FD noise would
 compound.
 
-Q_k's Peano-Baker terms are integrated spectrally on Gauss-Legendre panels
-(Greengard, SIAM J. Numer. Anal. 28, 1991).  [s, t] is cut into segments
-in which 1 + tau at most doubles, so one panel resolves the power-law decay
-of the generator, and each segment into equal panels spanning at most 4 rad
-of the phase 2 xi tau, 16 nodes each.  A term's running integral is the
-panel's 16x16 Lagrange-integral matrix applied to the integrand plus the
-running sum of the Gauss-weighted totals of the panels before it.
+Q_k is the time-ordered product of its panels' propagators, Q(t,s) =
+Q(t,r) Q(r,s), each the Peano-Baker series on 16 Gauss-Legendre nodes
+(Greengard, SIAM J. Numer. Anal. 28, 1991), with tail bound e^C C^9 / 9!
+in the panel's generator integral C.  [s, t] is cut into segments in which
+1 + tau at most doubles, so one panel resolves the power-law decay of the
+generator, and each segment into equal panels spanning at most 4 rad of
+the phase 2 xi tau; where the bounds sum too high, panels of large C split.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .coeffs import UnsupportedOrderError
-from .modal import FundamentalMatrix, HorizonError, solve_ivp, spectral_norm
+from .modal import FundamentalMatrix, HorizonError, spectral_norm
+from .modal import solve_ivp  # noqa: F401  the benchmark tracer wraps this name
 from .zones import theta
 
 SQRT2 = math.sqrt(2.0)
@@ -67,10 +68,11 @@ _ZONE_N_XI = 25
 _Q_LIMIT_MAX_STEPS = 48
 # operator_identity_residual: finite-difference step relative to 1+t
 _FD_STEP = 1e-4
-# q_propagator: Peano-Baker terms summed; the bound the series' tail must
-# meet, also the ODE fallback's rtol (its atol is _Q_TOL * 1e-2)
+# q_propagator: Peano-Baker terms summed per panel; the bound the panels'
+# summed tail bounds must meet, and the refinement rounds allowed to meet it
 _Q_DEPTH = 8
-_Q_TOL = 1e-9
+_Q_TOL = 1e-11
+_Q_ROUNDS = 4
 # q_propagator: nodes per q_generator call; bounds the hierarchy's
 # (order+1, 2, 2, nodes) temporaries whatever the grid length
 _Q_CHUNK = 8192
@@ -193,9 +195,6 @@ class DiagonalizationStage:
 
     def N_total(self, t, xi):
         return _at(t, _sweeps(self.model, xi, t, self.k, 0, with_B=False).N[0])
-
-    def B_k_at(self, t, xi):
-        return _at(t, _sweeps(self.model, xi, t, self.k, 0, with_B=True).B[0])
 
     def q_generator(self, t, xi):
         """F_{k-1} - F^(0) + R_k, the generator driving Q_k before phase
@@ -330,7 +329,7 @@ class QResult:
     t: float
     xi: float
     k: int
-    path: str            # "series" or "ode"
+    path: str            # "series", or "limit" from q_limit
     series_depth: int
     C_total: float
     tail_bound: float
@@ -342,23 +341,9 @@ class QResult:
 def _conjugated_generator(stage, taus, anchor, xi):
     G = stage.q_generator(taus, xi)
     phase = np.exp(-2j * (np.asarray(taus) - anchor) * xi)
-    G = G.copy()
     G[..., 0, 1] *= phase
     G[..., 1, 0] *= np.conj(phase)
     return G
-
-
-def _sampled_generator(stage, taus, anchor, xi):
-    """The conjugated generator on a grid, entrywise as a contiguous (2, 2, n)
-    array, and its spectral norms; evaluated _Q_CHUNK nodes at a time, which
-    is exact because the hierarchy is pointwise in tau."""
-    G = np.empty((2, 2, taus.size), dtype=complex)
-    norms = np.empty(taus.size)
-    for lo in range(0, taus.size, _Q_CHUNK):
-        part = _conjugated_generator(stage, taus[lo:lo + _Q_CHUNK], anchor, xi)
-        norms[lo:lo + _Q_CHUNK] = _norm2(part)
-        G[:, :, lo:lo + _Q_CHUNK] = part.transpose(1, 2, 0)
-    return G, norms
 
 
 @functools.cache
@@ -379,40 +364,60 @@ def _gauss_rule():
 
 
 def _panel_layout(s, t, xi):
-    """q_propagator's panel layout on [s, t]: the edges of the segments in
-    which 1 + tau at most doubles, and how many equal panels, each spanning
-    at most _PANEL_PHASE of 2 xi tau, cut each segment."""
+    """q_propagator's panels on [s, t], their left ends and half-widths: the
+    segments in which 1 + tau at most doubles, each cut into equal panels
+    spanning at most _PANEL_PHASE of 2 xi tau."""
     n_seg = max(1, math.ceil(math.log2((1.0 + t) / (1.0 + s))))
     edges = np.minimum((1.0 + s) * 2.0 ** np.arange(n_seg + 1.0) - 1.0, t)
     edges[0], edges[-1] = s, t
     counts = np.maximum(1, np.ceil(2.0 * xi * np.diff(edges) / _PANEL_PHASE)).astype(int)
-    return edges, counts
+    lo = [np.linspace(a, b, c, endpoint=False) for a, b, c in zip(edges, edges[1:], counts)]
+    return np.concatenate(lo), np.repeat(np.diff(edges) / (2.0 * counts), counts)
 
 
-def _gauss_panels(edges, counts):
-    """The layout's Gauss-Legendre nodes, panel by panel, and the panels'
-    half-widths."""
-    lo = np.concatenate([np.linspace(a, b, c, endpoint=False)
-                         for a, b, c in zip(edges[:-1], edges[1:], counts)])
-    hw = np.repeat(np.diff(edges) / (2.0 * counts), counts)
-    return ((lo + hw)[:, None] + hw[:, None] * _gauss_rule()[0]).ravel(), hw
+def _panel_series(stage, lo, hw, anchor, xi):
+    """Each panel's Q_k over [lo, lo + 2 hw] less I by its own Peano-Baker
+    series, (panels, 2, 2), its generator integral C_p, and the sum of the
+    panels' first terms; _Q_CHUNK nodes at a time.  term_j(tau) = int_lo^tau
+    i G term_{j-1} from term_0 = I, G term as 8 entrywise vector products."""
+    x, w, S = _gauss_rule()
+    D = np.empty((lo.size, 2, 2), dtype=complex)
+    C = np.empty(lo.size)
+    T = 0.0
+    step = _Q_CHUNK // _GAUSS_NODES
+    for a in range(0, lo.size, step):
+        h = hw[a:a + step]
+        taus = ((lo[a:a + step] + h)[:, None] + h[:, None] * x).ravel()
+        G = _conjugated_generator(stage, taus, anchor, xi)
+        C[a:a + step] = (_norm2(G).reshape(h.size, -1) @ w) * h
+        G = G.transpose(1, 2, 0).reshape(2, 2, h.size, _GAUSS_NODES)
+        Dp = np.zeros((2, 2, h.size), dtype=complex)
+        term = np.eye(2)[:, :, None, None]
+        for j in range(_Q_DEPTH):
+            f = 1j * (G[:, :1] * term[:1] + G[:, 1:] * term[1:])
+            Dp += (f @ w) * h
+            term = (f @ S.T) * h[:, None]
+            if j == 0:
+                T = T + Dp.sum(axis=-1)
+        D[a:a + step] = Dp.transpose(2, 0, 1)
+    return D, C, T
 
 
-def _panel_sum(norms, hw):
-    """The panel rule's integral of a function sampled at its nodes."""
-    return float(norms.reshape(hw.size, -1) @ _gauss_rule()[1] @ hw)
+def _ordered_product(D):
+    """(I + D[n-1]) ... (I + D[0]) - I by a pairwise tree of (I + A)(I + B) - I
+    = A + B + A B, in which small parts keep their precision."""
+    while len(D) > 1:
+        A, B = D[1::2], D[:-1:2]
+        D = np.concatenate([A + B + A @ B, D[len(D) - len(D) % 2:]])
+    return D[0]
 
 
-def q_propagator(stage, s, t, xi, max_grid=400_000, q0=None, anchor=None):
-    """Q_k(t,s,xi) by the Peano-Baker series truncated after _Q_DEPTH terms,
-    with factorial tail bound; falls back to integrating D_t Q = R Q by
-    modal's DOP853 driver (solve_ivp) when the bound exceeds _Q_TOL or the
-    panel rule would need more than max_grid nodes.  The series integrates
-    on Gauss-Legendre panels (module docstring): 16 nodes per at most 4 rad
-    of 2 xi (t - s), within segments where 1 + tau at most doubles.
-    C_total is the Gauss-weighted sum of the generator's norms; the ODE path
-    takes it on one panel a segment.  `anchor` keeps the phase reference
-    fixed when a long run is split into segments."""
+def q_propagator(stage, s, t, xi, q0=None, anchor=None):
+    """Q_k(t,s,xi) as the time-ordered product of the panels' propagators
+    (module docstring).  Where their tail bounds sum above _Q_TOL, panels of
+    generator integral C_p above a common cap split into pieces within it,
+    for at most _Q_ROUNDS rounds.  C_total is the sum of the C_p.  `anchor`
+    keeps the phase reference fixed when a long run is split into segments."""
     if t < s:
         raise ValueError("need t >= s")
     anchor = s if anchor is None else anchor
@@ -420,62 +425,56 @@ def q_propagator(stage, s, t, xi, max_grid=400_000, q0=None, anchor=None):
     if t == s:
         return QResult(q0.copy(), s, t, xi, stage.k, "series", 0, 0.0, 0.0)
 
-    edges, counts = _panel_layout(s, t, xi)
-    if _GAUSS_NODES * counts.sum() <= max_grid:
-        taus, hw = _gauss_panels(edges, counts)
-        G, norms = _sampled_generator(stage, taus, anchor, xi)
-        C_total = _panel_sum(norms, hw)
-        tail = math.exp(C_total) * C_total ** (_Q_DEPTH + 1) / math.factorial(_Q_DEPTH + 1)
+    lo, hw = _panel_layout(s, t, xi)
+    D, C, T = _panel_series(stage, lo, hw, anchor, xi)
+    fact = math.factorial(_Q_DEPTH + 1)
+    for rounds in range(_Q_ROUNDS + 1):
+        tail = float(np.sum(np.exp(C) * C ** (_Q_DEPTH + 1))) / fact
         if tail <= _Q_TOL:
-            # term_j(tau) = int_s^tau i G term_{j-1} from term_0 = I, each
-            # product G term as 8 entrywise vector products over the
-            # (panel, node) grid; a panel's running integral starts from the
-            # totals of the panels before it
-            G = G.reshape(2, 2, hw.size, _GAUSS_NODES)
-            _, w, S = _gauss_rule()
-            Q = np.eye(2, dtype=complex)
-            term = np.eye(2)[:, :, None, None]
-            for _ in range(_Q_DEPTH):
-                f = 1j * (G[:, :1] * term[:1] + G[:, 1:] * term[1:])
-                totals = (f @ w) * hw
-                ends = np.cumsum(totals, axis=-1)
-                term = (f @ S.T) * hw[:, None] + (ends - totals)[..., None]
-                Q += ends[..., -1]
-            return QResult(Q @ q0, s, t, xi, stage.k, "series", _Q_DEPTH, C_total, tail)
-    # direct integration path: Q as the real state of 8 floats, the float
-    # view of its complex entries
-    def rhs(tau, y):
-        Gt = _conjugated_generator(stage, np.array([tau]), anchor, xi)[0]
-        return (1j * Gt @ y.view(complex).reshape(2, 2)).ravel().view(float)
+            # first order before the rest, so I + D rounds as a term-by-term sum
+            Q = (q0 + T @ q0) + (_ordered_product(D) - T) @ q0
+            return QResult(Q, s, t, xi, stage.k, "series", _Q_DEPTH, float(C.sum()), tail)
+        if rounds == _Q_ROUNDS:
+            raise HorizonError(f"Q_k tail bound above {_Q_TOL:g} at (s={s:g}, t={t:g}, xi={xi:g})")
+        # pieces with C_p <= cap sum to at most C_total e^cap cap^8 / 9!
+        cap = min(1.0, (_Q_TOL * fact / (math.e * C.sum())) ** (1.0 / _Q_DEPTH))
+        n = np.maximum(1, np.ceil(C / cap)).astype(int)
+        hw = np.repeat(hw / n, n)
+        lo = np.repeat(lo, n) + 2.0 * hw * (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+        D, C, new = np.repeat(D, n, axis=0), np.repeat(C, n), np.repeat(n > 1, n)
+        D[new], C[new], _ = _panel_series(stage, lo[new], hw[new], anchor, xi)
 
-    sol = solve_ivp(rhs, (s, t), q0.astype(complex).ravel().view(float), [t],
-                    _Q_TOL, _Q_TOL * 1e-2)
-    if not sol.success:
-        raise HorizonError(sol.message)
-    # C_total (bound bookkeeping only) by the panel rule with one panel a
-    # segment: conjugation by the phase leaves the generator's norm unchanged
-    taus, hw = _gauss_panels(*_panel_layout(s, t, 0.0))
-    C_total = _panel_sum(_norm2(_conjugated_generator(stage, taus, anchor, xi)), hw)
-    return QResult(sol.y[:, -1].view(complex).reshape(2, 2), s, t, xi, stage.k, "ode", 0,
-                   C_total, 0.0)
+
+def _diagonal_step(stage, s, t, xi, q0):
+    """diag(e^{i int G_aa}) q0, the Q_k(t,s,xi) q0 of G's diagonal part, with
+    tail bound e^{2C} int max(|G_12|, |G_21|) on its distance from Q_k q0 by
+    Duhamel's formula; one panel a segment, as the phase moves no |G_ab|."""
+    lo, hw = _panel_layout(s, t, 0.0)
+    G = stage.q_generator(((lo + hw)[:, None] + hw[:, None] * _gauss_rule()[0]).ravel(), xi)
+    w = (hw[:, None] * _gauss_rule()[1]).ravel()
+    C, off = float(w @ _norm2(G)), float(w @ np.maximum(abs(G[:, 0, 1]), abs(G[:, 1, 0])))
+    return QResult(np.exp(1j * np.einsum("n,naa->a", w, G))[:, None] * q0, s, t, xi,
+                   stage.k, "series", 0, C, math.exp(2.0 * C) * off)
 
 
 def q_limit(stage, s, xi, tol=1e-8, t_start=None, growth=2.0):
     """Q_k(inf,s,xi) by advancing t until successive amplifications differ by
-    less than tol (Cauchy criterion on the convergent series)."""
+    less than tol (Cauchy criterion on the convergent series).  A step whose
+    generator is diagonal to within tol/100 (`_diagonal_step`) costs one
+    panel instead of q_propagator's panels in proportion to the phase."""
     t = max(2.0 * s, s + 4.0 / max(xi, 1e-12)) if t_start is None else t_start
     res = q_propagator(stage, s, t, xi)
-    Q = res.matrix
-    C_acc = res.C_total
+    Q, C_acc = res.matrix, res.C_total
     for _ in range(_Q_LIMIT_MAX_STEPS):
         t_next = t * growth
-        seg = q_propagator(stage, t, t_next, xi, q0=Q, anchor=s)
-        Q_next = seg.matrix
+        seg = _diagonal_step(stage, t, t_next, xi, Q)
+        if seg.tail_bound > 1e-2 * tol:
+            seg = q_propagator(stage, t, t_next, xi, q0=Q, anchor=s)
         C_acc += seg.C_total
-        if spectral_norm(Q_next - Q) < tol:
-            return QResult(Q_next, s, math.inf, xi, stage.k, "limit",
+        if spectral_norm(seg.matrix - Q) < tol:
+            return QResult(seg.matrix, s, math.inf, xi, stage.k, "limit",
                            res.series_depth, C_acc, seg.tail_bound)
-        Q, t = Q_next, t_next
+        Q, t = seg.matrix, t_next
     raise HorizonError(
         f"Q_k did not settle within {_Q_LIMIT_MAX_STEPS} doublings (last t={t:g})")
 

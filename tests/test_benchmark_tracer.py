@@ -5,6 +5,8 @@ change fail the test suite instead."""
 
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -51,10 +53,10 @@ def test_benchmark_tracer_counts_the_q_quadrature(monkeypatch):
     assert metrics["diagonalize.symbol_s"] > 0.0
 
 
-def test_benchmark_tracer_counts_the_q_fallback_as_diagonalize(monkeypatch):
-    # diagonalize.solve_ivp is modal's driver, imported by name; the tracer
-    # wraps that name, so the Q_k ODE fallback's right-hand-side calls count
-    # as diagonalize's, and modal's solve count stays 0
+def test_benchmark_tracer_counts_refined_q_panels_as_quadrature_nodes(monkeypatch):
+    # the bound summed over this span's 16-node panels exceeds q_propagator's
+    # target, so it splits the panels where the generator is large and
+    # samples them again; every sampled node counts, and no ODE solve runs
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
@@ -64,13 +66,24 @@ def test_benchmark_tracer_counts_the_q_fallback_as_diagonalize(monkeypatch):
 
     model = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
     stage = diagonalize.build_stage(model, 2, ZoneConfig(N=1.0))
-    tracer = Tracer("q_fallback")
+    s, t, xi = 0.0, 100.0, 1.5
+    sampled, q_generator = [], diagonalize.DiagonalizationStage.q_generator
+
+    def recorded(self, taus, xi):
+        sampled.append(np.size(taus))
+        return q_generator(self, taus, xi)
+
+    monkeypatch.setattr(diagonalize.DiagonalizationStage, "q_generator", recorded)
+    tracer = Tracer("q_refined")
     try:
         tracer.install()
-        res = diagonalize.q_propagator(stage, 0.0, 10.0, 2.0, max_grid=10)
+        res = diagonalize.q_propagator(stage, s, t, xi)
     finally:
         tracer.uninstall()
-    assert res.path == "ode"
+    assert res.path == "series"
+    assert res.tail_bound <= 1e-11
     metrics = tracer.layer_metrics()
-    assert metrics["diagonalize.ode_rhs_calls"] > 0
+    assert metrics["diagonalize.ode_rhs_calls"] == 0
     assert metrics["modal.ivp_calls"] == 0
+    assert metrics["diagonalize.q_nodes"] == sum(sampled)
+    assert sum(sampled) > 16 * diagonalize._panel_layout(s, t, xi)[0].size

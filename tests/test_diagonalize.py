@@ -18,6 +18,7 @@ from fuchswave.diagonalize import (M_ROT, M_ROT_INV,
 from fuchswave.modal import (FORM_HYP, ModalSystem, integrate_fundamental,
                              spectral_norm, weighted_propagator)
 from fuchswave.zones import ZoneConfig, theta
+from oracles import integrate_q
 
 CFG = ZoneConfig(N=1.0)
 FREE = CoefficientModel(b0=0.0, m0=0.0)
@@ -65,7 +66,7 @@ def test_free_case_hierarchy_vanishes():
     stage = build_stage(FREE, 2, CFG)
     for part in stage.N_parts + stage.F_parts:
         assert spectral_norm(part.eval(7.0, 1.5)) == 0.0
-    assert spectral_norm(stage.B_k_at(7.0, 1.5)) == 0.0
+    assert spectral_norm(stage.B_k.eval(7.0, 1.5)) == 0.0
 
 
 @pytest.mark.parametrize("model", [EX31, example_log(2.0, 0.5, b1=0.3, m1=0.1, gamma=0.9)],
@@ -153,15 +154,17 @@ def test_q_propagator_identity_and_free():
 
 
 def test_q_propagator_paths_agree():
-    stage = build_stage(EX31, 2, CFG)
-    a = q_propagator(stage, 1.0, 200.0, 2.0)
-    b = q_propagator(stage, 1.0, 200.0, 2.0, max_grid=10)
-    assert a.path == "series" and b.path == "ode"
-    assert spectral_norm(a.matrix - b.matrix) < 1e-9
-    assert a.tail_bound < 1e-9
-    # both paths take C_total by the panel rule; the generator's norm does
-    # not see the phase, so the fallback's one panel a segment suffices
-    assert abs(b.C_total - a.C_total) <= 1e-12 * a.C_total
+    # (s, t, xi, zone constant N, sweeps k): a point at N = 1 and three whose
+    # one-pass series bound over the whole span exceeded 1e-9, among them the
+    # repcheck defaults' points at N = 0.1
+    for s, t, xi, N, k in [(1.0, 200.0, 2.0, 1.0, 2), (0.0, 100.0, 1.5, 1.0, 2),
+                           (4.611275882562849, 292.7033284055535, 0.2038254575079694, 0.1, 2),
+                           (3.6010993514066114, 245.8479806443042, 0.29277145029938617, 0.1, 2)]:
+        stage = build_stage(EX31, k, ZoneConfig(N=N))
+        a = q_propagator(stage, s, t, xi)
+        assert a.path == "series"
+        assert spectral_norm(a.matrix - integrate_q(stage, s, t, xi)) < 1e-9
+        assert a.tail_bound < 1e-9
 
 
 def _panel_reference(stage, s, t, xi, depth=8):
@@ -253,10 +256,12 @@ def test_q_series_is_the_limit_of_simpson_grids(s, t, xi):
 
 
 def test_q_series_memory_is_flat_in_the_grid():
-    # 8,784 and 95,040 nodes; the hierarchy evaluated on the whole grid at
-    # once peaked at about 170 MB for 108,909 nodes
+    # 8,784, 95,040 and 393,216 nodes, the last a q_limit segment; the
+    # hierarchy evaluated on the whole grid at once peaked at about 170 MB for
+    # 108,909 nodes, and a series summed over the whole grid at 137 MB for
+    # 393,216
     stage = build_stage(EX31, 2, CFG)
-    for s, t, xi in ((10.0, 1000.0, 1.1), (10.0, 1000.0, 12.0)):
+    for s, t, xi in ((10.0, 1000.0, 1.1), (10.0, 1000.0, 12.0), (24576.0, 49152.0, 2.0)):
         tracemalloc.start()
         try:
             res = q_propagator(stage, s, t, xi)
