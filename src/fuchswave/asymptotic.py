@@ -7,13 +7,16 @@ construction by Picard iteration on the split integral equation, and the
 Hartman-Wintner remainder reduction that trades an L^sigma remainder for an
 L^max(sigma/2,1) one.
 
-All integrals live on the logarithmic variable x = ln t, the natural
-variable of the dt/t measure; improper upper limits are truncated at the
-horizon with a fitted-decay tail estimate added to the error budget.
+A system is evaluated on an array of times: mu(ts) has shape ts.shape + (d,)
+and R(ts) shape ts.shape + (d, d), so every construction samples it once on
+its grid.  All integrals live on the logarithmic variable x = ln t, the
+natural variable of the dt/t measure; improper upper limits are truncated at
+the horizon with a fitted-decay tail estimate added to the error budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +33,8 @@ class DichotomyViolationError(RuntimeError):
 _PICARD_MAX_ITER = 60
 # check_dichotomy: log-grid points on [1, T]
 _DICHOTOMY_SAMPLES = 1200
+# remainder_log_integral: log-grid points on [t0, T]
+_REMAINDER_SAMPLES = 2000
 # hw_identity_residual: centered-difference step in x = ln t
 _HW_FD_STEP = 1e-4
 
@@ -46,25 +51,42 @@ class NeedsLargerStartError(RuntimeError):
 class FuchsSystem:
     """Diagonal part and remainder of t V' = (D + R)V.
 
-    mu(t) returns the d diagonal entries, R(t) the d x d remainder.
-    Both must accept scalar t; mu may be constant in t.
+    Both take an array of times ts: mu(ts) returns the d diagonal entries at
+    each time, shape ts.shape + (d,), and R(ts) the d x d remainders, shape
+    ts.shape + (d, d); a scalar t gives one vector and one matrix.
     """
 
     dimension: int
     mu: callable
     R: callable
 
-    def mu_at(self, t):
-        return np.asarray(self.mu(t), dtype=complex)
 
-    def R_at(self, t):
-        return np.asarray(self.R(t), dtype=complex)
+def _cumulative_trapezoid(vals, xs):
+    """int_{x_0}^{x_a} vals dx at every grid point x_a (trapezoid rule along
+    the first axis of vals)."""
+    steps = np.diff(xs).reshape((-1,) + (1,) * (vals.ndim - 1))
+    return np.concatenate((np.zeros_like(vals[:1]),
+                           np.cumsum((vals[1:] + vals[:-1]) / 2.0 * steps, axis=0)))
 
 
-def remainder_log_integral(sys, t0, T, n=2000):
+def _log_interp(t, xs, vals):
+    """vals, sampled along its first axis at the log times xs, interpolated
+    linearly in x = ln t at the times t (any shape; constant past the ends)."""
+    x = np.log(np.asarray(t, dtype=float))
+    entries = [np.interp(x, xs, v.real) + 1j * np.interp(x, xs, v.imag)
+               for v in vals.reshape(len(xs), -1).T]
+    return np.stack(entries, axis=-1).reshape(x.shape + vals.shape[1:])
+
+
+def _diagonal_part(R):
+    """diag(diag R) for each matrix of the stack R."""
+    return R * np.eye(R.shape[-1])
+
+
+def remainder_log_integral(sys, t0, T):
     """int_{t0}^{T} ||R(t)|| dt/t on a log grid (trapezoid in x = ln t)."""
-    xs = np.linspace(math.log(t0), math.log(T), n)
-    vals = np.array([np.linalg.norm(sys.R_at(math.exp(x)), 2) for x in xs])
+    xs = np.linspace(math.log(t0), math.log(T), _REMAINDER_SAMPLES)
+    vals = np.linalg.norm(sys.R(np.exp(xs)), 2, axis=(-2, -1))
     return float(np.trapezoid(vals, xs)), xs, vals
 
 
@@ -107,11 +129,11 @@ def check_dichotomy(sys, pair, T):
     if i == j:
         raise ValueError("dichotomy concerns a pair of distinct indices")
     xs = np.linspace(0.0, math.log(T), _DICHOTOMY_SAMPLES)
-    diff = np.array([(sys.mu_at(math.exp(x))[i] - sys.mu_at(math.exp(x))[j]).real
-                     for x in xs])
+    mus = np.asarray(sys.mu(np.exp(xs)), dtype=complex)
+    diff = (mus[:, i] - mus[:, j]).real
     re_lo = diff.min()
     re_hi = diff.max()
-    trace = np.concatenate(([0.0], np.cumsum((diff[1:] + diff[:-1]) / 2.0 * np.diff(xs))))
+    trace = _cumulative_trapezoid(diff, xs)
     # an alternative fails when the running extreme keeps drifting,
     # segment over segment, by a non-trivial amount
     segs = np.array_split(trace, 6)
@@ -156,16 +178,9 @@ class LevinsonSolution:
     def __call__(self, t):
         # interpolate the normalized factor and the exponent separately; for
         # constant exponents this reproduces exact powers of t
-        x = np.log(np.asarray(t, dtype=float))
         xs = np.log(self.grid_t)
-        out = np.empty(x.shape + (self.values.shape[1],), dtype=complex)
-        expo = (np.interp(x, xs, self.mu_k_integral.real)
-                + 1j * np.interp(x, xs, self.mu_k_integral.imag))
-        for c in range(self.values.shape[1]):
-            z = (np.interp(x, xs, self.normalized[:, c].real)
-                 + 1j * np.interp(x, xs, self.normalized[:, c].imag))
-            out[..., c] = z * np.exp(expo)
-        return out
+        expo = _log_interp(t, xs, self.mu_k_integral)
+        return _log_interp(t, xs, self.normalized) * np.exp(expo)[..., None]
 
 
 def _cumulative_kernel(delta, g, xs):
@@ -193,12 +208,10 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
     xs = np.linspace(math.log(t0), math.log(T), n)
     ts = np.exp(xs)
 
-    mus = np.array([sys.mu_at(t) for t in ts])               # (n, d)
-    Rs = np.array([sys.R_at(t) for t in ts])                 # (n, d, d)
+    mus = np.asarray(sys.mu(ts), dtype=complex)              # (n, d)
+    Rs = np.asarray(sys.R(ts), dtype=complex)                # (n, d, d)
     rel = mus - mus[:, k][:, None]                           # mu_i - mu_k
-    # delta_i(x) = int (mu_i - mu_k) dx, cumulative trapezoid
-    delta = np.zeros_like(rel)
-    delta[1:] = np.cumsum((rel[1:] + rel[:-1]) / 2.0 * np.diff(xs)[:, None], axis=0)
+    delta = _cumulative_trapezoid(rel, xs)                   # int (mu_i - mu_k) dx
 
     # splitting: decaying relative exponents go to the forward part
     mean_re = np.trapezoid(rel.real, xs, axis=0) / (xs[-1] - xs[0])
@@ -217,8 +230,7 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
     if total_tail >= 1.0 / (2.0 * (c_minus + c_plus)):
         # retry from a later start where the remainder tail is small enough
         cutoff = None
-        run = np.concatenate(([0.0], np.cumsum((norm_R[1:] + norm_R[:-1]) / 2.0 * np.diff(xs))))
-        remaining = base_integral - run + tail
+        remaining = base_integral - _cumulative_trapezoid(norm_R, xs) + tail
         ok = np.flatnonzero(remaining < 1.0 / (2.0 * (c_minus + c_plus)))
         if ok.size and ok[0] < n - 10:
             cutoff = ok[0]
@@ -256,8 +268,7 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
         raise HorizonError(
             f"Picard iteration did not reach {tol} in {_PICARD_MAX_ITER} sweeps")
 
-    muk_int = np.concatenate(
-        ([0.0], np.cumsum((mus[1:, k] + mus[:-1, k]) / 2.0 * np.diff(xs))))
+    muk_int = _cumulative_trapezoid(mus[:, k], xs)
     V = Z * np.exp(muk_int)[:, None]
     residual = np.linalg.norm(Z - ek, axis=1)
     return LevinsonSolution(
@@ -269,7 +280,8 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
 
 @dataclass
 class HWTransform:
-    """Change of unknown (I + N) removing the off-diagonal L^sigma remainder."""
+    """Change of unknown (I + N) removing the off-diagonal L^sigma remainder;
+    N_matrix(ts) and B_matrix(ts) take arrays of times, as a FuchsSystem does."""
 
     N_matrix: callable
     B_matrix: callable
@@ -277,7 +289,6 @@ class HWTransform:
     grid_t: np.ndarray
     N_norms: np.ndarray
     tail_bound: float
-    ordering: tuple
 
 
 def hartman_wintner(sys, sigma, t0, horizon, n=4000):
@@ -292,51 +303,27 @@ def hartman_wintner(sys, sigma, t0, horizon, n=4000):
     d = sys.dimension
     xs = np.linspace(math.log(t0), math.log(horizon), n)
     ts = np.exp(xs)
-    mus = np.array([sys.mu_at(t) for t in ts])
-    Rs = np.array([sys.R_at(t) for t in ts])
-    Fs = np.array([np.diag(np.diag(R)) for R in Rs])
-    Rt = Rs - Fs                                             # off-diagonal part
-
-    # proof-convention ordering: ascending real parts, recorded explicitly
-    order = tuple(np.argsort(np.mean(mus.real, axis=0)))
-
-    # strong dichotomy with a uniform margin
-    margins = {}
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            diff = mus[:, i].real - mus[:, j].real
-            if diff.min() > 0:
-                margins[(i, j)] = ("plus", float(diff.min()))
-            elif diff.max() < 0:
-                margins[(i, j)] = ("minus", float(-diff.max()))
-            else:
-                raise DichotomyViolationError(
-                    f"pair {(i, j)}: Re(mu_i - mu_j) changes sign or vanishes")
-    delta_margin = min(m for _, m in margins.values())
-    if delta_margin <= 0:
-        raise DichotomyViolationError("strong dichotomy margin is not positive")
-
-    # delta_ij(x) = int (mu_i - mu_j) dx and the Duhamel kernels
-    N_grid = np.zeros((n, d, d), dtype=complex)
+    mus = np.asarray(sys.mu(ts), dtype=complex)
+    Rs = np.asarray(sys.R(ts), dtype=complex)
+    Rt = Rs - _diagonal_part(Rs)                             # off-diagonal part
+    # delta_ij(x) = int (mu_i - mu_j) dx and the Duhamel kernels, each pair
+    # under a strong dichotomy: Re(mu_i - mu_j) of one sign on the whole grid
+    delta = _cumulative_trapezoid(mus[:, :, None] - mus[:, None, :], xs)
+    N_grid = np.zeros_like(Rs)
     tail_total = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            diff = mus[:, i] - mus[:, j]
-            delta = np.zeros(n, dtype=complex)
-            delta[1:] = np.cumsum((diff[1:] + diff[:-1]) / 2.0 * np.diff(xs))
-            g = Rt[:, i, j]
-            kind, _ = margins[(i, j)]
-            if kind == "plus":
-                # n_ij = -e^{delta(t)} int_t^inf e^{-delta} r dx, truncated at T
-                N_grid[:, i, j] = -_cumulative_kernel(delta[::-1], g[::-1], -xs[::-1])[::-1]
-                tail_total = max(tail_total,
-                                 float(abs(g[-1])) / margins[(i, j)][1])
-            else:
-                N_grid[:, i, j] = _cumulative_kernel(delta, g, xs)
+    for i, j in itertools.permutations(range(d), 2):
+        diff = mus[:, i].real - mus[:, j].real
+        g = Rt[:, i, j]
+        if diff.min() > 0:
+            # n_ij = -e^{delta(t)} int_t^inf e^{-delta} r dx, truncated at T
+            N_grid[:, i, j] = -_cumulative_kernel(delta[::-1, i, j], g[::-1],
+                                                  -xs[::-1])[::-1]
+            tail_total = max(tail_total, float(abs(g[-1])) / float(diff.min()))
+        elif diff.max() < 0:
+            N_grid[:, i, j] = _cumulative_kernel(delta[:, i, j], g, xs)
+        else:
+            raise DichotomyViolationError(
+                f"pair {(i, j)}: Re(mu_i - mu_j) changes sign or vanishes")
     N_norms = np.linalg.norm(N_grid, ord=2, axis=(1, 2))
 
     ok = N_norms < 0.5
@@ -347,51 +334,31 @@ def hartman_wintner(sys, sigma, t0, horizon, n=4000):
     bad = np.flatnonzero(~ok)
     valid_from = float(ts[bad[-1] + 1 if bad.size else 0])
 
-    def interp_mat(grid_vals):
-        def f(t):
-            x = math.log(t)
-            out = np.empty((d, d), dtype=complex)
-            for i in range(d):
-                for j in range(d):
-                    out[i, j] = (np.interp(x, xs, grid_vals[:, i, j].real)
-                                 + 1j * np.interp(x, xs, grid_vals[:, i, j].imag))
-            return out
-        return f
-
-    N_of = interp_mat(N_grid)
-
-    def F_of(t):
-        return np.diag(np.diag(sys.R_at(t)))
+    def N_of(t):
+        return _log_interp(t, xs, N_grid)
 
     def B_of(t):
-        Nt = N_of(t)
-        return Nt @ F_of(t) - sys.R_at(t) @ Nt
-
-    transform = HWTransform(
-        N_matrix=N_of, B_matrix=B_of, valid_from=valid_from,
-        grid_t=ts, N_norms=N_norms, tail_bound=tail_total, ordering=order,
-    )
+        Nt, R = N_of(t), sys.R(t)
+        return Nt @ _diagonal_part(R) - R @ Nt
 
     def mu_new(t):
-        return sys.mu_at(t) + np.diag(sys.R_at(t))
+        return sys.mu(t) + np.diagonal(sys.R(t), axis1=-2, axis2=-1)
 
     def R_new(t):
-        Nt = N_of(t)
-        return np.linalg.solve(np.eye(d) + Nt, B_of(t))
+        return np.linalg.solve(np.eye(d) + N_of(t), B_of(t))
 
-    transformed = FuchsSystem(dimension=d, mu=mu_new, R=R_new)
-    return transform, transformed
+    transform = HWTransform(N_matrix=N_of, B_matrix=B_of, valid_from=valid_from,
+                            grid_t=ts, N_norms=N_norms, tail_bound=tail_total)
+    return transform, FuchsSystem(dimension=d, mu=mu_new, R=R_new)
 
 
 def hw_identity_residual(sys, transform, t):
     """Defect of t N' - (DN - ND) - (R - diag R) at time t, with t N'
     evaluated by a centered difference in x = ln t."""
     x, h = math.log(t), _HW_FD_STEP
-    Np = transform.N_matrix(math.exp(x + h))
-    Nm = transform.N_matrix(math.exp(x - h))
+    Np, Nm = transform.N_matrix(np.exp([x + h, x - h]))
     tNprime = (Np - Nm) / (2.0 * h)
     Nt = transform.N_matrix(t)
-    D = np.diag(sys.mu_at(t))
-    R = sys.R_at(t)
-    Rt = R - np.diag(np.diag(R))
-    return float(np.linalg.norm(tNprime - (D @ Nt - Nt @ D) - Rt, 2))
+    D = np.diag(sys.mu(t))
+    R = sys.R(t)
+    return float(np.linalg.norm(tNprime - (D @ Nt - Nt @ D) - (R - _diagonal_part(R)), 2))

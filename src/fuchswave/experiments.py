@@ -309,8 +309,9 @@ def run_moments(cfg):
 
 def modal_fuchs_system(model, config, xi, zero_extended=True):
     """The slow-zone Fuchs form diagonalised by the constant eigenbasis,
-    shifted to the t >= 1 clock of the asymptotic library.  Exponents are
-    ordered by ascending real part (recorded permutation convention)."""
+    shifted to the t >= 1 clock of the asymptotic library and evaluated on
+    arrays of times.  Exponents are ordered by ascending real part (recorded
+    permutation convention); with zero_extended, R vanishes past 1 + theta."""
     A = modal.fuchs_constant_matrix(model, config)
     eigvals, vecs = np.linalg.eig(A)
     order = np.argsort(eigvals.real)
@@ -321,13 +322,14 @@ def modal_fuchs_system(model, config, xi, zero_extended=True):
     th = zones.theta(config, xi)
 
     def mu(t):
-        return eigvals
+        return np.broadcast_to(eigvals, np.shape(t) + (2,))
 
     def R(t):
         tm = t - 1.0
-        if zero_extended and tm > th:
-            return np.zeros((2, 2), dtype=complex)
-        return P_inv @ modal.fuchs_remainder(model, config, tm, xi) @ P
+        R_t = P_inv @ modal.fuchs_remainder(model, config, tm, xi) @ P
+        if zero_extended:
+            R_t = np.where(np.expand_dims(tm > th, (-2, -1)), 0.0, R_t)
+        return R_t
 
     return asymptotic.FuchsSystem(dimension=2, mu=mu, R=R), P, eigvals
 
@@ -366,13 +368,13 @@ def run_hw(cfg):
     ts = transform.grid_t
     window = (ts >= 1e2) & (ts <= cfg.t_final)
     xs = np.log(ts[window])
-    r1 = np.array([np.linalg.norm(reduced.R_at(t), 2) for t in ts[window]])
-    r_sig = np.array([np.linalg.norm(sys.R_at(t), 2) ** sigma for t in ts[window]])
+    r1 = np.linalg.norm(reduced.R(ts[window]), 2, axis=(-2, -1))
+    r_sig = np.linalg.norm(sys.R(ts[window]), 2, axis=(-2, -1)) ** sigma
     l1_tail = float(np.trapezoid(r1, xs))
     sigma_tail = float(np.trapezoid(r_sig, xs))
 
-    diag_N = max(abs(transform.N_matrix(t)[i, i]) for t in (1e1, 1e2, 1e3)
-                 for i in (0, 1))
+    diag_N = np.abs(np.diagonal(transform.N_matrix(np.array([1e1, 1e2, 1e3])),
+                                axis1=-2, axis2=-1)).max()
     tail_norms = transform.N_norms[ts >= math.sqrt(cfg.t_final)]
     decreasing = bool(np.all(np.diff(_decade_maxima(ts[ts >= math.sqrt(cfg.t_final)],
                                                     tail_norms)) <= 0))

@@ -258,11 +258,16 @@ def fuchs_constant_matrix(model, config):
 
 
 def fuchs_remainder(model, config, t, xi_norm):
+    """Remainder R of the slow-zone Fuchs form (1+t) U' = (A + R(t)) U, A the
+    fuchs_constant_matrix, at the times t (a scalar or an array, evaluated
+    through one model.kernel() call): shape t.shape + (2, 2), first row zero."""
     N = config.N
     w = 1.0 + t
-    r21 = 1j * (w * w * xi_norm ** 2 + (w * w * model.m(t) - model.m0)) / N
-    r22 = model.b0 - w * model.b(t)
-    return np.array([[0.0, 0.0], [r21, r22]], dtype=complex)
+    b, m = model.kernel()(t)
+    R = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+    R[..., 1, 0] = 1j * ((w * w * xi_norm ** 2 + (w * w * m - model.m0)) / N)
+    R[..., 1, 1] = model.b0 - w * b
+    return R
 
 
 def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL):

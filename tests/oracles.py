@@ -17,7 +17,7 @@ def integrate_fuchs(sys, a, b, rtol=1e-11):
 
     def rhs(x, y):
         t = math.exp(x)
-        M = np.diag(sys.mu_at(t)) + sys.R_at(t)
+        M = np.diag(sys.mu(t)) + sys.R(t)
         return (M @ y.reshape(d, d)).ravel()
 
     sol = solve_ivp(rhs, (math.log(a), math.log(b)), np.eye(d, dtype=complex).ravel(),

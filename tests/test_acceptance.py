@@ -15,13 +15,12 @@ import pytest
 from fuchswave.cli import run_cli
 from fuchswave.coeffs import (PURE, CoefficientModel, classify_regime,
                               example_bounded, example_log)
-from fuchswave.diagonalize import assemble_representation, build_stage, free_phase
+from fuchswave.diagonalize import build_stage, free_phase, q_propagator
 from fuchswave.estimates import (DataSpec, fit_decay, grid_for_data,
                                  improved_u_bound, radial_grid,
                                  scattering_residual, sharpness_limit)
 from fuchswave.experiments import ExperimentConfig, run_experiment
-from fuchswave.modal import (FORM_HYP, ModalSystem, integrate_fundamental,
-                             propagator_label, scale_invariant_norm_traces,
+from fuchswave.modal import (propagator_label, scale_invariant_norm_traces,
                              spectral_norm)
 from fuchswave.zones import ZoneConfig, theta
 
@@ -113,40 +112,30 @@ def test_criterion_03_hyperbolic_zone_rate():
     assert elapsed < 120.0
 
 
-def _representation_points(seed=20240901, count=20):
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(count):
-        xi = float(np.exp(rng.uniform(math.log(CFG.N), math.log(8.0 * CFG.N))))
-        s = float(rng.uniform(0.0, 50.0))
-        span_hi = min(1e3, 2.5e3 / xi)  # keeps the series grid affordable
-        t = s + float(np.exp(rng.uniform(math.log(10.0), math.log(span_hi))))
-        pts.append((s, t, xi))
-    return pts
-
-
 def test_criterion_04_and_05_representation_identity():
+    # the `fuchswave repcheck` run: EX31, N = 1, steps 2, seed 20240901
     start = time.perf_counter()
+    cfg = ExperimentConfig(experiment="repcheck", model=EX31, zone=CFG, steps=2,
+                           seed=20240901)
+    record = run_experiment(cfg)
+    worst_rel = record.outputs["worst_rel_error"]
+    (name, _, rows), = record.traces
+    assert name == "repcheck_points" and len(rows) == 20
     stage = build_stage(EX31, 2, CFG)
-    worst_rel = 0.0
     det_ok = True
     unit_ok = True
-    for s, t, xi in _representation_points():
-        E_rep = assemble_representation(stage, s, t, xi)
-        sysm = ModalSystem(EX31, CFG, xi, FORM_HYP)
-        E_orc = integrate_fundamental(sysm, s, t, tol=1e-12)
-        rel = spectral_norm(E_rep.entries - E_orc.entries) / E_orc.norm()
-        worst_rel = max(worst_rel, rel)
-        q = E_rep.q
+    for s, t, xi, _ in rows:
+        q = q_propagator(stage, s, t, xi)
         det_ok &= abs(np.linalg.det(q.matrix)) >= q.det_lower_bound() - 1e-12
         E0 = free_phase(t, s, xi)
         unit_ok &= spectral_norm(E0 @ E0.conj().T - np.eye(2)) <= 1e-12
     elapsed = time.perf_counter() - start
-    _report(4, worst_rel <= 1e-6 and elapsed < 60.0,
-            f"20 random points, worst rel error {worst_rel:.2e}", elapsed, 60)
+    _report(4, record.all_pass and worst_rel <= 1e-6 and elapsed < 60.0,
+            f"repcheck's 20 random points, worst rel error {worst_rel:.2e}", elapsed, 60)
     _report(5, det_ok and unit_ok,
             "det Q >= exp(-2 C_total) and unitary phase factor on all points",
             elapsed, 60)
+    assert record.verdicts == {"representation_identity": True}
     assert worst_rel <= 1e-6
     assert det_ok and unit_ok
     assert elapsed < 60.0
