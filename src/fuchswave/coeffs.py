@@ -164,10 +164,10 @@ class CoefficientModel:
         """t -> (b(t), m(t)) from the family's one formula, its constants bound
         once: the coefficient call an ODE right-hand side makes per step.  A
         float time t > -1 runs on Python floats with math.log, several times
-        cheaper than a 0-d array; any other t, and a float whose arithmetic
-        overflows, runs on a float array with np.log, so both give the same
-        nan/inf (at t <= -1 a float power of 1+t would turn complex or divide
-        by zero).  The tabulated family's splines have a float path of their own."""
+        cheaper than a 0-d array, within 2 ulps of it, not bit for bit; other t
+        (a float power of 1+t <= 0 would turn complex or divide by zero), and a
+        float whose arithmetic overflows, run on a float array with np.log.  The
+        tabulated family's splines have a float path of their own, bit for bit."""
         pair = self._formula()
 
         def kernel(t):

@@ -356,6 +356,20 @@ def test_kernel_gives_b_and_m_in_one_call(model):
     assert np.array_equal(b, model.b(np.array(ts))) and np.array_equal(m, model.m(np.array(ts)))
 
 
+@pytest.mark.parametrize("model", _FOUR_FAMILIES[:3], ids=lambda model: model.family)
+def test_kernel_float_and_array_paths_agree_within_2_ulps(model):
+    # the float path (math.log, Python powers) and the array path (np.log,
+    # np.power) round apart at a few hundred of 1e5 log-spaced times, by at
+    # most 2 ulps; the doubles are mapped to integers in their order
+    kernel = model.kernel()
+    ts = np.expm1(np.random.default_rng(3).uniform(0.0, math.log1p(1e6), 100_000))
+    floats = np.array([kernel(t) for t in ts.tolist()]).T
+    arrays = np.array(kernel(ts))
+    ordered = [np.where(i < 0, np.int64(-2 ** 63) - i, i)
+               for i in (floats.view(np.int64), arrays.view(np.int64))]
+    assert np.abs(ordered[0] - ordered[1]).max() <= 2
+
+
 def test_tabulated_value_at_a_float_is_the_splines_bit_for_bit():
     # the float path finds the piece and sums it as scipy's PPoly does:
     # every node, both neighbours of every node, the ends and 1e5 random times

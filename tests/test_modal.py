@@ -206,7 +206,8 @@ def test_batched_traces_match_reference_oracle():
         assert np.allclose(batched[:, j], ref, rtol=1e-7)
         # at xi = 2N the sharp weight is xi for every t >= 0, so the weighted
         # propagator is the hyp_system one, integrated by the single-system
-        # oracle, which shares no code with the batched kernel
+        # oracle: DOP853 throughout on the float right-hand side, where the
+        # batched traces run the buffer one and Hankel's expansion beyond z = 25
         sys = ModalSystem(model, CFG, 2.0, FORM_HYP)
         E = propagator_checkpoints(sys, 0.0, times, rtol=1e-11)
         hyp = np.linalg.svd(E, compute_uv=False)[:, 0]
@@ -388,8 +389,8 @@ def _damped_wave_phi(xi, times, s):
 @pytest.mark.parametrize("n_checkpoints", [1, 120])
 def test_dop853_kernels_match_the_closed_form_damped_wave(xi, n_checkpoints):
     # xi (t - s) = 1000 at rtol 1e-12, the last of n log-spaced checkpoints;
-    # the oracle lands on every one, and the batched kernel (from t = 0)
-    # runs DOP853 throughout, without cells
+    # the oracle (from s) lands on every one, and the kernel from t = 0 runs
+    # DOP853 throughout, without cells
     model = CoefficientModel(b0=2.0, m0=0.0)
     s, span = 3.0, 1000.0 / xi
     offsets = np.geomspace(1.0, 1.0 + span, n_checkpoints + 1)[1:] - 1.0
@@ -409,14 +410,15 @@ def test_dop853_kernels_match_the_closed_form_damped_wave(xi, n_checkpoints):
 
 
 _TS = np.linspace(0.0, 400.0, 801)
-
-
-@pytest.mark.parametrize("model", [
+_ONE_FREQUENCY_MODELS = [
     example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5),
     example_log(2.0, 2.0),
     CoefficientModel(b0=2.0, m0=1.0, family="tabulated",
                      b_table=TabulatedCoefficient.from_columns(_TS, 2.0 / (1.0 + _TS)),
-                     m_table=TabulatedCoefficient.from_columns(_TS, 1.0 / (1.0 + _TS) ** 2))])
+                     m_table=TabulatedCoefficient.from_columns(_TS, 1.0 / (1.0 + _TS) ** 2))]
+
+
+@pytest.mark.parametrize("model", _ONE_FREQUENCY_MODELS)
 def test_oracle_rhs_on_python_floats_matches_the_numpy_scalar_rhs(model, monkeypatch):
     # the oracle's right-hand side unpacks the state into Python floats and
     # returns a list; the same arithmetic on numpy scalars into an array
@@ -441,6 +443,31 @@ def test_oracle_rhs_on_python_floats_matches_the_numpy_scalar_rhs(model, monkeyp
                           rtol=1e-12, atol=1e-16)
     assert sol.success and sol.nfev == solves[0].nfev
     assert np.array_equal(E, weight_conjugation(xi, xi, sol.y.T.reshape(-1, 2, 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("model", _ONE_FREQUENCY_MODELS, ids=lambda model: model.family)
+def test_float_and_buffer_right_hand_sides_agree_bit_for_bit(model, n, monkeypatch):
+    # one frequency's modes with scalar coefficients run on Python floats,
+    # the right-hand side the oracle uses; the same coefficients returned as
+    # one value per mode run in the preallocated buffer, with the same bits
+    kernel = model.kernel()
+    xi = np.full(n, 2.0)
+    y0 = np.eye(2).ravel() if n == 2 else np.array([1.0, 0.5])
+    times = np.array([1.5, 40.0, 300.0])
+    bodies, solve_ivp = [], modal.solve_ivp
+
+    def recorded(fun, t_span, y0, t_eval, rtol, atol):
+        bodies.append(type(fun(t_span[0], y0)))
+        return solve_ivp(fun, t_span, y0, t_eval, rtol, atol)
+
+    monkeypatch.setattr(modal, "solve_ivp", recorded)
+    floats = modal._solve_modes(kernel, xi, y0, times, 1e-12, 1e-16, s=1.0)
+    per_mode = modal._solve_modes(lambda t: tuple(np.full(n, c) for c in kernel(t)),
+                                  xi, y0, times, 1e-12, 1e-16, s=1.0)
+    assert bodies == [list, np.ndarray]
+    for a, b in zip(floats, per_mode):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("per_mode", [False, True])
@@ -732,6 +759,43 @@ def test_a_failing_integration_raises_stiffness_error_at_the_last_checkpoint():
                                np.array([0.5, 1.0]), np.array([1.0, 1.0, 0.0, 0.0]),
                                np.array([1.0, 3.0]), 1e-10, 1e-16)
     assert info.value.t == 1.0 and info.value.xi == 1.0
+
+
+def test_every_solve_runs_through_the_one_mode_kernel(monkeypatch):
+    # the oracle, its self-verification, evolve_state on one band and on
+    # several, and the rate sweeps' traces all solve in _solve_modes
+    callers, spans, solve_ivp = [], [], modal.solve_ivp
+
+    def recorded(fun, t_span, y0, t_eval, rtol, atol):
+        callers.append(sys._getframe(1).f_code)
+        spans.append(t_span)
+        return solve_ivp(fun, t_span, y0, t_eval, rtol, atol)
+
+    monkeypatch.setattr(modal, "solve_ivp", recorded)
+    bounded = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    system = ModalSystem(bounded, CFG, 2.0, FORM_HYP)
+    propagator_checkpoints(system, 1.5, [2.0, 30.0])
+    assert spans == [(1.5, 30.0)]
+    integrate_fundamental(system, 0.5, 20.0, verify=True)
+    evolve_state(bounded, [1.0, 1.5], np.ones(2), np.zeros(2), [1.0, 10.0])
+    evolve_state(bounded, [0.3, 1.0, 5.0], np.ones(3), np.ones(3), [1.0, 10.0])
+    scale_invariant_norm_traces([(2.0, 2.0), (3.0, 0.0)], CFG, 0.5, [1.0, 10.0])
+    assert len(callers) >= 7
+    assert all(code is modal._solve_modes.__code__ for code in callers)
+
+
+def test_the_oracle_raises_stiffness_error_from_its_start_time():
+    # m = -1/(2-t)^4 blows the modes up at t = 2; started at s = 0.5, the
+    # oracle names the last checkpoint reached, or s where it reached none,
+    # and the system's frequency
+    blowup = SimpleNamespace(kernel=lambda: lambda t: (0.0, -1.0 / (2.0 - t) ** 4))
+    system = ModalSystem(blowup, CFG, 0.75, FORM_HYP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for times, reached in (([1.0, 3.0], 1.0), ([3.0], 0.5)):
+            with pytest.raises(modal.StiffnessError) as info:
+                propagator_checkpoints(system, 0.5, times)
+            assert info.value.t == reached and info.value.xi == 0.75
 
 
 def test_scipy_dop853_reads_the_initial_step_from_its_work_array():
