@@ -42,7 +42,7 @@ _HW_FD_STEP = 1e-4
 class NeedsLargerStartError(RuntimeError):
     """The Picard map does not contract from the requested start time."""
 
-    def __init__(self, message, estimated_tail):
+    def __init__(self, message, estimated_tail=None):
         super().__init__(message)
         self.estimated_tail = estimated_tail
 

@@ -9,7 +9,9 @@ manifests bit for bit.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -280,7 +282,7 @@ def run_scatter(cfg):
                          n_refine=120)
     res = estimates.scattering_residual(cfg.model, cfg.zone, data, grid,
                                         horizon=cfg.t_final, n_dim=cfg.n_dim,
-                                        rtol=max(cfg.rtol, 1e-9))
+                                        rtol=cfg.rtol)
     rows = np.column_stack([res.times, res.residual_dt, res.residual_grad])
     verdicts = {"residuals_decay": res.passed}
     outputs = {"final_dt": float(res.residual_dt[-1]),
@@ -459,17 +461,13 @@ def run_experiment(cfg):
 # Persistence
 # --------------------------------------------------------------------------
 
-def _format_cell(x):
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _csv_text(header, rows):
-    lines = [header]
-    for row in np.atleast_2d(np.asarray(rows, dtype=object)):
-        lines.append(",".join(_format_cell(x) for x in row))
-    return "\n".join(lines) + "\n"
+    # a cell is quoted only where it holds a comma, quote or line break
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        [format(x, ".17g") if isinstance(x, float) else str(x) for x in row]
+        for row in np.atleast_2d(np.asarray(rows, dtype=object)))
+    return header + "\n" + text.getvalue()
 
 
 def persist(record, out_dir):

@@ -3,14 +3,14 @@
 Everything downstream (zone-rate fits, representation identities, scattering)
 is validated against the fundamental matrices integrated here at tight
 tolerance by Hairer's Fortran DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-II.10) on real states.  modal calls scipy's build of it directly, its
-extension loaded from its file without scipy.integrate's package (whose
-imports cost most of a CLI run's start-up): the steps run in Fortran, only
-the right-hand side is called back, and each checkpoint is landed on
-exactly, one integration leg per checkpoint (solve_ivp), all in one kernel,
-_solve_modes.  Its right-hand side evaluates the coefficients once per call
-(CoefficientModel.kernel): on Python floats for one frequency with scalar
-coefficients, into one preallocated buffer otherwise.
+II.10) on real states, in scipy's extension, which modal loads from its file
+without scipy.integrate's package (whose imports cost most of a CLI run's
+start-up).  Only the right-hand side runs in Python, and each checkpoint ends
+one integration leg, landing on it exactly (solve_ivp), all in one kernel,
+_solve_modes, whose right-hand side takes one scalar pair (b, m) per call
+(CoefficientModel.kernel): on Python floats for one frequency, into one
+preallocated buffer otherwise.  fuchswave sweep and acceptance criteria 2/3
+measure the zone rates through the same propagator_norm_trace.
 
 evolve_state groups frequencies into octave bands.  Where a cost model says
 it is cheaper (_shared_tolerance), all bands share one DOP853 solve, at
@@ -34,10 +34,10 @@ Phi by T = diag(h, -i) (weight_conjugation):
   sharp weight  h = max(N/(1+t), xi): diss up to the zone boundary, hyp beyond
 
 For the scale-invariant family b = b0/(1+t), m = m0/(1+t)^2, u(t) = f(z) with
-z = xi (1+t), and z^((b0-1)/2) f solves Bessel's equation.  Given cells
-(b0, m0), _solve_modes runs DOP853 up to z = Z_MATCH only and continues such
+z = xi (1+t), and z^((b0-1)/2) f solves Bessel's equation.  Given the cell
+(b0, m0), _solve_modes runs DOP853 up to z = Z_MATCH only and continues the
 modes with Hankel's expansion f+- = z^(-b0/2) e^(+-iz) sum_k (+-i)^k a_k z^-k,
-nu^2 = ((b0-1)/2)^2 - m0 (DLMF 10.17.5); without them (all other families, and
+nu^2 = ((b0-1)/2)^2 - m0 (DLMF 10.17.5); without it (all other families, and
 the single-system oracle propagator_checkpoints) DOP853 runs throughout.
 """
 
@@ -54,7 +54,7 @@ import numpy as np
 import scipy
 
 from . import zones
-from .coeffs import PURE
+from .coeffs import PURE, CoefficientModel
 from .zones import ZoneConfig, sharp_weight
 
 FORM_DISS = "diss_system"
@@ -78,9 +78,11 @@ class StiffnessError(RuntimeError):
     the frequency (the largest of the solve)."""
 
     def __init__(self, message, t=None, xi=None):
-        super().__init__(f"{message} (t={t}, xi={xi})")
-        self.t = t
-        self.xi = xi
+        super().__init__(message, t, xi)  # all three, so copies and pickles rebuild it
+        self.t, self.xi = t, xi
+
+    def __str__(self):
+        return "{} (t={}, xi={})".format(*self.args)
 
 
 class SeriesRangeError(ValueError):
@@ -370,20 +372,17 @@ def _hankel_continue(b0, nu2, xi, t0, y0, times):
 def _solve_modes(coefficients, xi, y0, times, rtol, atol, cells=None, s=0.0):
     """One DOP853 solve of u'' + b(t) u' + (xi^2 + m(t)) u = 0 for a stack of
     modes, real state y = (u_1..u_n, u'_1..u'_n) from t = s.  coefficients(t)
-    returns (b(t), m(t)) (a model's kernel), each a scalar shared by every
-    mode or one value per mode, called once per right-hand side, which
-    returns (u', (-xi^2 - m) u - b u'): for one frequency's modes (at most two)
-    and scalar coefficients on Python floats as a list, cheaper per call than
-    numpy scalars; otherwise, in the same arithmetic, in one preallocated 2n
-    buffer (the Fortran callback copies it), allocating nothing per call.
-    Cells (b0, m0) of scale-invariant modes, scalars or one per mode, stop the
-    solve once every mode has z = xi (1+t) >= max(Z_MATCH, 2|nu|^2); Hankel's
-    expansion carries each on.  Returns u and u' at the checkpoint times, each
-    of shape (len(times), n)."""
+    (a model's kernel) returns one scalar pair (b(t), m(t)) for every mode,
+    once per right-hand side, which returns (u', (-xi^2 - m) u - b u'): for
+    one frequency's modes (at most two) on Python floats as a list, cheaper
+    per call than numpy scalars; otherwise, in the same arithmetic, in one
+    preallocated 2n buffer (the Fortran callback copies it).  A scale-invariant
+    model's cell (b0, m0) stops the solve once every mode has z = xi (1+t) >=
+    max(Z_MATCH, 2|nu|^2); Hankel's expansion carries each on.  Returns u and
+    u' at the checkpoint times, each of shape (len(times), n)."""
     n = xi.size
     neg_xi2 = -xi ** 2  # neg_xi2 - m equals -(xi^2 + m) exactly
-    b, m = (np.array(c, dtype=float) for c in coefficients(float(s)))
-    if b.ndim == m.ndim == 0 and n <= 2 and xi[0] == xi[-1]:
+    if n <= 2 and xi[0] == xi[-1]:
         k0 = float(neg_xi2[0])
 
         def rhs(t, y):
@@ -395,7 +394,8 @@ def _solve_modes(coefficients, xi, y0, times, rtol, atol, cells=None, s=0.0):
             u0, v0 = y.tolist()
             return [v0, k * u0 - b * v0]
     else:
-        dy, bv = np.empty(2 * n), np.empty(n)
+        # b and m in 0-d arrays: the ufuncs take them faster than Python floats
+        b, m, dy, bv = np.empty(()), np.empty(()), np.empty(2 * n), np.empty(n)
         du, dv = dy[:n], dy[n:]
 
         def rhs(t, y):
@@ -410,11 +410,10 @@ def _solve_modes(coefficients, xi, y0, times, rtol, atol, cells=None, s=0.0):
 
     t_match = float(times[-1])
     if cells is not None:
-        b0, m0 = (np.broadcast_to(np.asarray(c, dtype=float), xi.shape) for c in cells)
+        b0, m0 = cells
         nu2 = ((b0 - 1.0) / 2.0) ** 2 - m0
         with np.errstate(divide="ignore"):  # xi = 0 never gets there
-            t_match = min(t_match, max(s, float(np.max(
-                np.maximum(Z_MATCH, 2.0 * np.abs(nu2)) / xi)) - 1.0))
+            t_match = min(t_match, max(s, max(Z_MATCH, 2.0 * abs(nu2)) / xi.min() - 1.0))
     hankel, late = t_match < times[-1], times >= t_match
     # the matching time is one more checkpoint, not an output
     t_eval = np.append(times[~late], t_match) if hankel else times
@@ -567,22 +566,11 @@ def propagator_norm_trace(model, config, xi, times, rtol=DEFAULT_RTOL):
 
 
 def scale_invariant_norm_traces(cells, config, xi, times, rtol=DEFAULT_RTOL):
-    """||E(t,0,xi)|| for several scale-invariant (b0, m0) cells in one shared
-    adaptive integration (all cells see the same oscillation rate), which
-    stops where z = xi (1+t) reaches the matching point; Hankel's expansion
-    gives every later checkpoint.  Returns an array of shape (len(times),
-    len(cells)).  Fast path for rate sweeps; the single-system oracle
-    propagator_checkpoints is the reference it is checked against."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    b0s = np.tile([float(c[0]) for c in cells], 2)
-    m0s = np.tile([float(c[1]) for c in cells], 2)
-    y0 = np.repeat(np.eye(2), len(cells), axis=1).ravel()
-    u, v = _solve_modes(lambda t: (b0s / (1.0 + t), m0s / (1.0 + t) ** 2),
-                        np.full(b0s.size, float(xi)), y0, times, rtol, rtol * 1e-4,
-                        (b0s, m0s))
-    E = weight_conjugation(sharp_weight(config, times[:, None], xi),
-                           sharp_weight(config, 0.0, xi), _fundamental(u, v))
-    return np.linalg.svd(E, compute_uv=False)[..., 0]
+    """||E(t,0,xi)|| for several scale-invariant (b0, m0) cells, one
+    propagator_norm_trace per cell, as the rate sweep measures them; shape
+    (len(times), len(cells))."""
+    return np.column_stack([propagator_norm_trace(CoefficientModel(b0=b0, m0=m0), config,
+                                                  xi, times, rtol=rtol) for b0, m0 in cells])
 
 
 def dump_trajectory(sys, s, t, path, n_checkpoints=64):

@@ -1,6 +1,8 @@
+import copy
 import gc
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -14,10 +16,11 @@ import pytest
 
 import fuchswave
 from fuchswave import modal
-from fuchswave.asymptotic import FuchsSystem
+from fuchswave.asymptotic import FuchsSystem, NeedsLargerStartError
 from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, classify_regime,
                               example_bounded, example_log)
-from fuchswave.estimates import DataSpec, fit_decay, grid_for_data
+from fuchswave.estimates import (DataSpec, fit_decay, free_micro_propagator, grid_for_data,
+                                 scattering_operator)
 from fuchswave.modal import (FORM_DISS, FORM_HYP, ModalSystem,
                              check_cocycle, evolve_micro_energy, evolve_state,
                              fuchs_constant_matrix, fuchs_remainder,
@@ -312,6 +315,33 @@ def exact_pure_fundamental(b0, m0, xi, times, dps=40):
     return Phi
 
 
+def exact_pure_scattering_limit(b0, m0, xi, dps=40):
+    """W+ = lim lam(t) E_fr(t)^-1 E(t, 0, xi) for the scale-invariant family at
+    xi >= N, where the sharp weight is xi at every t and T = diag(xi, -i), in
+    closed form.  The modes f_1,2 = z^a H^(1,2)_nu(z), z = xi (1+t),
+    a = (1-b0)/2, go as z^a sqrt(2/(pi z)) e^(+-i(z - nu pi/2 - pi/4))
+    (DLMF 10.17), so lam(t) E_fr(t)^-1 T (f_j, xi df_j/dz) tends to the
+    columns xi^(1-b0/2) sqrt(2/pi) e^(+-i(xi - nu pi/2 - pi/4)) (1, +-1) of L,
+    and W+ = L B(0)^-1 T^-1 with B(0) = [[f_1, f_2], [xi f_1', xi f_2']] at
+    z = xi.  Shares no code with DOP853 or Hankel's expansion."""
+    with mpmath.workdps(dps):
+        a = (1 - mpmath.mpf(b0)) / 2
+        nu = mpmath.sqrt(((mpmath.mpf(b0) - 1) / 2) ** 2 - mpmath.mpf(m0))
+        k = mpmath.mpf(xi)
+        amp = k ** (1 - mpmath.mpf(b0) / 2) * mpmath.sqrt(2 / mpmath.pi)
+        phase = mpmath.expj(k - nu * mpmath.pi / 2 - mpmath.pi / 4)
+        L = mpmath.matrix([[amp * phase, amp / phase], [amp * phase, -amp / phase]])
+        J, Y = (C(nu, k) for C in (mpmath.besselj, mpmath.bessely))
+        dJ, dY = (C(nu, k, derivative=1) for C in (mpmath.besselj, mpmath.bessely))
+        B = mpmath.matrix(2, 2)
+        for j, sign in enumerate((1, -1)):  # H^(1,2) = J +- iY
+            H, dH = J + sign * 1j * Y, dJ + sign * 1j * dY
+            B[0, j] = k ** a * H
+            B[1, j] = k * (a * B[0, j] / k + k ** a * dH)
+        W = L * B ** -1 * mpmath.diag([1 / k, 1j])
+        return np.array([[complex(W[j, l]) for l in range(2)] for j in range(2)])
+
+
 @pytest.mark.parametrize("xi", [2.0, 8.0])
 def test_both_oracles_match_the_exact_pure_family_propagator(xi):
     # Bessel functions of complex order against the batched kernel (DOP853 to
@@ -333,6 +363,25 @@ def test_both_oracles_match_the_exact_pure_family_propagator(xi):
             # the bound of the Hankel-vs-oracle test: its 1e-13 absolute term
             # is the oracle's atol floor once ||E|| decays, cell (4, 0)
             assert spectral_norm(E_orc - E_ex) <= 1e-8 * size + 1e-13, (b0, m0, t)
+
+
+@pytest.mark.parametrize("b0, m0", [(2.0, 0.75), (2.0, 2.0), (1.0, 1.0)])
+def test_scattering_operator_tends_to_the_exact_pure_family_limit(b0, m0):
+    # W(T) - W+ is O(1/(xi T)), from the 1/z term of Hankel's expansion
+    # (|W(T) - W+| xi T measured 0.5 to 1.3): the exact W at T = 1e8 checks
+    # the closed form; scattering_operator's W at T = 2^10, 2^13 and 2^16 is
+    # within its Cauchy tol of W+ and keeps the same O(1/(xi T)) distance
+    model, tol = CoefficientModel(b0=b0, m0=m0), 1e-3
+    for xi in (1.0, 3.0):
+        W_plus = exact_pure_scattering_limit(b0, m0, xi)
+        T = 1e8
+        E = weight_conjugation(xi, xi, exact_pure_fundamental(b0, m0, xi, [T]))[0]
+        W = (1.0 + T) ** (b0 / 2.0) * np.linalg.inv(free_micro_propagator(T, xi)) @ E
+        assert spectral_norm(W - W_plus) * xi * T <= 2.0, (xi, T)
+        for horizon in (2.0 ** 10, 2.0 ** 13, 2.0 ** 16):
+            op = scattering_operator(model, CFG, [xi], horizon=horizon, tol=tol)
+            err = spectral_norm(op.W[0] - W_plus)
+            assert err <= tol and err * xi * op.times[-1] <= 2.0, (xi, horizon, err)
 
 
 def test_pure_family_matches_its_coefficients_run_by_dop853():
@@ -448,9 +497,9 @@ def test_oracle_rhs_on_python_floats_matches_the_numpy_scalar_rhs(model, monkeyp
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("model", _ONE_FREQUENCY_MODELS, ids=lambda model: model.family)
 def test_float_and_buffer_right_hand_sides_agree_bit_for_bit(model, n, monkeypatch):
-    # one frequency's modes with scalar coefficients run on Python floats,
-    # the right-hand side the oracle uses; the same coefficients returned as
-    # one value per mode run in the preallocated buffer, with the same bits
+    # one frequency's modes run on Python floats, the right-hand side the
+    # oracle uses; with a mode at another xi added they run in the
+    # preallocated buffer, and on the same states both give the same bits
     kernel = model.kernel()
     xi = np.full(n, 2.0)
     y0 = np.eye(2).ravel() if n == 2 else np.array([1.0, 0.5])
@@ -458,34 +507,34 @@ def test_float_and_buffer_right_hand_sides_agree_bit_for_bit(model, n, monkeypat
     bodies, solve_ivp = [], modal.solve_ivp
 
     def recorded(fun, t_span, y0, t_eval, rtol, atol):
-        bodies.append(type(fun(t_span[0], y0)))
+        bodies.append(fun)
         return solve_ivp(fun, t_span, y0, t_eval, rtol, atol)
 
+    def with_extra_mode(y):  # (u_1..u_n, u, u'_1..u'_n, u') with (u, u') = (0.2, -0.7)
+        return np.insert(y, [n, 2 * n], [0.2, -0.7])
+
     monkeypatch.setattr(modal, "solve_ivp", recorded)
-    floats = modal._solve_modes(kernel, xi, y0, times, 1e-12, 1e-16, s=1.0)
-    per_mode = modal._solve_modes(lambda t: tuple(np.full(n, c) for c in kernel(t)),
-                                  xi, y0, times, 1e-12, 1e-16, s=1.0)
-    assert bodies == [list, np.ndarray]
-    for a, b in zip(floats, per_mode):
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    u, v = modal._solve_modes(kernel, xi, y0, times, 1e-12, 1e-16, s=1.0)
+    modal._solve_modes(kernel, np.append(xi, 3.0), with_extra_mode(y0), times, 1e-12, 1e-16,
+                       s=1.0)
+    floats, buffer = bodies
+    for t, y in zip(np.append(1.0, times), np.vstack((y0, np.hstack((u, v))))):
+        a, b = floats(t, y), buffer(t, with_extra_mode(y))
+        assert type(a) is list and type(b) is np.ndarray
+        b = np.delete(b, [n, 2 * n + 1])
+        assert np.array_equal(np.array(a).view(np.uint64), b.view(np.uint64))
 
 
-@pytest.mark.parametrize("per_mode", [False, True])
-def test_in_place_mode_rhs_matches_a_concatenating_rhs(per_mode, monkeypatch):
+def test_in_place_mode_rhs_matches_a_concatenating_rhs(monkeypatch):
     # the batched kernel's right-hand side writes into one reused buffer with
-    # b and m held in arrays; a right-hand side that builds a new array from
-    # b(t) and m(t) each call gives the same checkpoints bit for bit at the
-    # same number of calls
+    # b and m held in 0-d arrays; a right-hand side that builds a new array
+    # from b(t) and m(t) each call gives the same checkpoints bit for bit at
+    # the same number of calls
     model = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    b, m = model.b, model.m
     xi = np.linspace(1.0, 1.9, 7)
     y0 = np.concatenate((np.linspace(1.0, -1.0, 7), np.linspace(0.5, 0.1, 7)))
     times = np.array([0.5, 7.0, 40.0])
-    if per_mode:  # one (b, m) per mode, as the rate sweeps pass them
-        scale = np.linspace(0.5, 1.5, xi.size)
-        b = lambda t: scale * model.b(t)
-        m = lambda t: scale * model.m(t)
-    else:
-        b, m = model.b, model.m
     solves, solve_ivp = [], modal.solve_ivp
 
     def recorded(*args, **kwargs):
@@ -796,6 +845,19 @@ def test_the_oracle_raises_stiffness_error_from_its_start_time():
             with pytest.raises(modal.StiffnessError) as info:
                 propagator_checkpoints(system, 0.5, times)
             assert info.value.t == reached and info.value.xi == 0.75
+
+
+@pytest.mark.parametrize("error", [
+    modal.StiffnessError("step size becomes too small", t=1.0, xi=2.0),
+    modal.HorizonError("W(t) not Cauchy", last_increment=2.5e-4),
+    NeedsLargerStartError("the Picard map does not contract", estimated_tail=0.7)],
+    ids=lambda error: type(error).__name__)
+def test_typed_errors_survive_copy_and_pickle(error):
+    # an error raised in a worker or copied by a test framework keeps its
+    # message and its (t, xi) or bound context
+    for twin in (copy.copy(error), pickle.loads(pickle.dumps(error))):
+        assert type(twin) is type(error) and str(twin) == str(error)
+        assert vars(twin) == vars(error)
 
 
 def test_scipy_dop853_reads_the_initial_step_from_its_work_array():

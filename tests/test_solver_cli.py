@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -369,10 +370,35 @@ def test_sweep_records_a_failed_cell_and_exits_on_a_program_fault(tmp_path, caps
     assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["verdicts"] == {"b0=3,m0=0,sigma=1": False}
+    # the error message holds commas; its cell is quoted, so every row keeps
+    # the header's 7 fields
+    (entry,) = manifest["csv_files"]
+    with open(tmp_path / "o" / entry["file"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [7, 7]
+    assert rows[1][-1] == "error:step size becomes too small (t=1.0, xi=0.001)"
     monkeypatch.setattr(modal, "propagator_norm_trace", fails(TypeError("a bug")))
     assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "p")]) == 1
     assert "TypeError: a bug" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
+
+
+def test_scatter_tol_reaches_the_oracle_unchanged(tmp_path, monkeypatch):
+    # --tol below the default 1e-9 is the rtol of the scattering solves, as
+    # the manifest records it
+    cfgfile = tmp_path / "scatter.json"
+    cfgfile.write_text(json.dumps({"experiment": "scatter", **CHEAP_CONFIGS["scatter"]}))
+    rtols, state_propagator_checkpoints = [], modal.state_propagator_checkpoints
+
+    def recorded(*args, rtol, **kwargs):
+        rtols.append(rtol)
+        return state_propagator_checkpoints(*args, rtol=rtol, **kwargs)
+
+    monkeypatch.setattr(modal, "state_propagator_checkpoints", recorded)
+    assert run_cli(["scatter", "--config", str(cfgfile), "--tol", "1e-10",
+                    "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert rtols == [1e-10] and manifest["config"]["tolerances"]["rtol"] == 1e-10
 
 
 def test_cli_simulate_run(tmp_path, capsys):
