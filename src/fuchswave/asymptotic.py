@@ -188,13 +188,11 @@ def _cumulative_kernel(delta, g, xs):
     recurrence I(x_{a+1}) = e^{delta(x_{a+1})-delta(x_a)} I(x_a) + panel.
     Called on reversed arrays with xs negated, and its result reversed, it
     gives the backward integral int_{x_a}^{x_N} e^{delta(x_a)-delta(x)} g(x) dx."""
-    n = len(xs)
-    out = np.zeros(n, dtype=complex)
-    for a in range(1, n):
-        dx = xs[a] - xs[a - 1]
-        ratio = np.exp(delta[a] - delta[a - 1])
-        out[a] = ratio * out[a - 1] + dx / 2.0 * (ratio * g[a - 1] + g[a])
-    return out
+    out = [0j]  # products on Python complex numbers round as numpy's scalar ones do
+    for r, h, g0, g1 in zip(np.exp(np.diff(delta)).tolist(), (np.diff(xs) / 2.0).tolist(),
+                            g[:-1].tolist(), g[1:].tolist()):
+        out.append(r * out[-1] + h * (r * g0 + g1))
+    return np.array(out)
 
 
 def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):

@@ -30,11 +30,12 @@ REAL_SMALL = "real_small_muplus"
 REAL_LARGE = "real_large_muplus"
 
 # check_hypotheses: log-spaced sample points per decade of the horizon, the
-# highest derivative order sampled (capped by the model's budget), and the
-# bound on the [T/2, T] tail integrals
+# highest derivative order sampled (capped by the model's budget), the bound
+# on the [T/2, T] tail integrals, and the rounds of halving a panel
 _SAMPLES_PER_DECADE = 8
 _HYP1_MAX_ORDER = 4
 _HYP2_TAIL_TOL = 1e-3
+_HYP2_ROUNDS = 50
 # a cubic spline has exact derivatives up to this order only
 _TABLE_MAX_ORDER = 3
 
@@ -211,30 +212,23 @@ class CoefficientModel:
 
     def b_jet(self, t, order):
         """[b(t), b'(t), ..., b^(order)(t)], shape (order+1, *t.shape)."""
-        self._check_order(order)
-        t = np.asarray(t, dtype=float)
-        if self.family == PURE:
-            return falling_power_jet(t, -1.0, self.b0, order)
-        if self.family == BOUNDED:
-            return (falling_power_jet(t, -1.0, self.b0, order)
-                    + falling_power_jet(t, -1.0 - self.p1, self.c1, order))
-        if self.family == LOG:
-            return (falling_power_jet(t, -1.0, self.b0, order)
-                    + self._log_term_jet(t, order, self.b1, 1))
-        return self._table_jet(self.b_table, t, order)
+        return self._jet(t, order, 1, self.b0, self.c1, self.p1, self.b1, self.b_table)
 
     def m_jet(self, t, order):
+        return self._jet(t, order, 2, self.m0, self.c2, self.p2, self.m1, self.m_table)
+
+    def _jet(self, t, order, power, lead, c, p, amp, table):
+        # lead (1+t)^-power plus the family's perturbation; a table's spline is all
         self._check_order(order)
         t = np.asarray(t, dtype=float)
-        if self.family == PURE:
-            return falling_power_jet(t, -2.0, self.m0, order)
+        if self.family == TABULATED:
+            return np.stack([table(t, k) for k in range(order + 1)])
+        jet = falling_power_jet(t, float(-power), lead, order)
         if self.family == BOUNDED:
-            return (falling_power_jet(t, -2.0, self.m0, order)
-                    + falling_power_jet(t, -2.0 - self.p2, self.c2, order))
+            return jet + falling_power_jet(t, -power - p, c, order)
         if self.family == LOG:
-            return (falling_power_jet(t, -2.0, self.m0, order)
-                    + self._log_term_jet(t, order, self.m1, 2))
-        return self._table_jet(self.m_table, t, order)
+            return jet + self._log_term_jet(t, order, amp, power)
+        return jet
 
     @property
     def budget(self):
@@ -261,16 +255,6 @@ class CoefficientModel:
             c = (-(power + k) * np.append(c, 0.0)
                  - (self.gamma + np.arange(-1.0, k + 1)) * np.append(0.0, c))
         return out
-
-    @staticmethod
-    def _table_jet(table, t, order):
-        return np.stack([table(t, k) for k in range(order + 1)])
-
-    def b_derivative(self, t, order):
-        return self.b_jet(t, order)[order]
-
-    def m_derivative(self, t, order):
-        return self.m_jet(t, order)[order]
 
     # -- decay factor lambda(t) = exp(0.5 * int_0^t b) ----------------------
 
@@ -406,17 +390,13 @@ class HypothesisReport:
     tail_tol: float
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on check_hypotheses' first call."""
-    from scipy.integrate import quad
-    return quad(*args, **kwargs)
-
-
 def check_hypotheses(model, T, sigma=None):
-    """Sample the sup bounds of Hyp.-1 type and the sigma-integrals of
-    Hyp.-2 type on [1, T].  'pass' is a bounded/Cauchy verdict at the given
-    horizon: the asymptotic conditions cannot be decided numerically.
-    """
+    """Sample the sup bounds of Hyp.-1 type on [1, T], and integrate the
+    sigma-integrals of Hyp.-2 type on [1, T] and [T/2, T] on Gauss-Legendre
+    panels in x = ln t (unit panels, or the tables' node intervals; T/2 is an
+    edge), halved for at most _HYP2_ROUNDS rounds, then HorizonError.  'pass'
+    is a bounded/Cauchy verdict at the given horizon: the asymptotic
+    conditions cannot be decided numerically."""
     if T <= 1.0:
         raise ValueError("horizon T must exceed 1")
     sigma = model.sigma if sigma is None else float(sigma)
@@ -427,56 +407,31 @@ def check_hypotheses(model, T, sigma=None):
     T1 = min(T, 1e12)
     decades = max(1, int(math.ceil(math.log10(T1))))
     grid = np.logspace(0.0, math.log10(T1), decades * _SAMPLES_PER_DECADE + 1)
-    constants = []
-    hyp1_ok = True
+    grid[-1] = T1  # 10**log10(T1) may overshoot T1, past a table's last node
+    jets = np.abs([model.b_jet(grid, k_max), model.m_jet(grid, k_max)])
+    constants, hyp1_ok, n_tail = [], True, _SAMPLES_PER_DECADE + 1
     for k in range(k_max + 1):
-        bk = np.abs(model.b_derivative(grid, k)) * (1.0 + grid) ** (k + 1)
-        mk = np.abs(model.m_derivative(grid, k)) * (1.0 + grid) ** (k + 2)
+        bk = jets[0, k] * (1.0 + grid) ** (k + 1)
+        mk = jets[1, k] * (1.0 + grid) ** (k + 2)
         constants.append({"k": k, "sup_b": float(bk.max()), "sup_m": float(mk.max())})
         # bounded means no growth trend: the last decade must not dominate
-        n_tail = _SAMPLES_PER_DECADE + 1
         for arr in (bk, mk):
             head = arr[:-n_tail].max() if arr.size > n_tail else arr.max()
             if arr[-n_tail:].max() > 1.05 * head + 1e-12:
                 hyp1_ok = False
 
-    def sig_int(weighted, nodes, lo, hi):
-        # integrate |weighted(t)|^sigma dt/t on [lo, hi] via x = ln t
-        f = lambda x: abs(float(weighted(math.exp(x)))) ** sigma
-        edges = np.log(np.r_[lo, nodes[(nodes > lo) & (nodes < hi)], hi])
-        eps = 1e-12 / (edges.size - 1)
-        quad_on = lambda a, b: quad(f, a, b, limit=400, epsabs=eps, epsrel=1e-9)[0]
-        if edges.size == 2:
-            return quad_on(*edges)
-        # a spline's deviation has a kink at every node and, in some intervals,
-        # a sign change inside: Gauss-Legendre rules of 8 and 16 nodes on every
-        # table interval at once, and one quad on each interval where they
-        # disagree by more than the tolerance
-        half = 0.5 * np.diff(edges)[:, None]
-        g8, g16 = (np.sum(half * w * np.abs(weighted(np.exp(edges[:-1, None] + half * (1.0 + x))))
-                          ** sigma, axis=1)
-                   for x, w in map(np.polynomial.legendre.leggauss, (8, 16)))
-        bad = np.abs(g16 - g8) > np.maximum(eps, 1e-9 * np.abs(g16))
-        return float(g16[~bad].sum()) + sum(map(quad_on, edges[:-1][bad], edges[1:][bad]))
-
-    # weighted deviations (1+t)b - b0 and (1+t)^2 m - m0; these vanish
+    # the weighted deviations (1+t)b - b0 and (1+t)^2 m - m0 vanish
     # identically for the scale-invariant family
-    if model.family == PURE:
-        wb = wm = lambda t: 0.0
-    else:
-        if model.family == TABULATED:  # each deviation needs its own spline only
-            b, m = model.b_table, model.m_table
+    ib = im = tb = tm = 0.0
+    if model.family != PURE:
+        x_half, x_end = math.log(T / 2.0), math.log(T)
+        if model.family == TABULATED:
+            nodes = np.union1d(model.b_table.t, model.m_table.t)
+            inner = np.log(nodes[nodes > 0.0]).clip(min(0.0, x_half), x_end)
         else:
-            coefficients = model.kernel()
-            b, m = (lambda t: coefficients(t)[0]), (lambda t: coefficients(t)[1])
-        wb = lambda t: (1.0 + t) * b(t) - model.b0
-        wm = lambda t: (1.0 + t) ** 2 * m(t) - model.m0
-    nb, nm = ((np.asarray(model.b_table.t), np.asarray(model.m_table.t))
-              if model.family == TABULATED else (np.empty(0), np.empty(0)))
-    ib = sig_int(wb, nb, 1.0, T)
-    im = sig_int(wm, nm, 1.0, T)
-    tb = sig_int(wb, nb, T / 2.0, T)
-    tm = sig_int(wm, nm, T / 2.0, T)
+            inner = np.arange(math.ceil(min(0.0, x_half)), x_end)
+        edges = np.unique(np.r_[0.0, x_half, inner, x_end])
+        (ib, tb), (im, tm) = _panel_integrals(model, edges, (0.0, x_half), sigma).tolist()
     hyp2_ok = tb < _HYP2_TAIL_TOL and tm < _HYP2_TAIL_TOL
 
     return HypothesisReport(
@@ -484,6 +439,43 @@ def check_hypotheses(model, T, sigma=None):
         integral_b=ib, integral_m=im, tail_b=tb, tail_m=tm,
         hyp2_pass=hyp2_ok, tail_tol=_HYP2_TAIL_TOL,
     )
+
+
+def _panel_integrals(model, edges, starts, sigma):
+    """Rows: int |(1+t) b - b0|^sigma dx and int |(1+t)^2 m - m0|^sigma dx,
+    t = e^x; columns: from each start (an edge) to the last edge.  A panel is
+    halved where its 8- and 16-node Gauss-Legendre sums differ by more than
+    1e-9 relative and its width times a share of 1e-13 or the roundoff."""
+    coefficients = model.kernel()
+    (x8, w8), (x16, w16) = (np.polynomial.legendre.leggauss(n) for n in (8, 16))
+    x = np.r_[-1.0, x16, 1.0, x8]  # both rules' nodes, and the panel's edges
+    atol = 1e-13 / (edges[-1] - edges[0]) + (8.0 * np.finfo(float).eps * np.abs(
+        [[model.b0], [model.m0]])) ** sigma
+    lo, hi = edges[:-1], edges[1:]
+    sums = np.zeros((2, len(starts)))
+    for _ in range(_HYP2_ROUNDS):
+        half = 0.5 * (hi - lo)
+        t = np.exp(lo[:, None] + half[:, None] * (1.0 + x))
+        b, m = coefficients(t)
+        f = np.stack([(1.0 + t) * b - model.b0, (1.0 + t) ** 2 * m - model.m0])
+        a = np.abs(f) ** sigma
+        g16, g8 = a[..., 1:17] @ w16 * half, a[..., 18:] @ w8 * half
+        # a sign change between an edge and its nearest node is a kink that
+        # neither rule sees: the integral over that gap joins the error
+        ends = f[..., [0, 1, 17, 16]]
+        gap = np.sum((np.abs(np.diff(ends)) ** sigma * np.diff(np.signbit(ends)))[..., ::2], -1)
+        err = np.abs(g16 - g8) + gap * (1.0 + x16[0]) * half
+        # a NaN sample settles its panel, and shows in the sums
+        ok = ~np.any(err > np.maximum(1e-9 * np.abs(g16), 2.0 * atol * half), axis=0)
+        sums += g16[:, ok] @ (lo[ok, None] >= starts)
+        lo, hi = lo[~ok], hi[~ok]
+        if not lo.size:
+            return sums
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.r_[lo, mid], np.r_[mid, hi]
+    from .modal import HorizonError
+    raise HorizonError(f"the Hyp.-2 integrals did not settle on t in [{math.exp(lo.min()):.6g}, "
+                       f"{math.exp(hi.max()):.6g}] in {_HYP2_ROUNDS} rounds of halving")
 
 
 def example_bounded(b0, m0, c1=1.0, p1=0.5, c2=1.0, p2=0.5, **kw):

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, asymptotic, diagonalize, estimates, modal, zones
 from .coeffs import (PURE, CoefficientModel, RegimeUnsupportedError, classify_regime,
                      predicted_decay)
-from .estimates import DataSpec, DEFAULT_WINDOW, fit_decay, grid_for_data
+from .estimates import DataSpec, fit_decay, grid_for_data
 from .solver import Grid, simulate_fields
 from .zones import ZoneConfig
 
@@ -466,7 +466,7 @@ def _csv_text(header, rows):
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(
         [format(x, ".17g") if isinstance(x, float) else str(x) for x in row]
-        for row in np.atleast_2d(np.asarray(rows, dtype=object)))
+        for row in rows)
     return header + "\n" + text.getvalue()
 
 

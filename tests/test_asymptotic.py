@@ -361,3 +361,21 @@ def test_modal_fuchs_system_evaluates_arrays(model, N, xi, zero_extended):
         assert np.all(Rs[past] == 0.0)
     else:
         assert np.all(norms[past] > 0)
+
+
+def test_cumulative_kernel_equals_its_loop_form_bit_for_bit():
+    # the recurrence I(x_a) = r_a I(x_(a-1)) + p_a, with every ratio and
+    # panel term formed on numpy scalars, one step at a time, as the
+    # reference; growing and decaying ratios, forward and backward
+    rng = np.random.default_rng(5)
+    xs = np.linspace(0.0, 9.0, 3001)
+    g = rng.standard_normal(xs.size) + 1j * rng.standard_normal(xs.size)
+    for rate in (-2.0 + 3j, 0.5 - 1j, 1j):
+        delta = rate * xs + 0.1 * np.cumsum(rng.standard_normal(xs.size))
+        for d, f, x in ((delta, g, xs), (delta[::-1], g[::-1], -xs[::-1])):
+            ref = np.zeros(x.size, dtype=complex)
+            for a in range(1, x.size):
+                ratio = np.exp(d[a] - d[a - 1])
+                ref[a] = ratio * ref[a - 1] + (x[a] - x[a - 1]) / 2.0 * (ratio * f[a - 1] + f[a])
+            out = asymptotic._cumulative_kernel(d, f, x)
+            assert out.dtype == complex and np.array_equal(out, ref)

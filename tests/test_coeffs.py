@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,26 +18,27 @@ from fuchswave.coeffs import (BOUNDED, COMPLEX_PAIR, DOUBLE_ROOT, LOG, PURE,
                               UnsupportedOrderError, check_hypotheses,
                               classify_regime, example_bounded, example_log,
                               predicted_decay)
+from fuchswave.modal import HorizonError
 
 
 def test_eval_pure_scale_invariant_values():
     model = CoefficientModel(b0=2.0, m0=0.0)
-    assert (model.b_derivative(1.0, 0), model.m_derivative(1.0, 0)) == (1.0, 0.0)
+    assert (model.b_jet(1.0, 0)[0], model.m_jet(1.0, 0)[0]) == (1.0, 0.0)
     model = CoefficientModel(b0=2.0, m0=3.0)
-    db, dm = model.b_derivative(0.0, 1), model.m_derivative(0.0, 1)
+    db, dm = model.b_jet(0.0, 1)[1], model.m_jet(0.0, 1)[1]
     assert db == -2.0 and dm == -6.0
 
 
 def test_eval_log_family_at_zero():
     model = example_log(b0=1.0, m0=0.0, b1=1.0, m1=0.0, gamma=1.0)
-    b0_val = model.b_derivative(0.0, 0)
+    b0_val = model.b_jet(0.0, 0)[0]
     assert b0_val == pytest.approx(1.0 + 1.0 / math.e, rel=1e-14)
 
 
 def test_order_above_budget_rejected():
     model = CoefficientModel(b0=1.0, m0=1.0, ell=2)
     with pytest.raises(UnsupportedOrderError):
-        model.b_derivative(1.0, 3)
+        model.b_jet(1.0, 3)[3]
 
 
 @pytest.mark.parametrize("order,h,rel", [(1, 1e-4, 1e-5), (2, 1e-3, 1e-4),
@@ -41,7 +46,7 @@ def test_order_above_budget_rejected():
 def test_log_family_jets_match_finite_differences(order, h, rel):
     model = example_log(b0=2.0, m0=1.0, b1=0.7, m1=0.3, gamma=0.8)
     t = 3.0
-    exact = model.b_derivative(t, order)
+    exact = model.b_jet(t, order)[order]
     if order == 1:
         fd = (model.b(t + h) - model.b(t - h)) / (2 * h)
     elif order == 2:
@@ -200,7 +205,7 @@ def test_tabulated_family_from_columns():
     model = CoefficientModel(b0=2.0, m0=1.0, family="tabulated",
                              b_table=b_tab, m_table=m_tab)
     assert model.b(3.0) == pytest.approx(0.5, rel=1e-8)
-    assert model.b_derivative(3.0, 1) == pytest.approx(-2.0 / 16.0, rel=1e-4)
+    assert model.b_jet(3.0, 1)[1] == pytest.approx(-2.0 / 16.0, rel=1e-4)
 
 
 def _table_model(t_last, n_nodes):
@@ -240,48 +245,135 @@ def test_check_hypotheses_reads_the_tabulated_budget():
 
 def test_check_hypotheses_integrates_a_spline_deviation_without_warning():
     # the spline's weighted deviation (1+t) b - b0 has a kink at each of the
-    # 4001 nodes (1e-5 near t = 1, roundoff beyond t = 200); one quad per
-    # table interval meets the tolerance, so scipy warns of nothing
+    # 4001 nodes (1e-5 near t = 1, roundoff beyond t = 200), where the panels
+    # have their edges; nothing warns
     model = _table_model(1e3, 4001)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = check_hypotheses(model, 1e3)
-    # references: Simpson's rule on 8e6 log-spaced points; the single quad
-    # that warned returned integral_b = 5.245340e-6, 1.6e-5 off
-    assert rep.integral_b == pytest.approx(5.2452540648e-6, rel=1e-8)
-    assert rep.integral_m == pytest.approx(1.7720257417e-5, rel=1e-8)
+    # references: Simpson's rule on 8e6 log-spaced points; a single quad on
+    # [1, T] warned and returned integral_b = 5.245340e-6, 1.6e-5 off
+    assert rep.integral_b == pytest.approx(5.2452540648e-6, rel=1e-9)
+    assert rep.integral_m == pytest.approx(1.7720257417e-5, rel=1e-9)
     assert rep.tail_b < 1e-13 and rep.tail_m < 1e-13 and rep.hyp2_pass
 
 
-def test_check_hypotheses_evaluates_each_spline_for_its_own_deviation(monkeypatch):
-    # (1+t) b - b0 needs b_table only and (1+t)^2 m - m0 m_table only: each
-    # quad of a deviation calls one table, where evaluating the (b, m) pair
-    # calls both
-    model = _table_model(1e3, 4001)
-    spline, quad_of_coeffs = TabulatedCoefficient.__call__, coeffs.quad
-    current, touched = [None], []
+def _quad_deviation_integrals(model, sigma, T):
+    """Reference for check_hypotheses' [integral_b, integral_m, tail_b,
+    tail_m]: scipy's quad in x = ln t.  Past t = 1e50 the deviations are
+    their roundoff, where quad warns."""
+    out = []
+    for lo in (1.0, T / 2.0):
+        for f in (lambda t: (1.0 + t) * model.b(t) - model.b0,
+                  lambda t: (1.0 + t) ** 2 * model.m(t) - model.m0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out.append(quad(lambda x: abs(f(math.exp(x))) ** sigma, math.log(lo),
+                                math.log(T), limit=400, epsabs=1e-17, epsrel=1e-13)[0])
+    return np.array(out)
 
-    def recorded(self, t, order=0):
-        if current[0] is not None:
-            current[0].add("b" if self is model.b_table else "m")
-        return spline(self, t, order)
 
-    def one_quad(f, *args, **kwargs):
-        current[0] = set()
-        result = quad_of_coeffs(f, *args, **kwargs)
-        touched.append(current[0])
-        current[0] = None
-        return result
+def _spline_deviation_integrals(table, power, lead, sigma, T):
+    """int |(1+t)^power table(t) - lead|^sigma dt/t on [1, T] and on
+    [T/2, T]: quad on each table interval, split where the deviation, a
+    quartic there, changes sign."""
+    nodes, Poly = np.asarray(table.t), np.polynomial.Polynomial
+    out = []
+    for lo in (1.0, T / 2.0):
+        edges, total = np.r_[lo, nodes[(nodes > lo) & (nodes < T)], T], 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            i = np.searchsorted(nodes, a, side="right") - 1
+            dev = Poly(table.pieces[i]) * Poly([1.0 + nodes[i], 1.0]) ** power - lead
+            roots = sorted(r.real + nodes[i] for r in dev.roots()
+                           if abs(r.imag) < 1e-12 and a < r.real + nodes[i] < b)
+            cuts = np.log(np.r_[a, roots, b])
+            total += sum(quad(lambda x: abs(dev(math.exp(x) - nodes[i])) ** sigma, u, v,
+                              epsabs=0.0, epsrel=1e-13)[0] for u, v in zip(cuts[:-1], cuts[1:]))
+        out.append(total)
+    return out
 
-    monkeypatch.setattr(TabulatedCoefficient, "__call__", recorded)
-    monkeypatch.setattr(coeffs, "quad", one_quad)
-    rep = check_hypotheses(model, 1e3)
-    assert all(len(tables) == 1 for tables in touched)
-    assert set().union(*touched) == {"b", "m"}
-    # the values of evaluating the pair, 5.245254066380009e-06 and
-    # 1.7720257419388797e-05, bit for bit on the machine that recorded them
-    assert rep.integral_b == pytest.approx(5.245254066380009e-06, rel=1e-14)
-    assert rep.integral_m == pytest.approx(1.7720257419388797e-05, rel=1e-14)
+
+@pytest.mark.parametrize("model", [
+    example_bounded(2.0, 1.0, c1=1.0, p1=0.5, c2=0.5, p2=0.25),
+    example_bounded(4.0, 3.0, c1=-0.7, p1=1.5, c2=2.0, p2=0.1),
+    example_log(3.0, 0.5, b1=1.0, m1=1.0, gamma=1.0),
+    example_log(2.0, 0.75, b1=-0.7, m1=0.3, gamma=0.8),
+], ids=["bounded", "bounded_fast", "log", "log_gamma"])
+def test_check_hypotheses_integrals_match_quad(model):
+    # the Gauss-Legendre panels against scipy's quad on [1, T] and [T/2, T],
+    # T < 2 included, where the tail reaches below t = 1; the absolute 1e-15
+    # is for the tails past t = 1e50, the deviations' roundoff
+    for T, sigma in ((1.5, 1.0), (2.0, 1.5), (1e3, 1.0), (1e8, 2.0), (1e60, 1.0),
+                     (1e60, 1.5)):
+        rep = check_hypotheses(model, T, sigma=sigma)
+        ref = _quad_deviation_integrals(model, sigma, T)
+        got = np.array([rep.integral_b, rep.integral_m, rep.tail_b, rep.tail_m])
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref + 1e-15), (T, sigma, got, ref)
+
+
+def _oscillating_table_model():
+    # b and m on distinct nodes, with deviations that change sign inside
+    # table intervals, one of them 0.5% of an interval from its end
+    tb = np.linspace(0.0, 410.0, 301)
+    tm = np.r_[0.0, np.geomspace(1e-3, 410.0, 256)]
+    return CoefficientModel(
+        b0=2.0, m0=1.0, family="tabulated",
+        b_table=TabulatedCoefficient.from_columns(
+            tb, 2.0 / (1 + tb) + 0.3 * np.sin(3.0 * tb) / (1 + tb) ** 1.5),
+        m_table=TabulatedCoefficient.from_columns(
+            tm, 1.0 / (1 + tm) ** 2 + 0.2 * np.cos(2.0 * tm) / (1 + tm) ** 2.5))
+
+
+def test_check_hypotheses_settles_sign_changes_inside_table_intervals():
+    # sigma = 1 puts a kink at each sign change.  One between a panel's edge
+    # and its outermost node is seen by neither Gauss rule, nor by quad's
+    # Kronrod rule, and the panel is halved until a rule sees it; quad run
+    # where the Gauss rules disagreed, as earlier versions did, left tail_b
+    # 5.8e-7 off here
+    model = _oscillating_table_model()
+    for sigma in (1.0, 1.5):
+        rep = check_hypotheses(model, 400.0, sigma=sigma)
+        (ib, tb), (im, tm) = (_spline_deviation_integrals(table, power, lead, sigma, 400.0)
+                              for table, power, lead in ((model.b_table, 1, 2.0),
+                                                         (model.m_table, 2, 1.0)))
+        got = np.array([rep.integral_b, rep.integral_m, rep.tail_b, rep.tail_m])
+        assert np.all(np.abs(got - [ib, im, tb, tm]) <= 1e-8 * got), (sigma, got)
+
+
+def test_check_hypotheses_names_the_interval_it_cannot_settle(monkeypatch):
+    # the halving stops after _HYP2_ROUNDS rounds; a partial sum is never
+    # returned
+    monkeypatch.setattr(coeffs, "_HYP2_ROUNDS", 3)
+    with pytest.raises(HorizonError, match=r"did not settle on t in \[\d"):
+        check_hypotheses(_oscillating_table_model(), 400.0, sigma=1.0)
+
+
+def test_check_hypotheses_reaches_a_tables_last_node():
+    # 10**log10(T) overshoots T = 200, 300 and 700, each a table's last
+    # node: the last Hyp.-1 sample is T itself
+    for T in (200.0, 300.0, 700.0):
+        rep = check_hypotheses(_table_model(T, 801), T)
+        assert rep.hyp1_pass and rep.hyp2_pass
+
+
+def test_check_hypotheses_leaves_scipy_integrate_unimported():
+    # a fresh interpreter audits a bounded, a log and a tabulated model;
+    # only the tables' splines import scipy (scipy.interpolate)
+    script = (
+        "import sys, numpy as np\n"
+        "from fuchswave.coeffs import *\n"
+        "ts = np.linspace(0.0, 1e3, 401)\n"
+        "table = CoefficientModel(b0=2.0, m0=1.0, family='tabulated',\n"
+        "    b_table=TabulatedCoefficient.from_columns(ts, 2.0 / (1.0 + ts)),\n"
+        "    m_table=TabulatedCoefficient.from_columns(ts, 1.0 / (1.0 + ts) ** 2))\n"
+        "for model in (example_bounded(2.0, 1.0), example_log(3.0, 0.5), table):\n"
+        "    check_hypotheses(model, 1e3)\n"
+        "print('scipy.integrate' in sys.modules)\n")
+    src = str(Path(coeffs.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_tabulated_family_does_not_extrapolate():

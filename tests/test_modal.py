@@ -29,7 +29,7 @@ from fuchswave.modal import (FORM_DISS, FORM_HYP, ModalSystem,
                              scale_invariant_norm_traces, spectral_norm,
                              state_propagator_checkpoints,
                              weight_conjugation, weighted_propagator)
-from fuchswave.zones import ZoneConfig
+from fuchswave.zones import ZoneConfig, sharp_weight, theta
 from oracles import integrate_fuchs
 
 CFG = ZoneConfig(N=1.0)
@@ -205,12 +205,10 @@ def test_batched_traces_match_reference_oracle():
     batched = scale_invariant_norm_traces(cells, CFG, 2.0, times, rtol=1e-11)
     for j, (b0, m0) in enumerate(cells):
         model = CoefficientModel(b0=b0, m0=m0)
-        ref = propagator_norm_trace(model, CFG, 2.0, times, rtol=1e-11)
-        assert np.allclose(batched[:, j], ref, rtol=1e-7)
         # at xi = 2N the sharp weight is xi for every t >= 0, so the weighted
         # propagator is the hyp_system one, integrated by the single-system
-        # oracle: DOP853 throughout on the float right-hand side, where the
-        # batched traces run the buffer one and Hankel's expansion beyond z = 25
+        # oracle: DOP853 throughout, where the batched traces, on the same
+        # float right-hand side, continue in Hankel's expansion beyond z = 25
         sys = ModalSystem(model, CFG, 2.0, FORM_HYP)
         E = propagator_checkpoints(sys, 0.0, times, rtol=1e-11)
         hyp = np.linalg.svd(E, compute_uv=False)[:, 0]
@@ -363,6 +361,24 @@ def test_both_oracles_match_the_exact_pure_family_propagator(xi):
             # the bound of the Hankel-vs-oracle test: its 1e-13 absolute term
             # is the oracle's atol floor once ||E|| decays, cell (4, 0)
             assert spectral_norm(E_orc - E_ex) <= 1e-8 * size + 1e-13, (b0, m0, t)
+
+
+@pytest.mark.parametrize("xi", [1e-4, 1e-3])
+def test_weighted_propagator_matches_the_exact_pure_family_at_low_frequency(xi):
+    # the slow zone and the crossing: the sharp-weighted E(t, 0, xi) against
+    # the exact Phi conjugated by the same weight, at times on both sides of
+    # theta(xi) = N/xi - 1, up to 4 theta (z = xi (1+t) <= 4N: DOP853 only);
+    # measured at most 9.8e-13
+    th = theta(CFG, xi)
+    times = np.r_[1.0, th * np.array([0.01, 0.1, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 4.0])]
+    for b0, m0 in EIGHT_CELLS:
+        model = CoefficientModel(b0=b0, m0=m0)
+        exact = weight_conjugation(sharp_weight(CFG, times, xi),
+                                   sharp_weight(CFG, 0.0, xi),
+                                   exact_pure_fundamental(b0, m0, xi, times))
+        E = weighted_propagator(model, CFG, xi, times, rtol=1e-12)
+        for t, E_num, E_ex in zip(times, E, exact):
+            assert spectral_norm(E_num - E_ex) <= 1e-10 * spectral_norm(E_ex), (b0, m0, t)
 
 
 @pytest.mark.parametrize("b0, m0", [(2.0, 0.75), (2.0, 2.0), (1.0, 1.0)])

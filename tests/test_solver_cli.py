@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -254,6 +255,15 @@ def test_persist_determinism_and_archive(tmp_path):
     assert len(archived) == 1                # previous manifest kept
 
 
+def test_sweep_without_cells_writes_the_header_only(tmp_path):
+    # a trace with no rows is a CSV of its header line alone
+    cfgfile = tmp_path / "empty.json"
+    cfgfile.write_text(json.dumps({"sweep_cells": []}))
+    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "run")]) == 0
+    (csv_file,) = (tmp_path / "run").glob("sweep_results_*.csv")
+    assert csv_file.read_text() == "b0,m0,sigma,zone,predicted,fitted,verdict\n"
+
+
 def test_persist_failure_leaves_the_directory_as_it_was(tmp_path):
     out = tmp_path / "run"
     good = ResultRecord(
@@ -504,3 +514,22 @@ def test_cli_experiments_leave_scipy_subpackages_unimported(tmp_path):
     codes, loaded = json.loads(done.stdout.splitlines()[-1])
     assert 1 not in codes, done.stderr
     assert loaded == []
+
+
+def test_src_modules_use_every_name_they_import():
+    # an import whose name no line of the module reads is dead; __init__
+    # re-exports by importing, and diagonalize keeps solve_ivp for the
+    # benchmark tracer, which wraps that name there
+    kept = {("diagonalize", "solve_ivp")}
+    unused = []
+    for path in sorted(Path(fuchswave.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name) for name in sorted(imported - read)
+                   if (path.stem, name) not in kept]
+    assert unused == []
