@@ -24,14 +24,12 @@ from .asymptotic import (
     FuchsSystem,
     HWTransform,
     LevinsonSolution,
-    check_dichotomy,
     hartman_wintner,
     levinson_solve,
 )
 from .diagonalize import (
     DiagonalizationStage,
     QResult,
-    SymbolMatrix,
     assemble_representation,
     build_stage,
     min_zone_constant,

@@ -2,10 +2,9 @@
 
     t dV/dt = (D(t) + R(t)) V,   t >= 1,   D = diag(mu_1..mu_d),
 
-as a general d x d library: dichotomy checking, Levinson solution
-construction by Picard iteration on the split integral equation, and the
-Hartman-Wintner remainder reduction that trades an L^sigma remainder for an
-L^max(sigma/2,1) one.
+as a general d x d library: Levinson solution construction by Picard
+iteration on the split integral equation, and the Hartman-Wintner remainder
+reduction that trades an L^sigma remainder for an L^max(sigma/2,1) one.
 
 A system is evaluated on an array of times: mu(ts) has shape ts.shape + (d,)
 and R(ts) shape ts.shape + (d, d), so every construction samples it once on
@@ -31,12 +30,6 @@ class DichotomyViolationError(RuntimeError):
 
 # Picard sweeps levinson_solve allows before giving up
 _PICARD_MAX_ITER = 60
-# check_dichotomy: log-grid points on [1, T]
-_DICHOTOMY_SAMPLES = 1200
-# remainder_log_integral: log-grid points on [t0, T]
-_REMAINDER_SAMPLES = 2000
-# hw_identity_residual: centered-difference step in x = ln t
-_HW_FD_STEP = 1e-4
 
 
 class NeedsLargerStartError(RuntimeError):
@@ -83,13 +76,6 @@ def _diagonal_part(R):
     return R * np.eye(R.shape[-1])
 
 
-def remainder_log_integral(sys, t0, T):
-    """int_{t0}^{T} ||R(t)|| dt/t on a log grid (trapezoid in x = ln t)."""
-    xs = np.linspace(math.log(t0), math.log(T), _REMAINDER_SAMPLES)
-    vals = np.linalg.norm(sys.R(np.exp(xs)), 2, axis=(-2, -1))
-    return float(np.trapezoid(vals, xs)), xs, vals
-
-
 def _fit_tail(xs, vals):
     """Exponential decay rate of vals ~ C e^{-r x} over the last stretch;
     returns the estimated integral beyond xs[-1] (0 rate -> conservative inf).
@@ -108,56 +94,6 @@ def _fit_tail(xs, vals):
     if r <= 1e-6:
         return math.inf
     return float(v[-1] / r)
-
-
-@dataclass
-class DichotomyVerdict:
-    pair: tuple
-    alternative: str            # bounded_above / bounded_below / both / inconclusive
-    strong: bool                # sign-definite separation of the real parts
-    C_minus: float | None
-    C_plus: float | None
-    integral_trace: np.ndarray  # Re int (mu_i - mu_j) ds/s on the grid
-    grid: np.ndarray
-
-
-def check_dichotomy(sys, pair, T):
-    """Evaluate int Re(mu_i - mu_j) ds/s on a log grid over [1, T] and report
-    which alternative holds numerically, with strong-form constants if
-    applicable."""
-    i, j = pair
-    if i == j:
-        raise ValueError("dichotomy concerns a pair of distinct indices")
-    xs = np.linspace(0.0, math.log(T), _DICHOTOMY_SAMPLES)
-    mus = np.asarray(sys.mu(np.exp(xs)), dtype=complex)
-    diff = (mus[:, i] - mus[:, j]).real
-    re_lo = diff.min()
-    re_hi = diff.max()
-    trace = _cumulative_trapezoid(diff, xs)
-    # an alternative fails when the running extreme keeps drifting,
-    # segment over segment, by a non-trivial amount
-    segs = np.array_split(trace, 6)
-    seg_max = np.array([s.max() for s in segs])
-    seg_min = np.array([s.min() for s in segs])
-    bounded_above = not (np.all(np.diff(seg_max[-3:]) > 0)
-                         and seg_max[-1] - seg_max[-3] > 1.0)
-    bounded_below = not (np.all(np.diff(seg_min[-3:]) < 0)
-                         and seg_min[-3] - seg_min[-1] > 1.0)
-    strong = re_lo > 0 or re_hi < 0
-    if bounded_above and bounded_below:
-        alt = "both"
-    elif bounded_above:
-        alt = "bounded_above"
-    elif bounded_below:
-        alt = "bounded_below"
-    else:
-        alt = "inconclusive"
-    return DichotomyVerdict(
-        pair=(i, j), alternative=alt, strong=strong,
-        C_minus=float(re_hi) if re_hi < 0 else None,
-        C_plus=float(re_lo) if re_lo > 0 else None,
-        integral_trace=trace, grid=xs,
-    )
 
 
 @dataclass
@@ -348,15 +284,3 @@ def hartman_wintner(sys, sigma, t0, horizon, n=4000):
     transform = HWTransform(N_matrix=N_of, B_matrix=B_of, valid_from=valid_from,
                             grid_t=ts, N_norms=N_norms, tail_bound=tail_total)
     return transform, FuchsSystem(dimension=d, mu=mu_new, R=R_new)
-
-
-def hw_identity_residual(sys, transform, t):
-    """Defect of t N' - (DN - ND) - (R - diag R) at time t, with t N'
-    evaluated by a centered difference in x = ln t."""
-    x, h = math.log(t), _HW_FD_STEP
-    Np, Nm = transform.N_matrix(np.exp([x + h, x - h]))
-    tNprime = (Np - Nm) / (2.0 * h)
-    Nt = transform.N_matrix(t)
-    D = np.diag(sys.mu(t))
-    R = sys.R(t)
-    return float(np.linalg.norm(tNprime - (D @ Nt - Nt @ D) - (R - _diagonal_part(R)), 2))

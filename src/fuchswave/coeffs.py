@@ -394,7 +394,8 @@ def check_hypotheses(model, T, sigma=None):
     """Sample the sup bounds of Hyp.-1 type on [1, T], and integrate the
     sigma-integrals of Hyp.-2 type on [1, T] and [T/2, T] on Gauss-Legendre
     panels in x = ln t (unit panels, or the tables' node intervals; T/2 is an
-    edge), halved for at most _HYP2_ROUNDS rounds, then HorizonError.  'pass'
+    edge), halved for at most _HYP2_ROUNDS rounds, then HorizonError; also
+    HorizonError when an integral is not finite (T beyond about 1e154).  'pass'
     is a bounded/Cauchy verdict at the given horizon: the asymptotic
     conditions cannot be decided numerically."""
     if T <= 1.0:
@@ -431,7 +432,15 @@ def check_hypotheses(model, T, sigma=None):
         else:
             inner = np.arange(math.ceil(min(0.0, x_half)), x_end)
         edges = np.unique(np.r_[0.0, x_half, inner, x_end])
-        (ib, tb), (im, tm) = _panel_integrals(model, edges, (0.0, x_half), sigma).tolist()
+        # past t ~ 1e154 (1+t)^2 overflows: the sums read NaN, raised on below
+        with np.errstate(over="ignore", invalid="ignore"):
+            (ib, tb), (im, tm) = _panel_integrals(model, edges, (0.0, x_half), sigma).tolist()
+        for name, value in (("integral_b", ib), ("tail_b", tb), ("integral_m", im),
+                            ("tail_m", tm)):
+            if not math.isfinite(value):
+                from .modal import HorizonError
+                raise HorizonError(f"Hyp.-2 {name} is {value} at T = {T:g}: the weighted "
+                                   "deviation is not finite in floating point")
     hyp2_ok = tb < _HYP2_TAIL_TOL and tm < _HYP2_TAIL_TOL
 
     return HypothesisReport(

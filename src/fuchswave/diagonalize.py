@@ -66,8 +66,6 @@ _ZONE_CANDIDATES = np.geomspace(1e-2, 1e2, 41)
 _ZONE_N_XI = 25
 # q_limit: doublings of t allowed before the Cauchy test must have settled
 _Q_LIMIT_MAX_STEPS = 48
-# operator_identity_residual: finite-difference step relative to 1+t
-_FD_STEP = 1e-4
 # q_propagator: Peano-Baker terms summed per panel; the bound the panels'
 # summed tail bounds must meet, and the refinement rounds allowed to meet it
 _Q_DEPTH = 8
@@ -101,21 +99,6 @@ def _jm_const_mul(Mat, A, side="left"):
     if side == "left":
         return np.einsum("ab,kbc...->kac...", Mat, A)
     return np.einsum("kab...,bc->kac...", A, Mat)
-
-
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """Matrix amplitude with claimed orders: ||D_t^k D_xi^a eval|| <=
-    C |xi|^(m1-a) (1+t)^(-m2-k) on the oscillatory zone."""
-
-    jet: callable                  # (t, xi, order) -> (order+1, 2, 2, nt)
-    order: tuple                   # (m1, m2)
-    smoothness: int
-    name: str = ""
-
-    def eval(self, t, xi):
-        """The matrix at (t, xi), (2,2) complex; t may be a vector."""
-        return np.moveaxis(self.jet(t, xi, 0)[0], -1, 0).squeeze()
 
 
 class _Hierarchy(NamedTuple):
@@ -183,15 +166,12 @@ def _at(t, jet0):
 
 @dataclass
 class DiagonalizationStage:
-    """The tuple (N_k, F_{k-1}, B^(k), R_k) of the k-th sweep, as evaluable
-    matrix functions with symbol-order metadata."""
+    """The k-th sweep of the hierarchy for a model: N_k and the generator of
+    Q_k, each evaluated by one pass of `_sweeps` per call."""
 
     model: object
     config: object
     k: int
-    N_parts: list
-    F_parts: list
-    B_k: SymbolMatrix
 
     def N_total(self, t, xi):
         return _at(t, _sweeps(self.model, xi, t, self.k, 0, with_B=False).N[0])
@@ -204,19 +184,6 @@ class DiagonalizationStage:
         G = np.moveaxis(F_extra, -1, 0) - np.matmul(_inv2(np.moveaxis(hier.N[0], -1, 0)),
                                                     np.moveaxis(hier.B[0], -1, 0))
         return G if np.ndim(t) else G[0]
-
-    def operator_identity_residual(self, t, xi):
-        """Defect of (D_t - D - B - C) N_k - N_k (D_t - D - F_{k-1}) - B^(k)
-        with D_t N_k re-evaluated by Richardson finite differences, as an
-        independent check on the jet arithmetic."""
-        h = _FD_STEP * (1.0 + t)
-        Nm2, Nm1, Nk, Np1, Np2 = self.N_total(t + h * np.arange(-2.0, 3.0), xi)
-        dtN = -1j * ((8 * (Np1 - Nm1) - (Np2 - Nm2)) / (12 * h))
-        pre = preliminary_transform(self.model, xi)
-        hier = _sweeps(self.model, xi, t, self.k, 0, with_B=True)
-        lhs = (dtN - (pre.D @ Nk - Nk @ pre.D) - (pre.B(t) + pre.C(t)) @ Nk
-               + Nk @ _at(t, hier.F[0]))
-        return spectral_norm(lhs - _at(t, hier.B[0]))
 
 
 def _norm2(G):
@@ -278,21 +245,7 @@ def build_stage(model, k, config):
     if k > model.budget - 1:
         raise UnsupportedOrderError(
             f"k={k} sweeps need a smoothness budget >= {k + 1}, model has {model.budget}")
-    N_parts = [SymbolMatrix(
-        jet=lambda t, xi, order, j=j:
-            _sweeps(model, xi, t, j, order, with_B=False).N_parts[-1],
-        order=(-j, j), smoothness=model.budget - j + 1, name=f"N^({j})")
-        for j in range(1, k + 1)]
-    F_parts = [SymbolMatrix(
-        jet=lambda t, xi, order, j=j:
-            _sweeps(model, xi, t, j + 1, order, with_B=False).F_parts[-1],
-        order=(-j, j + 1), smoothness=model.budget - j, name=f"F^({j})")
-        for j in range(0, k)]
-    B_k = SymbolMatrix(
-        jet=lambda t, xi, order: _sweeps(model, xi, t, k, order, with_B=True).B,
-        order=(-k, k + 1), smoothness=model.budget - k, name=f"B^({k})")
-    return DiagonalizationStage(model=model, config=config, k=k,
-                                N_parts=N_parts, F_parts=F_parts, B_k=B_k)
+    return DiagonalizationStage(model=model, config=config, k=k)
 
 
 def min_zone_constant(stage):
@@ -333,9 +286,6 @@ class QResult:
     series_depth: int
     C_total: float
     tail_bound: float
-
-    def det_lower_bound(self):
-        return math.exp(-2.0 * self.C_total)
 
 
 def _conjugated_generator(stage, taus, anchor, xi):
@@ -508,40 +458,3 @@ def assemble_from_boundary(stage, t, xi, E_boundary):
     inner = assemble_representation(stage, th, t, xi)
     E = inner.entries @ np.asarray(E_boundary, dtype=complex)
     return FundamentalMatrix(E, (0.0, t), xi, provenance="representation", q=inner.q)
-
-
-# --- sampled symbol-estimate audits ----------------------------------------
-
-def audit_symbol(sym, config, t_factors=(1.0, 3.0, 10.0, 100.0),
-                 xi_values=None, k_max=1, alpha_max=2):
-    """Worst sampled constants of ||D_t^k D_xi^a sym|| |xi|^(a-m1) (1+t)^(m2+k)
-    over the oscillatory zone; t-derivatives exact (jets), xi-derivatives by
-    central differences with relative step."""
-    m1, m2 = sym.order
-    N = config.N
-    xi_values = np.geomspace(0.25 * N, 32.0 * N, 7) if xi_values is None else xi_values
-    out = {}
-    for k in range(k_max + 1):
-        for alpha in range(alpha_max + 1):
-            worst = 0.0
-            for xi in xi_values:
-                t0 = max(N / xi - 1.0, 0.0)
-                for fac in t_factors:
-                    t = (1.0 + t0) * fac - 1.0 + 1e-9
-                    val = _dxi_of_jet(sym, t, xi, k, alpha)
-                    weight = xi ** (alpha - m1) * (1.0 + t) ** (m2 + k)
-                    worst = max(worst, spectral_norm(val) * weight)
-            out[(k, alpha)] = worst
-    return out
-
-
-def _dxi_of_jet(sym, t, xi, k, alpha):
-    def f(x):
-        return sym.jet(np.array([t]), x, k)[k][..., 0]
-
-    if alpha == 0:
-        return f(xi)
-    h = 1e-3 * xi
-    if alpha == 1:
-        return (f(xi + h) - f(xi - h)) / (2.0 * h)
-    return (f(xi + h) - 2.0 * f(xi) + f(xi - h)) / h ** 2

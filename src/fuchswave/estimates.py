@@ -365,9 +365,6 @@ class ScatteringOperator:
     last_increment: np.ndarray
     times: np.ndarray
 
-    def sup_norm(self):
-        return float(np.linalg.svd(self.W, compute_uv=False)[:, 0].max())
-
 
 def scattering_operator(model, config, freq_samples, horizon=1e5, tol=1e-3, eps=1e-3):
     """W_plus(xi) = lim lam(t) E_fr(t,0,xi)^{-1} E(t,0,xi), evaluated at

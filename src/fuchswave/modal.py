@@ -236,12 +236,6 @@ class FundamentalMatrix:
     provenance: str = "oracle"
     q: object = None            # the QResult a representation was built from
 
-    def norm(self):
-        return spectral_norm(self.entries)
-
-    def det(self):
-        return np.linalg.det(self.entries)
-
 
 @dataclass
 class MicroEnergy:

@@ -7,13 +7,13 @@ import pytest
 from fuchswave import asymptotic
 from fuchswave.asymptotic import (DichotomyViolationError, FuchsSystem,
                                   HorizonError, NeedsLargerStartError,
-                                  check_dichotomy,
-                                  hartman_wintner, hw_identity_residual,
-                                  levinson_solve, remainder_log_integral)
+                                  hartman_wintner, levinson_solve)
 from fuchswave.coeffs import CoefficientModel, example_log
 from fuchswave.experiments import modal_fuchs_system
 from fuchswave.zones import ZoneConfig, theta
-from oracles import integrate_fuchs
+import oracles
+from oracles import (check_dichotomy, hw_identity_residual, integrate_fuchs,
+                     remainder_log_integral)
 
 
 def const_system(mus, R_fn=None):
@@ -321,8 +321,8 @@ def counted(sys):
 @pytest.mark.parametrize("n", [500, 2000])
 def test_constructions_sample_the_system_once_per_grid(n, monkeypatch):
     # each construction evaluates mu and R on its whole grid in one call
-    monkeypatch.setattr(asymptotic, "_DICHOTOMY_SAMPLES", n)
-    monkeypatch.setattr(asymptotic, "_REMAINDER_SAMPLES", n)
+    monkeypatch.setattr(oracles, "_DICHOTOMY_SAMPLES", n)
+    monkeypatch.setattr(oracles, "_REMAINDER_SAMPLES", n)
     base = const_system([0.0, -2.0], R_fn=contracting_R)
     constructions = [
         lambda sys: levinson_solve(sys, k=1, t0=1.0, T=1e6, tol=1e-11, n=n),

@@ -348,6 +348,24 @@ def test_check_hypotheses_names_the_interval_it_cannot_settle(monkeypatch):
         check_hypotheses(_oscillating_table_model(), 400.0, sigma=1.0)
 
 
+def test_check_hypotheses_rejects_a_horizon_past_the_float_range():
+    # (1+t)^2 m overflows past t ~ 1e154: at T = 1e200 the m integrals would
+    # read NaN, so the horizon is refused by name; T = 1e100 is still audited
+    # to the bit it was before the check existed, with no warning either way
+    model = example_bounded(2.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HorizonError, match=r"integral_m is nan at T = 1e\+200"):
+            check_hypotheses(model, 1e200)
+        rep = check_hypotheses(model, 1e100)
+    assert (rep.integral_b, rep.integral_m) == (1.7627471740390863, 1.7627471740390854)
+    assert (rep.tail_b, rep.tail_m) == (2.2614277108854598e-17, 1.002239976987129e-17)
+    assert rep.hyp1_pass and rep.hyp2_pass
+    assert [c["sup_m"] for c in rep.hyp1_constants] == [
+        1.7071067811865475, 3.767766952966369, 12.187184335382291, 51.842329509220306,
+        273.13281230071175]
+
+
 def test_check_hypotheses_reaches_a_tables_last_node():
     # 10**log10(T) overshoots T = 200, 300 and 700, each a table's last
     # node: the last Hyp.-1 sample is T itself

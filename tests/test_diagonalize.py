@@ -10,7 +10,7 @@ from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, Unsupporte
 from fuchswave.diagonalize import (M_ROT, M_ROT_INV,
                                    ZoneConstantError, _conjugated_generator, _norm2,
                                    assemble_from_boundary,
-                                   assemble_representation, audit_symbol,
+                                   assemble_representation,
                                    build_stage,
                                    free_phase, min_zone_constant,
                                    preliminary_transform, q_limit,
@@ -18,7 +18,7 @@ from fuchswave.diagonalize import (M_ROT, M_ROT_INV,
 from fuchswave.modal import (FORM_HYP, ModalSystem, integrate_fundamental,
                              spectral_norm, weighted_propagator)
 from fuchswave.zones import ZoneConfig, theta
-from oracles import integrate_q
+from oracles import audit_symbol, integrate_q, operator_identity_residual, symbol_jets
 
 CFG = ZoneConfig(N=1.0)
 FREE = CoefficientModel(b0=0.0, m0=0.0)
@@ -50,8 +50,7 @@ def test_preliminary_transform_free_case():
 def test_first_sweep_satisfies_commutator_identity():
     stage = build_stage(EX31, 1, CFG)
     t, xi = 5.0, 1.3
-    N1 = stage.N_parts[0].eval(t, xi)
-    F0 = stage.F_parts[0].eval(t, xi)
+    N1, F0, _ = (sym.jet(t, xi, 0)[0, ..., 0] for sym in symbol_jets(stage))
     D = np.diag([xi, -xi]).astype(complex)
     B = 0.5j * float(EX31.b(t)) * np.ones((2, 2))
     assert spectral_norm((D @ N1 - N1 @ D) + B - F0) == 0.0
@@ -64,9 +63,10 @@ def test_first_sweep_satisfies_commutator_identity():
 
 def test_free_case_hierarchy_vanishes():
     stage = build_stage(FREE, 2, CFG)
-    for part in stage.N_parts + stage.F_parts:
-        assert spectral_norm(part.eval(7.0, 1.5)) == 0.0
-    assert spectral_norm(stage.B_k.eval(7.0, 1.5)) == 0.0
+    *parts, B_k = symbol_jets(stage)
+    for part in parts:
+        assert spectral_norm(part.jet(7.0, 1.5, 0)[0, ..., 0]) == 0.0
+    assert spectral_norm(B_k.jet(7.0, 1.5, 0)[0, ..., 0]) == 0.0
 
 
 @pytest.mark.parametrize("model", [EX31, example_log(2.0, 0.5, b1=0.3, m1=0.1, gamma=0.9)],
@@ -79,7 +79,7 @@ def test_symbol_jets_match_finite_differences(model):
     for t, xi in [(2.0, 1.3), (15.0, 0.5), (120.0, 4.0)]:
         h = 1e-3 * (1.0 + t)
         taus = t + h * np.array([-2.0, -1.0, 1.0, 2.0])
-        for sym in stage.N_parts + stage.F_parts + [stage.B_k]:
+        for sym in symbol_jets(stage):
             jet = sym.jet(np.array([t]), xi, 1)[..., 0]
             assert np.array_equal(jet[0], sym.jet(np.array([t]), xi, 0)[0, ..., 0])
             v = np.moveaxis(sym.jet(taus, xi, 0)[0], -1, 0)
@@ -116,12 +116,13 @@ def test_operator_identity_residual_random_points():
         xi = float(np.exp(rng.uniform(math.log(0.3), math.log(20.0))))
         t_min = max(theta(CFG, xi), 0.0)
         t = t_min + float(np.exp(rng.uniform(0.0, math.log(200.0))))
-        assert stage.operator_identity_residual(t, xi) < 1e-9
+        assert operator_identity_residual(stage, t, xi) < 1e-9
 
 
 def test_symbol_order_audit():
     stage = build_stage(EX31, 2, CFG)
-    for sym in stage.N_parts + [stage.B_k]:
+    *N_parts, _, _, B_k = symbol_jets(stage)
+    for sym in N_parts + [B_k]:
         consts = audit_symbol(sym, CFG, k_max=1, alpha_max=2)
         near = audit_symbol(sym, CFG, t_factors=(1.0, 3.0),
                             xi_values=np.geomspace(0.25, 2.0, 4),
@@ -295,7 +296,7 @@ def test_q_determinant_bound():
     stage = build_stage(EX31, 2, CFG)
     for (s, t, xi) in [(0.0, 100.0, 1.5), (2.0, 50.0, 4.0), (10.0, 1000.0, 1.1)]:
         res = q_propagator(stage, s, t, xi)
-        assert abs(np.linalg.det(res.matrix)) >= res.det_lower_bound() - 1e-12
+        assert abs(np.linalg.det(res.matrix)) >= math.exp(-2.0 * res.C_total) - 1e-12
 
 
 def test_q_limit_properties():
@@ -342,7 +343,7 @@ def test_representation_identity_against_oracle():
     E_rep = assemble_representation(stage, 0.0, 1000.0, 2.0)
     sysm = ModalSystem(EX31, CFG, 2.0, FORM_HYP)
     E_orc = integrate_fundamental(sysm, 0.0, 1000.0, tol=1e-12)
-    rel = spectral_norm(E_rep.entries - E_orc.entries) / E_orc.norm()
+    rel = spectral_norm(E_rep.entries - E_orc.entries) / spectral_norm(E_orc.entries)
     assert rel <= 1e-6
     assert E_rep.provenance == "representation"
 
@@ -383,7 +384,7 @@ def stage_audit_report(stage, k_max=1, alpha_max=2):
     """JSON-able audit of every symbol in the hierarchy: claimed orders,
     sampled grid description and worst weighted constant per derivative."""
     report = {"k": stage.k, "zone_constant": stage.config.N, "symbols": []}
-    for sym in stage.N_parts + stage.F_parts + [stage.B_k]:
+    for sym in symbol_jets(stage):
         consts = audit_symbol(sym, stage.config, k_max=k_max, alpha_max=alpha_max)
         report["symbols"].append({
             "name": sym.name,

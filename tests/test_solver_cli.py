@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -532,4 +533,50 @@ def test_src_modules_use_every_name_they_import():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.stem, name) for name in sorted(imported - read)
                    if (path.stem, name) not in kept]
+    assert unused == []
+
+
+def test_every_src_function_has_a_src_caller():
+    # a top-level function, class, public method or module-level constant that
+    # nothing else in src/ reads is dead code or a test aid; a docstring or a
+    # CLI string does not count as a read.  Exempt: the names the benchmark
+    # tracer patches (perfbench/tracing.py, read as text), dunder methods,
+    # the console entry point cli.main and the two documented model
+    # constructors example_bounded and example_log
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    traced = set(re.findall(r"\w+", tracer.read_text()))
+    exempt = {"cli.main", "coeffs.example_bounded", "coeffs.example_log"}
+    trees, defined, reads = [], [], {}   # reads: name -> ids of the definitions around each read
+    for path in sorted(Path(fuchswave.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        trees.append(tree)                # keeps the node ids unique
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{path.stem}.{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(f"{path.stem}.{n.id}", node) for target in targets
+                            for n in ast.walk(target) if isinstance(n, ast.Name)]
+        stack = [(tree, ())]
+        while stack:
+            node, around = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)):
+                around += (id(node),)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                reads.setdefault(name, []).append(around)
+            stack += [(child, around) for child in ast.iter_child_nodes(node)]
+    unused = []
+    for qualname, node in defined:
+        name = qualname.rpartition(".")[2]
+        if (qualname in exempt or name in traced
+                or (name.startswith("__") and name.endswith("__"))):
+            continue
+        if not any(id(node) not in around for around in reads.get(name, [])):
+            unused.append(qualname)
     assert unused == []
