@@ -2,9 +2,10 @@
 
     t dV/dt = (D(t) + R(t)) V,   t >= 1,   D = diag(mu_1..mu_d),
 
-as a general d x d library: Levinson solution construction by Picard
-iteration on the split integral equation, and the Hartman-Wintner remainder
-reduction that trades an L^sigma remainder for an L^max(sigma/2,1) one.
+as a general d x d library that imports only fuchswave.errors: Levinson
+solution construction by Picard iteration on the split integral equation, and
+the Hartman-Wintner remainder reduction that trades an L^sigma remainder for
+an L^max(sigma/2,1) one.
 
 A system is evaluated on an array of times: mu(ts) has shape ts.shape + (d,)
 and R(ts) shape ts.shape + (d, d), so every construction samples it once on
@@ -21,23 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modal import HorizonError
-
-
-class DichotomyViolationError(RuntimeError):
-    """Real parts of an exponent pair are not uniformly separated."""
-
+from .errors import DichotomyViolationError, HorizonError, NeedsLargerStartError
 
 # Picard sweeps levinson_solve allows before giving up
 _PICARD_MAX_ITER = 60
-
-
-class NeedsLargerStartError(RuntimeError):
-    """The Picard map does not contract from the requested start time."""
-
-    def __init__(self, message, estimated_tail=None):
-        super().__init__(message)
-        self.estimated_tail = estimated_tail
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,7 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
     if math.isinf(tail):
         raise NeedsLargerStartError(
             "remainder shows no decay within the horizon; the tail integral "
-            "cannot be certified finite", math.inf)
+            "cannot be certified finite")
     total_tail = base_integral + tail
     if total_tail >= 1.0 / (2.0 * (c_minus + c_plus)):
         # retry from a later start where the remainder tail is small enough
@@ -170,7 +158,7 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
             cutoff = ok[0]
         if cutoff is None:
             raise NeedsLargerStartError(
-                f"remainder tail {total_tail:.3g} too large for contraction", total_tail)
+                f"remainder tail {total_tail:.3g} too large for contraction")
         sub = slice(cutoff, None)
         xs, ts, mus, Rs, rel, delta = (xs[sub], ts[sub], mus[sub], Rs[sub],
                                        rel[sub], delta[sub] - delta[cutoff])
@@ -199,8 +187,7 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
         if gap < tol:
             break
     else:
-        raise HorizonError(
-            f"Picard iteration did not reach {tol} in {_PICARD_MAX_ITER} sweeps")
+        raise HorizonError(f"Picard iteration did not reach {tol} in {_PICARD_MAX_ITER} sweeps")
 
     muk_int = _cumulative_trapezoid(mus[:, k], xs)
     V = Z * np.exp(muk_int)[:, None]

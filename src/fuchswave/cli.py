@@ -16,7 +16,8 @@ import argparse
 import json
 import sys
 
-from .experiments import ConfigError, ExperimentConfig, persist, run_experiment
+from .errors import ConfigError
+from .experiments import ExperimentConfig, persist, run_experiment
 
 # sensible demonstration defaults per experiment; a config file and flags
 # override these field by field

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import HorizonError, RegimeUnsupportedError, UnsupportedOrderError
+
 PURE = "pure_scale_invariant"
 BOUNDED = "bounded_perturbation"
 LOG = "log_perturbation"
@@ -38,14 +40,6 @@ _HYP2_TAIL_TOL = 1e-3
 _HYP2_ROUNDS = 50
 # a cubic spline has exact derivatives up to this order only
 _TABLE_MAX_ORDER = 3
-
-
-class UnsupportedOrderError(ValueError):
-    """Requested derivative order exceeds the model's smoothness budget."""
-
-
-class RegimeUnsupportedError(ValueError):
-    """The (b0, m0, sigma) configuration is outside the applicable regime."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,7 +432,6 @@ def check_hypotheses(model, T, sigma=None):
         for name, value in (("integral_b", ib), ("tail_b", tb), ("integral_m", im),
                             ("tail_m", tm)):
             if not math.isfinite(value):
-                from .modal import HorizonError
                 raise HorizonError(f"Hyp.-2 {name} is {value} at T = {T:g}: the weighted "
                                    "deviation is not finite in floating point")
     hyp2_ok = tb < _HYP2_TAIL_TOL and tm < _HYP2_TAIL_TOL
@@ -482,7 +475,6 @@ def _panel_integrals(model, edges, starts, sigma):
             return sums
         mid = 0.5 * (lo + hi)
         lo, hi = np.r_[lo, mid], np.r_[mid, hi]
-    from .modal import HorizonError
     raise HorizonError(f"the Hyp.-2 integrals did not settle on t in [{math.exp(lo.min()):.6g}, "
                        f"{math.exp(hi.max()):.6g}] in {_HYP2_ROUNDS} rounds of halving")
 

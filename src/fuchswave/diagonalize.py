@@ -52,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coeffs import UnsupportedOrderError
-from .modal import FundamentalMatrix, HorizonError, spectral_norm
+from .errors import HorizonError, UnsupportedOrderError, ZoneConstantError
+from .modal import FundamentalMatrix, spectral_norm
 from .modal import solve_ivp  # noqa: F401  the benchmark tracer wraps this name
 from .zones import theta
 
@@ -78,10 +78,6 @@ _Q_CHUNK = 8192
 _GAUSS_NODES = 16
 # phase 2 xi tau spanned by one panel at most
 _PANEL_PHASE = 4.0
-
-
-class ZoneConstantError(RuntimeError):
-    """N_k is not safely invertible at the requested point."""
 
 
 # --- jet-matrix helpers: arrays of shape (order+1, 2, 2, nt) ---------------
@@ -385,7 +381,7 @@ def q_propagator(stage, s, t, xi, q0=None, anchor=None):
             Q = (q0 + T @ q0) + (_ordered_product(D) - T) @ q0
             return QResult(Q, s, t, xi, stage.k, "series", _Q_DEPTH, float(C.sum()), tail)
         if rounds == _Q_ROUNDS:
-            raise HorizonError(f"Q_k tail bound above {_Q_TOL:g} at (s={s:g}, t={t:g}, xi={xi:g})")
+            raise HorizonError(f"Q_k tail bound above {_Q_TOL:g} from s={s:g}", t=t, xi=xi)
         # pieces with C_p <= cap sum to at most C_total e^cap cap^8 / 9!
         cap = min(1.0, (_Q_TOL * fact / (math.e * C.sum())) ** (1.0 / _Q_DEPTH))
         n = np.maximum(1, np.ceil(C / cap)).astype(int)
@@ -425,8 +421,7 @@ def q_limit(stage, s, xi, tol=1e-8, t_start=None, growth=2.0):
             return QResult(seg.matrix, s, math.inf, xi, stage.k, "limit",
                            res.series_depth, C_acc, seg.tail_bound)
         Q, t = seg.matrix, t_next
-    raise HorizonError(
-        f"Q_k did not settle within {_Q_LIMIT_MAX_STEPS} doublings (last t={t:g})")
+    raise HorizonError(f"Q_k did not settle within {_Q_LIMIT_MAX_STEPS} doublings", t=t, xi=xi)
 
 
 def assemble_representation(stage, s, t, xi):
@@ -437,9 +432,8 @@ def assemble_representation(stage, s, t, xi):
     Nk_s, Nk_t = stage.N_total(s, xi), stage.N_total(t, xi)
     for tau, Nk in ((s, Nk_s), (t, Nk_t)):
         if spectral_norm(Nk - np.eye(2)) >= 1.0:
-            raise ZoneConstantError(
-                f"N_k not safely invertible at (t={tau:g}, xi={xi:g}); "
-                "raise the zone constant")
+            raise ZoneConstantError("N_k not safely invertible; raise the zone constant",
+                                    t=tau, xi=xi)
     lam_ratio = float(stage.model.lam(s) / stage.model.lam(t))
     Nk_s_inv = _inv2(Nk_s)
     E0 = free_phase(t, s, xi)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modal, zones
-from .coeffs import REAL_LARGE, RegimeUnsupportedError, classify_regime
-from .modal import HorizonError
+from .coeffs import REAL_LARGE, classify_regime
+from .errors import (HorizonError, InvalidWindowError, RegimeUnsupportedError,
+                     ResolutionError, SupportError)
 
 SURFACE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -30,19 +31,6 @@ _RESOLUTION_TOL = 0.01
 # scattering basis this many times past its horizon
 _SCATTERING_RTOL = 1e-9
 _W_HORIZON_FACTOR = 4.0
-
-
-class ResolutionError(RuntimeError):
-    """Frequency grid too coarse: for a stable quadrature, or for a box run
-    to resolve the slow zone."""
-
-
-class InvalidWindowError(ValueError):
-    pass
-
-
-class SupportError(ValueError):
-    """Initial data violates a support precondition."""
 
 
 # --------------------------------------------------------------------------
@@ -343,8 +331,7 @@ def _check_scattering_regime(model):
             raise RegimeUnsupportedError("need b0(b0-2) <= 4 m0")
     else:
         if not (model.b0 * (model.b0 - 2.0) <= 4.0 * model.m0 < (model.b0 - 1.0) ** 2):
-            raise RegimeUnsupportedError(
-                "sigma > 1 needs b0(b0-2) <= 4 m0 < (b0-1)^2")
+            raise RegimeUnsupportedError("sigma > 1 needs b0(b0-2) <= 4 m0 < (b0-1)^2")
 
 
 def _wave_operator_samples(model, config, r, times, Phi):
@@ -386,9 +373,8 @@ def scattering_operator(model, config, freq_samples, horizon=1e5, tol=1e-3, eps=
             conv[j] = times[ok[0] + 1]
     last = inc[-1]
     if np.any(np.isnan(conv)):
-        worst = float(last.max())
         raise HorizonError(f"W(t) not Cauchy within tol={tol} by t={times[-1]:g} "
-                           f"(last increment {worst:.3e})", last_increment=worst)
+                           f"(last increment {last.max():.3e})")
     return ScatteringOperator(frequencies=r, W=W[-1], converged_at=conv,
                               last_increment=last, times=times)
 

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, asymptotic, diagonalize, estimates, modal, zones
-from .coeffs import (PURE, CoefficientModel, RegimeUnsupportedError, classify_regime,
-                     predicted_decay)
+from .coeffs import PURE, CoefficientModel, classify_regime, predicted_decay
+from .errors import ConfigError, RegimeUnsupportedError, SeriesRangeError, StiffnessError
 from .estimates import DataSpec, fit_decay, grid_for_data
 from .solver import Grid, simulate_fields
 from .zones import ZoneConfig
@@ -38,10 +38,6 @@ EXPERIMENTS = ("simulate", "classify", "sweep", "scatter", "moments",
 # oscillatory-zone rate table (sigma = 1)
 DEFAULT_SWEEP_CELLS = ((2.0, 2.0, 1.0), (2.0, 0.25, 1.0),
                        (3.0, 0.8, 1.0), (3.0, 0.0, 1.0))
-
-
-class ConfigError(ValueError):
-    pass
 
 
 _TOP_KEYS = {"schema", "experiment", "model", "zone", "data", "grid", "n_dim",
@@ -232,10 +228,20 @@ def _double_root_log_shift(window):
     return float(np.mean(1.0 / np.log1p(ts)))
 
 
+def _slow_zone_xi(cfg, t_from):
+    """cfg.xi, once its slow zone is known to reach past t_from (theta(xi) > t_from)."""
+    bound = cfg.zone.N / (1.0 + t_from)
+    if not 0.0 < cfg.xi < bound:
+        raise ConfigError(f"{cfg.experiment} needs theta(xi) > {t_from:g}, i.e. 0 < xi < "
+                          f"{bound:g} at N = {cfg.zone.N:g}, got xi = {cfg.xi!r}")
+    return cfg.xi
+
+
 def run_sweep(cfg):
     verdicts = {}
     rows = []
-    xi_low = cfg.xi
+    t_lo = 1e2   # start of both fit windows
+    xi_low = _slow_zone_xi(cfg, t_lo)
     for cell in cfg.sweep_cells:
         b0, m0, sigma = cell
         name = f"b0={b0:g},m0={m0:g},sigma={sigma:g}"
@@ -246,7 +252,6 @@ def run_sweep(cfg):
                 rows.append((b0, m0, sigma, "n/a", 0.0, 0.0, "not_applicable"))
                 continue
             th = zones.theta(cfg.zone, xi_low)
-            t_lo = 1e2
             times_d = np.geomspace(t_lo, th, 120)
             norm_d = modal.propagator_norm_trace(model, cfg.zone, xi_low, times_d,
                                                  rtol=cfg.rtol)
@@ -268,7 +273,7 @@ def run_sweep(cfg):
             verdicts[name] = bool(fit_d.verdict and fit_h.verdict)
         # a cell whose integration or regime fails is a failed row, and the
         # sweep continues; any other exception is a fault of the program
-        except (modal.StiffnessError, modal.SeriesRangeError, RegimeUnsupportedError) as exc:
+        except (StiffnessError, SeriesRangeError, RegimeUnsupportedError) as exc:
             rows.append((b0, m0, sigma, "error", 0.0, 0.0, f"error:{exc}"))
             verdicts[name] = False
     return verdicts, {"cells": len(cfg.sweep_cells)}, [
@@ -337,8 +342,8 @@ def modal_fuchs_system(model, config, xi, zero_extended=True):
 
 
 def run_levinson(cfg):
-    xi = cfg.xi
-    sys, P, eigvals = modal_fuchs_system(cfg.model, cfg.zone, xi)
+    xi = _slow_zone_xi(cfg, 0.0)
+    sys, _, eigvals = modal_fuchs_system(cfg.model, cfg.zone, xi)
     th = zones.theta(cfg.zone, xi)
     t_probe = 1.0 + th / 2.0
     verdicts = {}
@@ -361,9 +366,7 @@ def run_levinson(cfg):
 
 
 def run_hw(cfg):
-    xi = cfg.xi
-    sys, P, eigvals = modal_fuchs_system(cfg.model, cfg.zone, xi,
-                                         zero_extended=False)
+    sys = modal_fuchs_system(cfg.model, cfg.zone, cfg.xi, zero_extended=False)[0]
     sigma = cfg.model.sigma
     transform, reduced = asymptotic.hartman_wintner(sys, sigma, t0=1.0,
                                                     horizon=4.0 * cfg.t_final)

@@ -9,8 +9,9 @@ start-up).  Only the right-hand side runs in Python, and each checkpoint ends
 one integration leg, landing on it exactly (solve_ivp), all in one kernel,
 _solve_modes, whose right-hand side takes one scalar pair (b, m) per call
 (CoefficientModel.kernel): on Python floats for one frequency, into one
-preallocated buffer otherwise.  fuchswave sweep and acceptance criteria 2/3
-measure the zone rates through the same propagator_norm_trace.
+preallocated buffer otherwise; a solve that stops short raises StiffnessError
+at the (t, xi) it reached.  fuchswave sweep and acceptance criteria 2/3 measure
+the zone rates through the same propagator_norm_trace.
 
 evolve_state groups frequencies into octave bands.  Where a cost model says
 it is cheaper (_shared_tolerance), all bands share one DOP853 solve, at
@@ -55,7 +56,7 @@ import scipy
 
 from . import zones
 from .coeffs import PURE, CoefficientModel
-from .zones import ZoneConfig, sharp_weight
+from .errors import SeriesRangeError, StiffnessError
 
 FORM_DISS = "diss_system"
 FORM_HYP = "hyp_system"
@@ -71,30 +72,6 @@ _SERIES_TOL = 1e-17
 # overhead and DOP853's step) in units of the cost it adds per real state
 # component: about 6.3 us against 4.4 ns on one Xeon core
 CALL_COMPONENTS = 1400
-
-
-class StiffnessError(RuntimeError):
-    """An integration stopped short: t is the last checkpoint it reached, xi
-    the frequency (the largest of the solve)."""
-
-    def __init__(self, message, t=None, xi=None):
-        super().__init__(message, t, xi)  # all three, so copies and pickles rebuild it
-        self.t, self.xi = t, xi
-
-    def __str__(self):
-        return "{} (t={}, xi={})".format(*self.args)
-
-
-class SeriesRangeError(ValueError):
-    """Hankel's expansion was asked for outside its validated range."""
-
-
-class HorizonError(RuntimeError):
-    """A construction or limit did not settle within the horizon it was given."""
-
-    def __init__(self, message, last_increment=None):
-        super().__init__(message)
-        self.last_increment = last_increment
 
 
 @dataclass(frozen=True)
@@ -215,7 +192,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
 @dataclass(frozen=True)
 class ModalSystem:
     model: object
-    config: ZoneConfig
+    config: zones.ZoneConfig
     xi_norm: float
     form: str = FORM_DISS
 
@@ -549,8 +526,8 @@ def weighted_propagator(model, config, xi, times, rtol=DEFAULT_RTOL):
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     Phi = state_propagator_checkpoints(model, [xi], times, rtol=rtol)
-    return weight_conjugation(sharp_weight(config, times[:, None], xi),
-                              sharp_weight(config, 0.0, xi), Phi)[:, 0]
+    return weight_conjugation(zones.sharp_weight(config, times[:, None], xi),
+                              zones.sharp_weight(config, 0.0, xi), Phi)[:, 0]
 
 
 def propagator_norm_trace(model, config, xi, times, rtol=DEFAULT_RTOL):

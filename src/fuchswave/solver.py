@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from . import modal
-from .estimates import ResolutionError
+from .errors import ResolutionError
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from scipy.integrate import solve_ivp
 
 from fuchswave.asymptotic import _cumulative_trapezoid, _diagonal_part
 from fuchswave.diagonalize import _at, _conjugated_generator, _sweeps, preliminary_transform
-from fuchswave.modal import HorizonError, spectral_norm
+from fuchswave.errors import HorizonError
+from fuchswave.modal import spectral_norm
 
 # operator_identity_residual: finite-difference step relative to 1+t
 _FD_STEP = 1e-4

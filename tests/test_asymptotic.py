@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from fuchswave import asymptotic
-from fuchswave.asymptotic import (DichotomyViolationError, FuchsSystem,
-                                  HorizonError, NeedsLargerStartError,
-                                  hartman_wintner, levinson_solve)
+from fuchswave.asymptotic import FuchsSystem, hartman_wintner, levinson_solve
 from fuchswave.coeffs import CoefficientModel, example_log
+from fuchswave.errors import DichotomyViolationError, HorizonError, NeedsLargerStartError
 from fuchswave.experiments import modal_fuchs_system
 from fuchswave.zones import ZoneConfig, theta
 import oracles

@@ -14,11 +14,10 @@ from scipy.integrate import quad
 from fuchswave import coeffs
 from fuchswave.coeffs import (BOUNDED, COMPLEX_PAIR, DOUBLE_ROOT, LOG, PURE,
                               REAL_LARGE, REAL_SMALL, CoefficientModel,
-                              RegimeUnsupportedError, TabulatedCoefficient,
-                              UnsupportedOrderError, check_hypotheses,
+                              TabulatedCoefficient, check_hypotheses,
                               classify_regime, example_bounded, example_log,
                               predicted_decay)
-from fuchswave.modal import HorizonError
+from fuchswave.errors import HorizonError, RegimeUnsupportedError, UnsupportedOrderError
 
 
 def test_eval_pure_scale_invariant_values():

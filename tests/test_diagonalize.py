@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
-from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, UnsupportedOrderError,
-                              example_bounded, example_log)
-from fuchswave.diagonalize import (M_ROT, M_ROT_INV,
-                                   ZoneConstantError, _conjugated_generator, _norm2,
+from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, example_bounded,
+                              example_log)
+from fuchswave.diagonalize import (M_ROT, M_ROT_INV, _conjugated_generator, _norm2,
                                    assemble_from_boundary,
                                    assemble_representation,
                                    build_stage,
                                    free_phase, min_zone_constant,
                                    preliminary_transform, q_limit,
                                    q_propagator)
+from fuchswave.errors import UnsupportedOrderError
 from fuchswave.modal import (FORM_HYP, ModalSystem, integrate_fundamental,
                              spectral_norm, weighted_propagator)
 from fuchswave.zones import ZoneConfig, theta

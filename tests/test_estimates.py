@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fuchswave.coeffs import (CoefficientModel, RegimeUnsupportedError,
-                              classify_regime, example_bounded)
-from fuchswave.estimates import (DataSpec, InvalidWindowError, ResolutionError,
-                                 SupportError, bump, energy_trace, fit_decay,
+from fuchswave.coeffs import CoefficientModel, classify_regime, example_bounded
+from fuchswave.errors import (InvalidWindowError, RegimeUnsupportedError, ResolutionError,
+                              SupportError)
+from fuchswave.estimates import (DataSpec, bump, energy_trace, fit_decay,
                                  grid_for_data, improved_u_bound, lp_lq_rate,
                                  moment_experiment, moment_parameters,
                                  radial_grid, radial_norm, scattering_operator,

@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 import fuchswave
-from fuchswave import modal
-from fuchswave.asymptotic import FuchsSystem, NeedsLargerStartError
+from fuchswave import errors, modal
+from fuchswave.asymptotic import FuchsSystem
 from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, classify_regime,
                               example_bounded, example_log, predicted_decay)
+from fuchswave.errors import SeriesRangeError, StiffnessError
 from fuchswave.estimates import (DataSpec, fit_decay, free_micro_propagator, grid_for_data,
-                                 scattering_operator)
+                                 radial_norm, scattering_operator, scattering_residual)
 from fuchswave.modal import (FORM_DISS, FORM_HYP, ModalSystem,
                              check_cocycle, evolve_micro_energy, evolve_state,
                              fuchs_constant_matrix, fuchs_remainder,
@@ -225,10 +226,10 @@ def test_stiffness_error_carries_time_and_frequency(monkeypatch):
 
     monkeypatch.setattr(modal, "solve_ivp", failed)
     times = np.array([0.5, 1.0, 2.0])
-    with pytest.raises(modal.StiffnessError) as info:
+    with pytest.raises(StiffnessError) as info:
         evolve_state(FREE, [0.3, 0.5, 3.0], np.ones(3), np.zeros(3), times)
     assert info.value.t == 1.0 and info.value.xi == 0.5  # first band: [0.3, 0.5]
-    with pytest.raises(modal.StiffnessError) as info:
+    with pytest.raises(StiffnessError) as info:
         scale_invariant_norm_traces([(2.0, 2.0)], CFG, 2.0, times)
     assert info.value.t == 1.0 and info.value.xi == 2.0
 
@@ -314,14 +315,16 @@ def exact_pure_fundamental(b0, m0, xi, times, dps=40):
     return Phi
 
 
-def exact_pure_scattering_limit(b0, m0, xi, dps=40):
-    """W+ = lim lam(t) E_fr(t)^-1 E(t, 0, xi) for the scale-invariant family at
-    xi >= N, where the sharp weight is xi at every t and T = diag(xi, -i), in
-    closed form.  The modes f_1,2 = z^a H^(1,2)_nu(z), z = xi (1+t),
+def exact_pure_scattering_limit(b0, m0, xi, N=1.0, dps=40):
+    """W+ = lim lam(t) E_fr(t)^-1 E(t, 0, xi) for the scale-invariant family,
+    in closed form.  E conjugates Phi by the sharp weight T(t) =
+    diag(max(N/(1+t), xi), -i): T(t) = diag(xi, -i) from t = theta(xi) on,
+    and T(0) = diag(max(N, xi), -i), which is N below the zone constant.
+    The modes f_1,2 = z^a H^(1,2)_nu(z), z = xi (1+t),
     a = (1-b0)/2, go as z^a sqrt(2/(pi z)) e^(+-i(z - nu pi/2 - pi/4))
-    (DLMF 10.17), so lam(t) E_fr(t)^-1 T (f_j, xi df_j/dz) tends to the
+    (DLMF 10.17), so lam(t) E_fr(t)^-1 T(t) (f_j, xi df_j/dz) tends to the
     columns xi^(1-b0/2) sqrt(2/pi) e^(+-i(xi - nu pi/2 - pi/4)) (1, +-1) of L,
-    and W+ = L B(0)^-1 T^-1 with B(0) = [[f_1, f_2], [xi f_1', xi f_2']] at
+    and W+ = L B(0)^-1 T(0)^-1 with B(0) = [[f_1, f_2], [xi f_1', xi f_2']] at
     z = xi.  Shares no code with DOP853 or Hankel's expansion."""
     with mpmath.workdps(dps):
         a = (1 - mpmath.mpf(b0)) / 2
@@ -337,7 +340,7 @@ def exact_pure_scattering_limit(b0, m0, xi, dps=40):
             H, dH = J + sign * 1j * Y, dJ + sign * 1j * dY
             B[0, j] = k ** a * H
             B[1, j] = k * (a * B[0, j] / k + k ** a * dH)
-        W = L * B ** -1 * mpmath.diag([1 / k, 1j])
+        W = L * B ** -1 * mpmath.diag([1 / max(mpmath.mpf(N), k), 1j])
         return np.array([[complex(W[j, l]) for l in range(2)] for j in range(2)])
 
 
@@ -449,6 +452,53 @@ def test_scattering_operator_tends_to_the_exact_pure_family_limit(b0, m0):
             assert err <= tol and err * xi * op.times[-1] <= 2.0, (xi, horizon, err)
 
 
+def exact_scattering_residuals(b0, m0, data, grid, times, n_dim=1):
+    """scattering_residual's (residual_dt, residual_grad) at times for the
+    scale-invariant family, by its formulas on every live frequency of grid,
+    with the exact Phi, the exact W+ and lam(t) = (1+t)^(b0/2)."""
+    u0, u1 = data.sample(grid)
+    live = (np.abs(u0) > 0) | (np.abs(u1) > 0)
+    r, u0, u1 = grid[live], u0[live], u1[live]
+    Phi = np.stack([exact_pure_fundamental(b0, m0, xi, times) for xi in r], axis=1)
+    W_plus = np.array([exact_pure_scattering_limit(b0, m0, xi, N=CFG.N) for xi in r])
+    U0 = np.stack([sharp_weight(CFG, 0.0, r) * u0, -1j * u1], axis=-1)
+    V = np.einsum("trij,rj->tri", free_micro_propagator(times, r),
+                  np.einsum("rij,rj->ri", W_plus, U0))
+    lam = (1.0 + np.asarray(times)) ** (b0 / 2.0)
+    u = Phi[..., 0, 0] * u0 + Phi[..., 0, 1] * u1
+    u_t = Phi[..., 1, 0] * u0 + Phi[..., 1, 1] * u1
+    return (radial_norm(lam[:, None] * u_t - 1j * V[..., 1], r, n_dim),
+            radial_norm(lam[:, None] * r * u - V[..., 0], r, n_dim))
+
+
+def scatter_data(amp1):
+    """fuchswave scatter's default ring data with amp1, and its grid at N = 1."""
+    data = DataSpec(kind="ring", center=0.6, width=0.5, amp0=1.0, amp1=amp1)
+    return data, grid_for_data(data, lo=0.05, hi=4.0 * CFG.N, n_points=48, n_refine=120)
+
+
+def test_scattering_residual_matches_the_exact_pure_family_residuals():
+    # the scatter defaults (ring data, grid, horizon 1e4, rtol 1e-9) on the
+    # pure cell (2, 0.75): up to t = 16 both residuals equal the exact ones,
+    # whose W+ is taken at t = inf, not at 4 x the horizon (measured <= 1.6e-4)
+    data, grid = scatter_data(0.7)
+    res = scattering_residual(CoefficientModel(b0=2.0, m0=0.75), CFG, data, grid, horizon=1e4)
+    early = res.times <= 16.0
+    exact_dt, exact_grad = exact_scattering_residuals(2.0, 0.75, data, grid, res.times[early])
+    assert res.residual_dt[early] == pytest.approx(exact_dt, rel=1e-3)
+    assert res.residual_grad[early] == pytest.approx(exact_grad, rel=1e-3)
+
+
+def test_exact_gradient_residual_rises_from_t_2_to_t_4():
+    # ROADMAP Defect 1's cause: with amp1 = 0.5 the exact residual_grad of the
+    # pure cell (2, 0.75) rises from t = 2 to t = 4 (0.0150 to 0.0185) before
+    # it decays like 1/t, so a trend test from t = 1 judges a transient of
+    # the exact solution, not an integration error
+    data, grid = scatter_data(0.5)
+    _, grad = exact_scattering_residuals(2.0, 0.75, data, grid, [2.0, 4.0])
+    assert grad[1] > grad[0]
+
+
 def test_pure_family_matches_its_coefficients_run_by_dop853():
     # the same b, m as a bounded perturbation with c1 = c2 = 0, which the
     # kernel integrates with DOP853 throughout; checkpoints on both sides of
@@ -471,7 +521,7 @@ def test_pure_family_matches_its_coefficients_run_by_dop853():
 def test_hankel_series_refuses_to_truncate():
     # beyond its validated range the terms grow before they converge: a
     # typed error, never a truncated sum
-    with pytest.raises(modal.SeriesRangeError):
+    with pytest.raises(SeriesRangeError):
         modal._hankel_series(-1e3, np.array([25.0, 1e4]))
     # inside it (z >= max(Z_MATCH, 2|nu^2|), the kernel's matching point) it
     # converges for every nu^2, real or imaginary nu
@@ -868,7 +918,7 @@ def test_a_failing_integration_raises_stiffness_error_at_the_last_checkpoint():
     # reached and the band's frequency
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(modal.StiffnessError) as info:
+        with pytest.raises(StiffnessError) as info:
             modal._solve_modes(lambda t: (0.0, -1.0 / (2.0 - t) ** 4),
                                np.array([0.5, 1.0]), np.array([1.0, 1.0, 0.0, 0.0]),
                                np.array([1.0, 3.0]), 1e-10, 1e-16)
@@ -907,22 +957,28 @@ def test_the_oracle_raises_stiffness_error_from_its_start_time():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for times, reached in (([1.0, 3.0], 1.0), ([3.0], 0.5)):
-            with pytest.raises(modal.StiffnessError) as info:
+            with pytest.raises(StiffnessError) as info:
                 propagator_checkpoints(system, 0.5, times)
             assert info.value.t == reached and info.value.xi == 0.75
 
 
-@pytest.mark.parametrize("error", [
-    modal.StiffnessError("step size becomes too small", t=1.0, xi=2.0),
-    modal.HorizonError("W(t) not Cauchy", last_increment=2.5e-4),
-    NeedsLargerStartError("the Picard map does not contract", estimated_tail=0.7)],
-    ids=lambda error: type(error).__name__)
-def test_typed_errors_survive_copy_and_pickle(error):
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.FuchswaveError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_typed_errors_survive_copy_and_pickle(cls):
     # an error raised in a worker or copied by a test framework keeps its
-    # message and its (t, xi) or bound context
-    for twin in (copy.copy(error), pickle.loads(pickle.dumps(error))):
-        assert type(twin) is type(error) and str(twin) == str(error)
-        assert vars(twin) == vars(error)
+    # type, its message and its (t, xi) context; str() is the message alone,
+    # as sweep writes it into a CSV cell, or the message and (t, xi)
+    for error, text in ((cls("step size becomes too small"), "step size becomes too small"),
+                        (cls("step size becomes too small", t=1.0, xi=2.0),
+                         "step size becomes too small (t=1.0, xi=2.0)"),
+                        (cls("no settled point", xi=0.5), "no settled point (t=None, xi=0.5)")):
+        assert str(error) == text
+        for twin in (copy.copy(error), pickle.loads(pickle.dumps(error))):
+            assert type(twin) is cls and str(twin) == text
+            assert vars(twin) == vars(error)
 
 
 def test_scipy_dop853_reads_the_initial_step_from_its_work_array():

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import fuchswave
-from fuchswave import modal
+from fuchswave import errors, modal
 from fuchswave.cli import build_parser, run_cli
 from fuchswave.coeffs import CoefficientModel
-from fuchswave.estimates import DataSpec, ResolutionError, energy_trace, grid_for_data
-from fuchswave.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
+from fuchswave.errors import ConfigError, ResolutionError, StiffnessError
+from fuchswave.estimates import DataSpec, energy_trace, grid_for_data
+from fuchswave.experiments import (EXPERIMENTS, ExperimentConfig,
                                    ResultRecord, _IGNORED_KEYS, config_hash, persist,
                                    run_experiment)
 from fuchswave.solver import Grid, simulate_fields
@@ -355,6 +356,20 @@ def test_cli_malformed_config(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("experiment, xi, N, bound", [
+    ("sweep", 0.0, 1.0, 1.0 / 101.0), ("sweep", 0.5, 1.0, 1.0 / 101.0),
+    ("levinson", 0.0, 0.01, 0.01), ("levinson", 2.0, 1.0, 1.0)])
+def test_sweep_and_levinson_reject_an_xi_whose_slow_zone_is_too_short(experiment, xi, N,
+                                                                       bound):
+    # sweep fits from t = 1e2 up to theta(xi), and levinson builds its solutions
+    # on [1, 1 + theta(xi)]; an xi whose theta is infinite (xi = 0) or does not
+    # reach past the window's start is a ConfigError naming xi, N and the bound
+    cfg = ExperimentConfig.from_dict({"experiment": experiment, "xi": xi, "zone": {"N": N}})
+    with pytest.raises(ConfigError, match=re.escape(f"i.e. 0 < xi < {bound:g} at N = {N:g}, "
+                                                    f"got xi = {xi!r}")):
+        run_experiment(cfg)
+
+
 def test_cli_empty_sweep(tmp_path, capsys):
     cfgfile = tmp_path / "sweep.json"
     cfgfile.write_text(json.dumps({"experiment": "sweep", "sweep_cells": []}))
@@ -377,7 +392,7 @@ def test_sweep_records_a_failed_cell_and_exits_on_a_program_fault(tmp_path, caps
         return trace
 
     monkeypatch.setattr(modal, "propagator_norm_trace",
-                        fails(modal.StiffnessError("step size becomes too small", 1.0, 1e-3)))
+                        fails(StiffnessError("step size becomes too small", 1.0, 1e-3)))
     assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["verdicts"] == {"b0=3,m0=0,sigma=1": False}
@@ -515,6 +530,54 @@ def test_cli_experiments_leave_scipy_subpackages_unimported(tmp_path):
     codes, loaded = json.loads(done.stdout.splitlines()[-1])
     assert 1 not in codes, done.stderr
     assert loaded == []
+
+
+def test_each_module_loads_only_the_modules_it_runs():
+    # in a fresh interpreter, the package root loads no submodule, zones
+    # none, coeffs and asymptotic only the errors module, and none of them
+    # scipy
+    expected = {"fuchswave": [], "fuchswave.zones": ["fuchswave.zones"],
+                "fuchswave.coeffs": ["fuchswave.coeffs", "fuchswave.errors"],
+                "fuchswave.asymptotic": ["fuchswave.asymptotic", "fuchswave.errors"]}
+    src = str(Path(fuchswave.__file__).resolve().parents[1])
+    for name, modules in expected.items():
+        script = (f"import json, sys, {name}\n"
+                  "print(json.dumps(sorted(m for m in sys.modules\n"
+                  "                        if m.startswith(('fuchswave.', 'scipy')))))\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == modules, name
+
+
+def test_every_error_class_is_defined_in_the_errors_module():
+    # one hierarchy in one leaf module: no other src module defines an
+    # ...Error class, errors imports nothing of fuchswave, and each class
+    # keeps the built-in base that every except clause relies on
+    bases = {"ConfigError": ValueError, "InvalidWindowError": ValueError,
+             "RegimeUnsupportedError": ValueError, "SeriesRangeError": ValueError,
+             "SupportError": ValueError, "UnsupportedOrderError": ValueError,
+             "DichotomyViolationError": RuntimeError, "HorizonError": RuntimeError,
+             "NeedsLargerStartError": RuntimeError, "ResolutionError": RuntimeError,
+             "StiffnessError": RuntimeError, "ZoneConstantError": RuntimeError}
+    elsewhere = []
+    for path in sorted(Path(fuchswave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem == "errors":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    assert node.level == 0 and not node.module.startswith("fuchswave")
+                if isinstance(node, ast.Import):
+                    assert not any(a.name.startswith("fuchswave") for a in node.names)
+            continue
+        elsewhere += [(path.stem, node.name) for node in ast.walk(tree)
+                      if isinstance(node, ast.ClassDef) and node.name.endswith("Error")]
+    assert elsewhere == []
+    defined = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.FuchswaveError)}
+    assert defined == set(bases) | {"FuchswaveError"}
+    for name, base in bases.items():
+        assert issubclass(getattr(errors, name), base), name
 
 
 def test_src_modules_use_every_name_they_import():
