@@ -111,7 +111,7 @@ def test_modal_fuchs_scale_invariant_exact_powers():
     # at xi = 0 the scale-invariant remainder vanishes: V_k = e_k t^(mu_k)
     model = CoefficientModel(b0=3.0, m0=0.0)
     cfg = ZoneConfig(N=1.0)
-    sys, P, eigvals = modal_fuchs_system(model, cfg, xi=0.0)
+    sys, eigvals = modal_fuchs_system(model, cfg, xi=0.0)
     assert np.allclose(eigvals, [-3.0, -1.0])
     for k in (0, 1):
         sol = levinson_solve(sys, k, t0=1.0, T=1e4, tol=1e-12)
@@ -171,7 +171,7 @@ def test_modal_fuchs_cross_module_agreement():
     model = CoefficientModel(b0=3.0, m0=0.0)
     cfg = ZoneConfig(N=0.01)
     xi = 1e-4
-    sys, _, _ = modal_fuchs_system(model, cfg, xi=xi)
+    sys, _ = modal_fuchs_system(model, cfg, xi=xi)
     sol0 = levinson_solve(sys, 0, t0=1.0, T=400.0, tol=1e-12)
     sol1 = levinson_solve(sys, 1, t0=1.0, T=400.0, tol=1e-12)
     eval_E, C, max_re = fundamental_from_basis([sol0, sol1], s=1.0)
@@ -207,7 +207,7 @@ def test_low_frequency_norm_bracket():
     # (3, 0) small xi: ||E_V(t,1)|| / t^(-1) bounded above and below
     model = CoefficientModel(b0=3.0, m0=0.0)
     cfg = ZoneConfig(N=0.01)
-    sys, _, _ = modal_fuchs_system(model, cfg, xi=1e-6)
+    sys, _ = modal_fuchs_system(model, cfg, xi=1e-6)
     sols = [levinson_solve(sys, k, t0=1.0, T=1e5, tol=1e-11) for k in (0, 1)]
     eval_E, _, _ = fundamental_from_basis(sols, s=1.0)
     ratios = [np.linalg.norm(eval_E(t), 2) * t for t in np.geomspace(10, 1e4, 9)]
@@ -229,7 +229,7 @@ def test_scaling_uniformity():
 def test_scaling_uniformity_modal():
     model = CoefficientModel(b0=3.0, m0=0.0)
     cfg = ZoneConfig(N=0.01)
-    sys, _, _ = modal_fuchs_system(model, cfg, xi=1e-5)
+    sys, _ = modal_fuchs_system(model, cfg, xi=1e-5)
     rep = scaling_uniformity(sys, [1.0, 10.0, 100.0], s=1.0, t=20.0)
     base = rep.ratios[1.0]
     assert max(rep.ratios.values()) <= 2.0 * base + 1e-12
@@ -299,7 +299,7 @@ def test_hw_requires_strong_dichotomy():
 def test_remainder_log_integral_finite():
     model = CoefficientModel(b0=2.0, m0=0.75)
     cfg = ZoneConfig(N=1.0)
-    sys, _, _ = modal_fuchs_system(model, cfg, xi=1e-4)
+    sys, _ = modal_fuchs_system(model, cfg, xi=1e-4)
     total, _, _ = remainder_log_integral(sys, 1.0, theta(cfg, 1e-4))
     assert math.isfinite(total)
 
@@ -344,7 +344,7 @@ def test_modal_fuchs_system_evaluates_arrays(model, N, xi, zero_extended):
     # the CLI defaults of `fuchswave levinson` and `fuchswave hw`, on times on
     # both sides of the zone boundary 1 + theta
     cfg = ZoneConfig(N=N)
-    sys, _, _ = modal_fuchs_system(model, cfg, xi=xi, zero_extended=zero_extended)
+    sys, _ = modal_fuchs_system(model, cfg, xi=xi, zero_extended=zero_extended)
     edge = 1.0 + theta(cfg, xi)
     ts = edge * np.array([0.01, 0.5, 0.99, 1.01, 2.0, 4.0])
     Rs = sys.R(ts)

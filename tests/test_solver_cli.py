@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fuchswave
-from fuchswave import errors, modal
+from fuchswave import errors, experiments, modal
 from fuchswave.cli import build_parser, run_cli
 from fuchswave.coeffs import CoefficientModel
 from fuchswave.errors import ConfigError, ResolutionError, StiffnessError
@@ -370,6 +370,26 @@ def test_sweep_and_levinson_reject_an_xi_whose_slow_zone_is_too_short(experiment
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("xi, passes", [(2.0, False), (1.0, False), (-0.5, False),
+                                        (0.5, True), (1e-6, True), (0.0, True)])
+def test_hw_rejects_an_xi_without_a_slow_zone_before_any_solve(monkeypatch, xi, passes):
+    # hw reduces the slow-zone Fuchs system, so it needs theta(xi) > 0, i.e.
+    # 0 < xi < N, or xi = 0 (no zone boundary); the construction is replaced,
+    # so a rejected xi must fail before it and an accepted one reach it
+    class Reached(Exception):
+        pass
+
+    def hartman_wintner(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(experiments.asymptotic, "hartman_wintner", hartman_wintner)
+    cfg = ExperimentConfig.from_dict({"experiment": "hw", "xi": xi})
+    expected = Reached if passes else ConfigError
+    with pytest.raises(expected, match=None if passes else re.escape(
+            f"hw needs theta(xi) > 0, i.e. 0 < xi < 1 at N = 1, got xi = {xi!r}")):
+        run_experiment(cfg)
+
+
 def test_cli_empty_sweep(tmp_path, capsys):
     cfgfile = tmp_path / "sweep.json"
     cfgfile.write_text(json.dumps({"experiment": "sweep", "sweep_cells": []}))
@@ -581,14 +601,11 @@ def test_every_error_class_is_defined_in_the_errors_module():
 
 
 def test_src_modules_use_every_name_they_import():
-    # an import whose name no line of the module reads is dead; __init__
-    # re-exports by importing, and diagonalize keeps solve_ivp for the
-    # benchmark tracer, which wraps that name there
+    # an import whose name no line of the module reads is dead; diagonalize
+    # keeps solve_ivp for the benchmark tracer, which wraps that name there
     kept = {("diagonalize", "solve_ivp")}
     unused = []
     for path in sorted(Path(fuchswave.__file__).parent.glob("*.py")):
-        if path.stem == "__init__":
-            continue
         tree = ast.parse(path.read_text())
         imported = {(alias.asname or alias.name).partition(".")[0]
                     for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
