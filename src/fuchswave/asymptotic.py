@@ -151,14 +151,12 @@ def levinson_solve(sys, k, t0, T, tol=1e-10, n=3000):
     total_tail = base_integral + tail
     if total_tail >= 1.0 / (2.0 * (c_minus + c_plus)):
         # retry from a later start where the remainder tail is small enough
-        cutoff = None
         remaining = base_integral - _cumulative_trapezoid(norm_R, xs) + tail
         ok = np.flatnonzero(remaining < 1.0 / (2.0 * (c_minus + c_plus)))
-        if ok.size and ok[0] < n - 10:
-            cutoff = ok[0]
-        if cutoff is None:
+        if not (ok.size and ok[0] < n - 10):
             raise NeedsLargerStartError(
                 f"remainder tail {total_tail:.3g} too large for contraction")
+        cutoff = ok[0]
         sub = slice(cutoff, None)
         xs, ts, mus, Rs, rel, delta = (xs[sub], ts[sub], mus[sub], Rs[sub],
                                        rel[sub], delta[sub] - delta[cutoff])

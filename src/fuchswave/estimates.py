@@ -145,7 +145,7 @@ def _check_resolution(u0, u1, r, n_dim):
 
 def energy_trace(model, config, data_spec, freq_grid, times, n_dim=1,
                  rtol=1e-10):
-    """Evolve every frequency with the reference oracle and collect the
+    """Evolve every frequency with modal.evolve_state and collect the
     L2-over-frequency norms of the solution components.  For a scale-invariant
     model each octave band runs DOP853 only to z = xi (1+t) = modal.Z_MATCH
     and Hankel's expansion from there (modal.evolve_state)."""
@@ -192,10 +192,7 @@ def fit_decay(times, values, window=DEFAULT_WINDOW, predicted=0.0,
     y = np.log(values[mask])
     slope, intercept = np.polyfit(x, y, 1)
     rms = float(np.sqrt(np.mean((y - slope * x - intercept) ** 2)))
-    if one_sided:
-        verdict = slope <= predicted + tol
-    else:
-        verdict = abs(slope - predicted) <= tol
+    verdict = slope <= predicted + tol if one_sided else abs(slope - predicted) <= tol
     return DecayFit(exponent=float(slope), window=tuple(window), rms_residual=rms,
                     predicted=float(predicted), verdict=bool(verdict), tolerance=tol)
 
@@ -228,8 +225,7 @@ def sharpness_limit(model, config, data_spec, freq_grid, horizon=1e4, n_dim=1,
     trace = energy_trace(model, config, data_spec, r, times, n_dim=n_dim, rtol=rtol)
     lam = model.lam(times)
     scaled = lam ** 2 * (trace.grad ** 2 + trace.ut ** 2)
-    last = times >= horizon / 10.0
-    seg = scaled[last]
+    seg = scaled[times >= horizon / 10.0]
     variation = float((seg.max() - seg.min()) / seg.mean())
     limit = float(seg.mean())
     return SharpnessReport(times=times, scaled_energy=scaled, variation=variation,
@@ -329,9 +325,8 @@ def _check_scattering_regime(model):
     if model.sigma == 1.0:
         if model.b0 * (model.b0 - 2.0) > 4.0 * model.m0:
             raise RegimeUnsupportedError("need b0(b0-2) <= 4 m0")
-    else:
-        if not (model.b0 * (model.b0 - 2.0) <= 4.0 * model.m0 < (model.b0 - 1.0) ** 2):
-            raise RegimeUnsupportedError("sigma > 1 needs b0(b0-2) <= 4 m0 < (b0-1)^2")
+    elif not model.b0 * (model.b0 - 2.0) <= 4.0 * model.m0 < (model.b0 - 1.0) ** 2:
+        raise RegimeUnsupportedError("sigma > 1 needs b0(b0-2) <= 4 m0 < (b0-1)^2")
 
 
 def _wave_operator_samples(model, config, r, times, Phi):
@@ -366,17 +361,12 @@ def scattering_operator(model, config, freq_samples, horizon=1e5, tol=1e-3, eps=
                                              atol=_SCATTERING_RTOL * 1e-6)
     W = _wave_operator_samples(model, config, r, times, Phi)
     inc = np.linalg.norm(np.diff(W, axis=0), ord=2, axis=(2, 3))  # (nt-1, nr)
-    conv = np.full(r.size, np.nan)
-    for j in range(r.size):
-        ok = np.flatnonzero(inc[:, j] < tol)
-        if ok.size:
-            conv[j] = times[ok[0] + 1]
-    last = inc[-1]
-    if np.any(np.isnan(conv)):
+    below, last = inc < tol, inc[-1]
+    if not below.any(axis=0).all():
         raise HorizonError(f"W(t) not Cauchy within tol={tol} by t={times[-1]:g} "
                            f"(last increment {last.max():.3e})")
-    return ScatteringOperator(frequencies=r, W=W[-1], converged_at=conv,
-                              last_increment=last, times=times)
+    return ScatteringOperator(frequencies=r, W=W[-1], last_increment=last, times=times,
+                              converged_at=times[below.argmax(axis=0) + 1])
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 A single JSON document (schema 1) describes a run; unknown fields are
 rejected.  Results are persisted as a deterministic manifest plus one CSV per
-trace, file names derived from the config hash.  Wall time is tracked on the
-record but kept out of the manifest so identical configs rewrite identical
-manifests bit for bit.
+trace, file names derived from the config hash.  Wall time, CPU time and the
+forked children's peak RSS are tracked on the record but kept out of the
+manifest (in runinfo.json) so identical configs rewrite identical manifests
+bit for bit.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import io
 import json
 import math
 import os
-import pickle
-import signal
-import threading
+import resource
 import time
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime
@@ -185,6 +184,8 @@ class ResultRecord:
     wall_time: float
     tool_version: str = __version__
     propagator: str = "none"     # how the mode equations were solved
+    cpu_time: float = 0.0        # this process's and its waited-for children's
+    children_peak_rss_mb: float = 0.0
 
     @property
     def all_pass(self):
@@ -410,72 +411,6 @@ def _decade_maxima(ts, vals):
     return np.array(out)
 
 
-def _fork_map(fn, items, costs):
-    """[fn(x) for x in items] on this process and one os.fork() child per further
-    CPU in the affinity mask (processes: the mode solves' Python right-hand sides
-    hold the GIL); serial on one CPU, without fork, or beside another thread.
-    Items are dealt longest-processing-time first on costs, ties to the lowest
-    share.  An item that raises ends its share; the lowest-index error is raised."""
-    n = min(len(items), len(getattr(os, "sched_getaffinity", lambda pid: ())(0)))
-    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [fn(x) for x in items]
-    shares, loads = [[] for _ in range(n)], [0.0] * n
-    for i in sorted(range(len(items)), key=lambda i: -costs[i]):
-        k = loads.index(min(loads))
-        shares[k].append(i)
-        loads[k] += costs[i]
-
-    def run(share):   # (index, ok, value or exception), up to the first error
-        out = []
-        for i in sorted(share):
-            try:
-                out.append((i, True, fn(items[i])))
-            except Exception as exc:
-                return out + [(i, False, exc)]
-        return out
-
-    pids, pipes = [], []
-    try:
-        for share in filter(None, shares[1:]):
-            r, w = map(os.fdopen, os.pipe(), ("rb", "wb"))
-            pipes.append((r, len(share)))
-            with w:
-                if (pid := os.fork()) == 0:   # one pickle, then exit with no cleanup
-                    try:
-                        out = run(share)
-                        if not out[-1][1]:   # an exception that will not pickle goes as its repr
-                            try:
-                                pickle.dumps(out[-1][2])
-                            except Exception:
-                                out[-1] = out[-1][:2] + (RuntimeError(repr(out[-1][2])),)
-                        w.write(pickle.dumps(out))
-                        w.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                pids.append(pid)
-        done = run(shares[0])
-        blobs = [r.read() for r, _ in pipes]
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for r, _ in pipes:
-            r.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for (_, size), blob, code in zip(pipes, blobs, codes):
-        got = pickle.loads(blob) if blob else []
-        if not got or got[-1][1] and len(got) < size:
-            raise RuntimeError(f"a forked child ended with exit status {code} "
-                               "without a full result")
-        done += got
-    failed = min((row for row in done if not row[1]), default=None)
-    if failed:
-        raise failed[2]
-    return [value for _, _, value in sorted(done)]
-
-
 def run_repcheck(cfg):
     stage = diagonalize.build_stage(cfg.model, cfg.steps, cfg.zone)
     rng = np.random.default_rng(cfg.seed)
@@ -495,7 +430,7 @@ def run_repcheck(cfg):
                 / modal.spectral_norm(E_orc.entries))
 
     # both the oracle's steps and Q_k's nodes scale with the phase xi (t - s)
-    rels = _fork_map(rel_error, points, [xi * (t - s) for s, t, xi in points])
+    rels = modal._fork_map(rel_error, points, [xi * (t - s) for s, t, xi in points])
     rows = [point + (rel,) for point, rel in zip(points, rels)]
     worst = max(0.0, *rels)
     verdicts = {"representation_identity": worst <= 1e-6}
@@ -526,13 +461,15 @@ def _propagator(cfg):
 
 
 def run_experiment(cfg):
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), sum(os.times()[:4])
     verdicts, outputs, traces = _RUNNERS[cfg.experiment](cfg)
     return ResultRecord(
         config=cfg.canonical(), config_hash=config_hash(cfg),
         experiment=cfg.experiment, verdicts=verdicts, outputs=outputs,
         traces=traces, wall_time=time.perf_counter() - start,
-        propagator=_propagator(cfg),
+        propagator=_propagator(cfg), cpu_time=sum(os.times()[:4]) - cpu_start,
+        # the largest child this process has waited for; ru_maxrss is in KiB
+        children_peak_rss_mb=resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
     )
 
 
@@ -586,6 +523,7 @@ def persist(record, out_dir):
     os.replace(tmp_path, manifest_path)
     # wall time lives outside the manifest so reruns reproduce it bit for bit
     (out / "runinfo.json").write_text(json.dumps(
-        {"wall_time_s": record.wall_time,
+        {"wall_time_s": record.wall_time, "cpu_time_s": record.cpu_time,
+         "children_peak_rss_mb": record.children_peak_rss_mb,
          "created": datetime.now().isoformat()}) + "\n")
     return manifest_path

@@ -22,7 +22,12 @@ bound each band's own error at the given tolerances.  DOP853's estimate
 which one band's third-order estimate can hide another's error, so c is a
 heuristic: the per-band deviations in the tests are its evidence.  The
 scale-invariant family keeps one solve per band, since its bands leave
-DOP853 at different times.
+DOP853 at different times.  A solve of n real modes is then dealt into
+k = ceil(n / (2 CALL_COMPONENTS)) interleaved shares at its tolerances,
+which span its frequencies, take its steps and each hold the RMS of their
+own scaled errors; k depends on n alone, so any CPU count gives the same
+bytes, and on one CPU the (k-1) CALL_COMPONENTS more per step cost under a
+quarter of the whole solve's 2n + CALL_COMPONENTS.
 
 One state is integrated per frequency: X = (u_hat, u_hat'), with
 X' = [[0, 1], [-(xi^2+m), -b]] X and real fundamental matrix Phi(t,s).  Each
@@ -49,6 +54,9 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,7 +268,8 @@ def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL):
 
 def integrate_fundamental(sys, s, t, tol=DEFAULT_RTOL, verify=False):
     """Reference oracle for E(t,s,xi); optional halved-tolerance cross-check
-    at 10 log-spaced checkpoints (relative deviation recorded)."""
+    at 10 checkpoints in (s, t], log-spaced in 1+t and ending at t (relative
+    deviation recorded)."""
     if not 0 <= s <= t:
         raise ValueError("need 0 <= s <= t")
     if t == s:
@@ -268,8 +277,8 @@ def integrate_fundamental(sys, s, t, tol=DEFAULT_RTOL, verify=False):
     E = propagator_checkpoints(sys, s, [t], rtol=tol)[0]
     fm = FundamentalMatrix(E, (s, t), sys.xi_norm)
     if verify:
-        pts = np.geomspace(max(s, 1e-3) + 1.0, t - s + max(s, 1e-3) + 1.0, 10) - 1.0 + s
-        pts = np.clip(pts, s, t)
+        pts = np.geomspace(1.0 + s, 1.0 + t, 11)[1:] - 1.0
+        pts[-1] = t
         coarse = propagator_checkpoints(sys, s, pts, rtol=tol)
         fine = propagator_checkpoints(sys, s, pts, rtol=tol / 2.0)
         dev = max(spectral_norm(a - b) / max(spectral_norm(b), 1e-300)
@@ -402,22 +411,97 @@ def _solve_modes(coefficients, xi, y0, times, rtol, atol, cells=None, s=0.0):
     return y[:n].T, y[n:].T
 
 
+# true while a map's shares run, here and in its children: a nested map
+# runs serially, so a fork never forks again
+_in_share = False
+
+
+def _fork_map(fn, items, costs):
+    """[fn(x) for x in items] on this process and one os.fork() child per further
+    CPU in the affinity mask (processes: the mode solves' Python right-hand sides
+    hold the GIL); serial on one CPU, without fork, beside another thread, or
+    inside a forked share.  Items are dealt longest-processing-time first on
+    costs, ties to the lowest share.  An item that raises ends its share; the
+    lowest-index error is raised."""
+    global _in_share
+    n = min(len(items), len(getattr(os, "sched_getaffinity", lambda pid: ())(0)))
+    if n < 2 or _in_share or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(x) for x in items]
+    shares, loads = [[] for _ in range(n)], [0.0] * n
+    for i in sorted(range(len(items)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += costs[i]
+
+    def run(share):   # (index, ok, value or exception), up to the first error
+        out = []
+        for i in sorted(share):
+            try:
+                out.append((i, True, fn(items[i])))
+            except Exception as exc:
+                return out + [(i, False, exc)]
+        return out
+
+    pids, pipes, got = [], [], []
+    _in_share = True
+    try:
+        for share in filter(None, shares[1:]):
+            r, w = map(os.fdopen, os.pipe(), ("rb", "wb"))
+            pipes.append((r, len(share)))
+            with w:
+                if (pid := os.fork()) == 0:   # one pickle, then exit with no cleanup
+                    try:
+                        out = run(share)
+                        if not out[-1][1]:   # an exception that will not pickle goes as its repr
+                            try:
+                                pickle.dumps(out[-1][2])
+                            except Exception:
+                                out[-1] = out[-1][:2] + (RuntimeError(repr(out[-1][2])),)
+                        # protocol 5: the parent's load reads each array in place
+                        pickle.dump(out, w, protocol=5)
+                        w.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                pids.append(pid)
+        done = run(shares[0])
+        for r, _ in pipes:
+            try:
+                got.append(pickle.load(r))
+            except (EOFError, pickle.UnpicklingError):   # the child ended part-way
+                got.append([])
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _in_share = False
+        for r, _ in pipes:
+            r.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for (_, size), rows, code in zip(pipes, got, codes):
+        if not rows or rows[-1][1] and len(rows) < size:
+            raise RuntimeError(f"a forked child ended with exit status {code} "
+                               "without a full result")
+        done += rows
+    failed = min((row for row in done if not row[1]), default=None)
+    if failed:
+        raise failed[2]
+    return [value for _, _, value in sorted(done)]
+
+
 def _band_slices(xi):
     """Group frequency indices into octave bands, each of modes with
     comparable oscillation rates: the unit of evolve_state's solves, and of
     the tolerance scaling when several bands share one."""
     order = np.argsort(xi)
-    bands = []
-    cur = [order[0]]
-    for idx in order[1:]:
-        lo = max(xi[cur[0]], 1e-12)
-        if xi[idx] <= 2.0 * lo or xi[idx] < 1e-12:
-            cur.append(idx)
+    bands = [[order[0]]]
+    for idx in order[1:]:   # a band spans an octave from its lowest mode, or 2e-12
+        if xi[idx] <= 2.0 * max(xi[bands[-1][0]], 1e-12):
+            bands[-1].append(idx)
         else:
-            bands.append(np.array(cur))
-            cur = [idx]
-    bands.append(np.array(cur))
-    return bands
+            bands.append([idx])
+    return [np.array(band) for band in bands]
 
 
 def _shared_tolerance(xi, bands):
@@ -446,7 +530,10 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
     atol times c (_shared_tolerance), where that costs less than a solve per
     band; otherwise each band, and each band of a scale-invariant model,
     whose modes continue in Hankel's expansion beyond z = xi (1+t) = Z_MATCH
-    (see _solve_modes), has a solve of its own."""
+    (see _solve_modes), has a solve of its own.  A solve of n modes is dealt
+    into k = ceil(n / (2 CALL_COMPONENTS)) shares, its every k-th mode by
+    frequency at its tolerances; the shares of a split plan run on every
+    usable CPU (_fork_map), any other plan's solves in a loop."""
     xi = np.asarray(xi, dtype=float)
     u0 = np.ascontiguousarray(u0, dtype=complex)
     u1 = np.ascontiguousarray(u1, dtype=complex)
@@ -475,11 +562,22 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
         solves = [(live[band], 1.0) for band in bands]
     else:  # modes grouped by band, as in the solves apart
         solves = [(live[np.concatenate(bands)], c)]
-    for idx, c in solves:
+    shares = [(idx[j::k], c) for idx, c in solves
+              for k in [math.ceil(idx.size / (2 * CALL_COMPONENTS))] for j in range(k)]
+
+    def solve(share):
+        idx, c = share
         y0 = np.concatenate((a0[idx] / scale[idx], a1[idx] / scale[idx]))
         u, v = _solve_modes(coefficients, xi[idx], y0, times, rtol * c, atol * c, cells)
-        U[:, idx] = u * scale[idx]
-        V[:, idx] = v * scale[idx]
+        return u * scale[idx], v * scale[idx]
+
+    # only a split plan forks; a share costs its steps (~ top xi) x (CALL_COMPONENTS + 2n)
+    done = (_fork_map(solve, shares, [xi[i].max() * (CALL_COMPONENTS + 2 * i.size)
+                                      for i, _ in shares])
+            if len(shares) > len(solves) else map(solve, shares))
+    for (idx, _), (u, v) in zip(shares, done):
+        U[:, idx] = u
+        V[:, idx] = v
     return u_out, v_out
 
 
@@ -553,12 +651,8 @@ def dump_trajectory(sys, s, t, path, n_checkpoints=64):
     with open(path, "w") as fh:
         fh.write("t,e11_re,e11_im,e12_re,e12_im,e21_re,e21_im,e22_re,e22_im\n")
         for ti, Ei in zip(times, E):
-            cells = [format(ti, ".17g")]
-            for a in range(2):
-                for b in range(2):
-                    cells += [format(Ei[a, b].real, ".17g"),
-                              format(Ei[a, b].imag, ".17g")]
-            fh.write(",".join(cells) + "\n")
+            cells = [ti] + [part for e in Ei.ravel() for part in (e.real, e.imag)]
+            fh.write(",".join(format(x, ".17g") for x in cells) + "\n")
     return path
 
 

@@ -1,8 +1,9 @@
 """Spectral solver on a periodic box for end-to-end runs.
 
 Initial data is synthesised from a radial frequency profile and every
-retained mode is evolved with the reference oracle (grouped by unique |xi|,
-shells where the profile vanishes left out).
+retained mode is evolved by modal.evolve_state (grouped by unique |xi|,
+shells where the profile vanishes left out; a band of many shells is dealt
+into interleaved shares solved on every usable CPU).
 The norms of (1+t)^{-1} u, grad u, u_t are box L2 norms, taken by Parseval
 from the mode amplitudes: one weighted sum over the |xi| shells for all
 checkpoints at once.  The mode amplitudes are scaled so that box norms
@@ -67,7 +68,7 @@ class SimulationTrace:
 
 def simulate_fields(model, config, grid, data_spec, times, rtol=1e-9,
                     strict=False):
-    """Radial initial data on the box's modes, oracle evolution of every
+    """Radial initial data on the box's modes, evolve_state on every
     distinct |xi| and the box L2 norms at the checkpoint times."""
     times = np.asarray(times, dtype=float)
     warnings = []

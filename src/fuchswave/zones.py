@@ -74,9 +74,7 @@ def cutoffs(config, t, xi_norm):
     low = smoothstep_down(np.asarray(xi_norm, dtype=float) / N)
     slow = smoothstep_down((1.0 + np.asarray(t, dtype=float)) * xi_norm / N)
     phi_diss = low * slow
-    phi_s = low - phi_diss
-    phi_l = 1.0 - low
-    return phi_diss, phi_s, phi_l
+    return phi_diss, low - phi_diss, 1.0 - low
 
 
 def micro_weight(config, t, xi_norm):

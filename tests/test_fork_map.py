@@ -1,15 +1,27 @@
-"""experiments._fork_map, the map that spreads repcheck's points over this
-process and one forked child per further usable CPU: the same results and
-the same first error as a serial run, and no child left behind."""
+"""modal._fork_map, the map that spreads repcheck's points and the shares of
+evolve_state's large solves over this process and one forked child per
+further usable CPU: the same results and the same first error as a serial
+run, and no child left behind."""
 
+import json
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import fuchswave
+from fuchswave import modal
+from fuchswave.coeffs import example_bounded
 from fuchswave.errors import StiffnessError
-from fuchswave.experiments import ExperimentConfig, _fork_map, persist, run_experiment
+from fuchswave.experiments import ExperimentConfig, persist, run_experiment
+from fuchswave.modal import _fork_map
+from fuchswave.zones import ZoneConfig
 
 MAIN_PID = os.getpid()
 
@@ -125,3 +137,132 @@ def test_one_cpu_or_a_running_thread_maps_serially(monkeypatch):
     finally:
         release.set()
         thread.join()
+
+
+def test_a_map_inside_a_share_runs_serially(two_cpus, tmp_path, monkeypatch):
+    # every fork, in this process or in a forked one, adds a line to one file:
+    # the two top-level shares fork once, and each share's nested map runs
+    # in the one process that computes the share
+    log, fork = tmp_path / "forks", os.fork
+
+    def logged_fork():
+        pid = fork()
+        if pid:
+            with open(log, "a") as fh:
+                fh.write(f"{pid}\n")
+        return pid
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    pids = _fork_map(lambda x: _fork_map(lambda y: os.getpid(), [0, 1], [1.0, 1.0]),
+                     [0, 1], [1.0, 1.0])
+    assert len(log.read_text().split()) == 1 and len(two_cpus) == 1
+    assert [len(set(inner)) for inner in pids] == [1, 1]
+    assert len({inner[0] for inner in pids}) == 2
+    assert not modal._in_share
+
+
+def test_a_forked_run_records_cpu_time_and_the_childrens_peak_rss(tmp_path):
+    # in a fresh interpreter with two usable CPUs, repcheck forks one child;
+    # runinfo.json records it beside the wall time, and the manifest not
+    cfgfile, out = tmp_path / "repcheck.json", tmp_path / "out"
+    cfgfile.write_text(json.dumps({"experiment": "repcheck", "zone": {"N": 0.1},
+                                   "steps": 1}))
+    script = ("import os, sys\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "from fuchswave.cli import run_cli\n"
+              f"sys.exit(run_cli(['repcheck', '--config', {str(cfgfile)!r}, "
+              f"'--out', {str(out)!r}]))\n")
+    src = str(Path(fuchswave.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    info = json.loads((out / "runinfo.json").read_text())
+    assert info["children_peak_rss_mb"] > 0.0
+    assert info["cpu_time_s"] > 0.0 and info["wall_time_s"] > 0.0
+    manifest = (out / "manifest.json").read_text()
+    assert "cpu_time" not in manifest and "peak_rss" not in manifest
+
+
+# one octave band of 3,181 shells, (1.5, 2.5) on a 1-D box: one solve of
+# more than 2 CALL_COMPONENTS modes, dealt into two interleaved shares
+SPLIT_SIMULATE = {
+    "experiment": "simulate",
+    "model": {"family": "bounded_perturbation", "b0": 2.0, "m0": 0.75,
+              "c1": 0.5, "p1": 0.5, "c2": 0.5, "p2": 0.5},
+    "grid": {"n_dim": 1, "points_per_dim": 16384, "box_length": 20000.0},
+    "data": {"kind": "ring", "center": 2.0, "width": 0.5, "amp0": 1.0, "amp1": 0.5},
+    "times": {"t_final": 4.0, "checkpoints": 3},
+}
+
+
+def _persisted(out):
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "runinfo.json"}
+
+
+def test_a_split_simulate_writes_the_same_bytes_on_one_cpu_and_on_two(tmp_path, two_cpus,
+                                                                      monkeypatch):
+    cfg = ExperimentConfig.from_dict(SPLIT_SIMULATE)
+    persist(run_experiment(cfg), tmp_path / "two")
+    assert len(two_cpus) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    persist(run_experiment(cfg), tmp_path / "one")
+    assert len(two_cpus) == 1
+    two = _persisted(tmp_path / "two")
+    assert len(two) == 2 and _persisted(tmp_path / "one") == two
+
+
+def test_a_split_simulate_writes_the_same_bytes_beside_a_running_thread(tmp_path, two_cpus):
+    cfg = ExperimentConfig.from_dict(SPLIT_SIMULATE)
+    persist(run_experiment(cfg), tmp_path / "forked")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        persist(run_experiment(cfg), tmp_path / "threaded")
+    finally:
+        release.set()
+        thread.join()
+    assert len(two_cpus) == 1
+    assert _persisted(tmp_path / "threaded") == _persisted(tmp_path / "forked")
+
+
+def test_a_split_band_keeps_the_error_of_the_whole_solve(two_cpus):
+    # 3,001 modes in one octave band, two shares, at simulate's rtol 1e-9, to
+    # spectral2d's t = 150; 20 sampled shells against the single-system
+    # oracle at rtol 1e-12.  The split solve deviates by at most 7.92e-8,
+    # the whole band in one solve by 7.93e-8: both meet the one bound 1e-7
+    bounded = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    xi, times = np.linspace(1.5, 2.5, 3001), np.geomspace(1.0, 150.0, 8)
+    u, v = modal.evolve_state(bounded, xi, np.ones(xi.size), np.full(xi.size, 0.5), times,
+                              rtol=1e-9)
+    assert len(two_cpus) == 1
+    worst = 0.0
+    for j in np.linspace(0, xi.size - 1, 20).astype(int):
+        system = modal.ModalSystem(bounded, ZoneConfig(N=1.0), xi[j], modal.FORM_HYP)
+        E = modal.propagator_checkpoints(system, 0.0, times, rtol=1e-12)
+        # E = T Phi T^-1, T = diag(xi, -i); the state is Phi (1, 0.5)
+        ref = np.column_stack((E[:, 0, 0] + 0.5 * E[:, 0, 1] / (1j * xi[j]),
+                               1j * xi[j] * E[:, 1, 0] + 0.5 * E[:, 1, 1])).real
+        got = np.column_stack((u[:, j].real, v[:, j].real))
+        worst = max(worst, (np.linalg.norm(got - ref, axis=1)
+                            / np.linalg.norm(ref, axis=1)).max())
+    assert worst < 1e-7
+
+
+def test_a_stiffness_error_in_a_share_reaches_the_caller_as_in_a_serial_run(two_cpus,
+                                                                           monkeypatch):
+    # m = -1/(2-t)^4 blows every mode up at t = 2.  Of 3,000 modes in two
+    # shares, share 1 holds the top frequency, costs more and runs here; share
+    # 0 runs in the child, and its error, the one a serial run raises, names
+    # its own top frequency
+    blowup = SimpleNamespace(family="blowup", b0=0.0, m0=0.0,
+                             kernel=lambda: lambda t: (0.0, -1.0 / (2.0 - t) ** 4))
+    xi = np.linspace(1.5, 2.5, 3000)
+    errors = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        with pytest.raises(StiffnessError) as info, np.errstate(invalid="ignore"):
+            modal.evolve_state(blowup, xi, np.ones(xi.size), np.zeros(xi.size), [1.0, 3.0])
+        errors.append((type(info.value), info.value.t, info.value.xi))
+    assert len(two_cpus) == 1
+    assert errors[0] == errors[1] == (StiffnessError, 1.0, xi[-2])

@@ -243,6 +243,26 @@ def test_oracle_self_verification():
     assert dev < 1e-7
 
 
+@pytest.mark.parametrize("s, t", [(40.0, 100.0), (0.5, 20.0), (0.0, 100.0)])
+def test_oracle_self_verification_checks_ten_points_across_the_span(s, t, monkeypatch):
+    # the coarse and the fine solve each land on 10 distinct checkpoints in
+    # (s, t], equally spaced in log(1+t) from s and ending at t
+    spans, solve_ivp = [], modal.solve_ivp
+
+    def recorded(fun, t_span, y0, t_eval, rtol, atol):
+        spans.append((t_span[0], np.array(t_eval)))
+        return solve_ivp(fun, t_span, y0, t_eval, rtol, atol)
+
+    monkeypatch.setattr(modal, "solve_ivp", recorded)
+    system = ModalSystem(CoefficientModel(b0=2.0, m0=2.0), CFG, 1.5, FORM_HYP)
+    integrate_fundamental(system, s, t, tol=1e-10, verify=True)
+    assert len(spans) == 3 and spans[0][1].tolist() == [t]
+    for start, pts in spans[1:]:
+        assert start == s and pts.size == 10 and pts[-1] == t
+        steps = np.diff(np.log1p(np.r_[s, pts]))
+        assert steps.min() > 0 and np.allclose(steps, steps[0], rtol=1e-9)
+
+
 def test_cocycle_fast_oscillation_regime():
     # large |xi| t: self-consistency stays within 100x the tolerance
     model = CoefficientModel(b0=2.0, m0=1.0)
