@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: simulate, classify, sweep, scatter, moments, levinson, hw,
-repcheck.  A JSON config (--config) supplies the experiment description;
-each subcommand takes the flags for the fields its experiment reads, and
-they override those fields.  Results land under --out as manifest.json plus
-CSV traces.
+One subcommand per entry of experiments.EXPERIMENTS, which gives its help
+line, its flags (the config fields its experiment reads) and its
+demonstration defaults.  A JSON config (--config) is merged into the
+defaults field by field, and the flags override it.  Results land under
+--out as manifest.json plus CSV traces.
 
 Exit codes: 0 all verdicts pass, 2 some verdict failed, 1 error (a usage
 error included).
@@ -17,32 +17,7 @@ import json
 import sys
 
 from .errors import ConfigError
-from .experiments import ExperimentConfig, persist, run_experiment
-
-# sensible demonstration defaults per experiment; a config file and flags
-# override these field by field
-_DEFAULTS = {
-    "classify": {"model": {"b0": 2.0, "m0": 2.0}},
-    "simulate": {},
-    "sweep": {"model": {"b0": 2.0, "m0": 2.0}, "xi": 1e-4},
-    "scatter": {
-        "model": {"family": "bounded_perturbation", "b0": 2.0, "m0": 0.75,
-                  "c1": 0.5, "p1": 0.5, "c2": 0.5, "p2": 0.5},
-        "data": {"kind": "ring", "center": 0.6, "width": 0.5, "amp0": 1.0,
-                 "amp1": 0.7},
-    },
-    "moments": {"model": {"b0": 4.0, "m0": 0.0}},
-    "levinson": {"model": {"b0": 3.0, "m0": 0.0}, "zone": {"N": 0.01},
-                 "xi": 1e-4},
-    "hw": {"model": {"family": "log_perturbation", "b0": 3.0, "m0": 0.5,
-                     "b1": 0.5, "m1": 0.5, "gamma": 1.0, "sigma": 1.5},
-           "xi": 1e-6},
-    "repcheck": {
-        "model": {"family": "bounded_perturbation", "b0": 2.0, "m0": 0.75,
-                  "c1": 0.5, "p1": 0.5, "c2": 0.5, "p2": 0.5, "ell": 6},
-        "steps": 2,
-    },
-}
+from .experiments import EXPERIMENTS, ExperimentConfig, persist, run_experiment
 
 
 def _deep_update(base, extra):
@@ -64,22 +39,6 @@ _VALUE_FLAGS = {
     "tol": (("tolerances", "rtol"), "oracle relative tolerance"),
 }
 
-# the flags each subcommand takes: the config fields its run_* function reads
-_SUBCOMMANDS = {
-    "simulate": ("spectral box run with physical-space norm traces",
-                 ("b0", "m0", "N", "tfinal", "tol", "strict")),
-    "classify": ("low-frequency exponents mu+- and the regime case", ("b0", "m0")),
-    "sweep": ("fitted vs predicted zone rates over (b0, m0, sigma) cells",
-              ("N", "tfinal", "tol")),
-    "scatter": ("modified-scattering residual decay",
-                ("b0", "m0", "sigma", "N", "tfinal", "tol")),
-    "moments": ("moment-condition rate improvement",
-                ("b0", "m0", "sigma", "N", "tfinal", "tol")),
-    "levinson": ("distinguished-solution construction demo", ("b0", "m0", "N")),
-    "hw": ("remainder-reduction transform demo", ("b0", "m0", "sigma", "N", "tfinal")),
-    "repcheck": ("representation identity vs direct oracle", ("b0", "m0", "N")),
-}
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -87,11 +46,11 @@ def build_parser():
         description="Numerical experiments for damped wave equations with "
                     "time-decaying dissipation and mass")
     sub = parser.add_subparsers(dest="command")
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.help)
         p.add_argument("--config", help="JSON experiment description")
         p.add_argument("--out", help="output directory for manifest + CSVs")
-        for flag in flags:
+        for flag in experiment.flags:
             if flag == "strict":
                 p.add_argument("--strict", action="store_true",
                                help="escalate resolution warnings to errors")
@@ -101,8 +60,7 @@ def build_parser():
 
 
 def _assemble_config(args):
-    raw = json.loads(json.dumps(_DEFAULTS.get(args.command, {})))
-    raw.setdefault("experiment", args.command)
+    raw = json.loads(json.dumps(EXPERIMENTS[args.command].defaults))
     if args.config:
         try:
             with open(args.config) as fh:

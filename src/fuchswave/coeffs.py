@@ -289,8 +289,9 @@ class CoefficientModel:
     def from_json(cls, text):
         d = json.loads(text) if isinstance(text, str) else dict(text)
         if d.get("family") == TABULATED:
-            d["b_table"] = TabulatedCoefficient.from_columns(**d["b_table"])
-            d["m_table"] = TabulatedCoefficient.from_columns(**d["m_table"])
+            for key in ("b_table", "m_table"):   # a missing one is __post_init__'s error
+                if key in d:
+                    d[key] = TabulatedCoefficient.from_columns(**d[key])
         return cls(**d)
 
 

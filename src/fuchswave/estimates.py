@@ -64,6 +64,10 @@ class DataSpec:
     amp0: float = 1.0
     amp1: float = 0.5
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "ring", "moment", "file"):
+            raise ValueError(f"unknown data kind {self.kind!r}")
+
     def profile(self, r):
         r = np.asarray(r, dtype=float)
         if self.kind == "gaussian":
@@ -72,10 +76,8 @@ class DataSpec:
             return bump((r - self.center) / self.width)
         if self.kind == "moment":
             return r ** self.zero_order * bump(r / self.support)
-        if self.kind == "file":
-            data = np.loadtxt(self.path, delimiter=",", ndmin=2)
-            return np.interp(r, data[:, 0], data[:, 1], left=0.0, right=0.0)
-        raise ValueError(f"unknown data kind {self.kind!r}")
+        data = np.loadtxt(self.path, delimiter=",", ndmin=2)
+        return np.interp(r, data[:, 0], data[:, 1], left=0.0, right=0.0)
 
     def sample(self, r):
         prof = self.profile(r).astype(complex)
@@ -88,10 +90,8 @@ class DataSpec:
             return max(self.center - self.width, 0.0), self.center + self.width
         if self.kind == "moment":
             return 0.0, self.support
-        if self.kind == "file":
-            data = np.loadtxt(self.path, delimiter=",", ndmin=2)
-            return float(data[0, 0]), float(data[-1, 0])
-        raise ValueError(self.kind)
+        data = np.loadtxt(self.path, delimiter=",", ndmin=2)
+        return float(data[0, 0]), float(data[-1, 0])
 
 
 def radial_grid(lo=1e-4, hi=64.0, n_points=256, refine=()):
@@ -236,23 +236,6 @@ def sharpness_limit(model, config, data_spec, freq_grid, horizon=1e4, n_dim=1,
 # Moment-condition experiments
 # --------------------------------------------------------------------------
 
-@dataclass
-class MomentData:
-    kappa: float
-    kappa_prime: int
-    zero_order: int
-    spec: DataSpec
-    weighted_integral: float    # int | |xi|^-kappa U(0,xi) |^2 xi^(n-1) dxi
-
-
-@dataclass
-class MomentComparison:
-    generic_fit: DecayFit
-    moment_fit: DecayFit
-    moment_data: MomentData
-    passed: bool
-
-
 def moment_parameters(model, n_dim):
     """kappa from 2 kappa = 1 + sqrt((b0-1)^2 - 4 m0) (strict inequality with
     a recorded slack when sigma > 1), the weight order kappa' and the Fourier
@@ -271,7 +254,8 @@ def moment_parameters(model, n_dim):
 def moment_experiment(model, config, n_dim=1, window=DEFAULT_WINDOW, rtol=1e-9):
     """Generic low-frequency data decays at the slow-zone exponent Re(mu+);
     data whose Fourier transform vanishes to the required order at xi = 0
-    recovers the oscillatory-zone rate -b0/2."""
+    recovers the oscillatory-zone rate -b0/2.  Returns the verdicts of both
+    fits and the outputs of the moments experiment."""
     kappa, kappa_prime, zero_order = moment_parameters(model, n_dim)
     cls = classify_regime(model)
     N = config.N
@@ -293,16 +277,17 @@ def moment_experiment(model, config, n_dim=1, window=DEFAULT_WINDOW, rtol=1e-9):
     fit_g = fit_decay(times, tr_g.values, window, predicted=cls.mu_plus.real)
     fit_m = fit_decay(times, tr_m.values, window, predicted=-model.b0 / 2.0)
 
+    # int | |xi|^-kappa U(0,xi) |^2 xi^(n-1) dxi
     u0, u1 = momentful.sample(grid_m)
     h0 = zones.micro_weight(config, 0.0, grid_m)
     U0 = np.sqrt(np.abs(h0 * u0) ** 2 + np.abs(u1) ** 2)
     integrand = (grid_m ** (-kappa) * U0) ** 2 * grid_m ** (n_dim - 1)
-    weighted = float(np.trapezoid(integrand, grid_m))
-    mdata = MomentData(kappa=kappa, kappa_prime=kappa_prime, zero_order=zero_order,
-                       spec=momentful, weighted_integral=weighted)
-    return MomentComparison(generic_fit=fit_g, moment_fit=fit_m, moment_data=mdata,
-                            passed=bool(fit_g.verdict and fit_m.verdict
-                                        and math.isfinite(weighted)))
+    verdicts = {"generic_rate": fit_g.verdict, "moment_rate": fit_m.verdict}
+    outputs = {"kappa": kappa, "kappa_prime": kappa_prime, "zero_order": zero_order,
+               "generic_fit": fit_g.exponent, "generic_predicted": fit_g.predicted,
+               "moment_fit": fit_m.exponent, "moment_predicted": fit_m.predicted,
+               "weighted_integral": float(np.trapezoid(integrand, grid_m))}
+    return verdicts, outputs
 
 
 # --------------------------------------------------------------------------
@@ -382,7 +367,8 @@ class ScatteringResidual:
 def scattering_residual(model, config, data_spec, freq_grid, horizon=1e4,
                         n_dim=1, rtol=1e-9):
     """Evolve u with the oracle and v freely from V0 = W_plus U0; the rescaled
-    derivative differences must trend down and end below 10% of their start."""
+    derivative differences must trend down once every live frequency is in
+    the oscillatory zone, and end below 10% of their start."""
     _check_scattering_regime(model)
     r = np.asarray(freq_grid, dtype=float)
     u0, u1 = data_spec.sample(r)
@@ -416,18 +402,25 @@ def scattering_residual(model, config, data_spec, freq_grid, horizon=1e4,
     res_grad = radial_norm(lam[:, None] * r * u - grad_v, r, n_dim)
     # residuals at the integration-noise floor count as converged
     floor = 1e-6 * (radial_norm(U0[:, 0], r, n_dim) + radial_norm(U0[:, 1], r, n_dim))
-
-    def ok(res):
-        if np.all(res <= floor):
-            return True
-        # monotone trend: decreasing along every other doubling time, which
-        # absorbs a one-off transient phase alignment but not genuine growth
-        trend = np.all(res[2:] <= res[:-2] * 1.02 + floor)
-        return bool(trend and res[-1] <= 0.1 * res[0] + floor)
-
+    # the trend counts once every live frequency is in the oscillatory zone,
+    # (1+t) xi_min >= N: before that, the exact residuals may still rise
+    window = (1.0 + times) * r.min() >= config.N
     return ScatteringResidual(times=times, residual_dt=res_dt, residual_grad=res_grad,
                               W_samples=W_plus, w_increment=w_inc,
-                              passed=ok(res_dt) and ok(res_grad))
+                              passed=(_residual_decays(res_dt, window, floor)
+                                      and _residual_decays(res_grad, window, floor)))
+
+
+def _residual_decays(res, window, floor):
+    """A residual at the doubling times decays: it stays at the noise floor,
+    or it decreases along every other doubling time within window (at least
+    three of them), which absorbs a one-off phase alignment but not genuine
+    growth, and ends below 10% of its start."""
+    if np.all(res <= floor):
+        return True
+    late = res[window]
+    trend = late.size >= 3 and np.all(late[2:] <= late[:-2] * 1.02 + floor)
+    return bool(trend and res[-1] <= 0.1 * res[0] + floor)
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Experiment configuration, dispatch and result persistence.
 
-A single JSON document (schema 1) describes a run; unknown fields are
-rejected.  Results are persisted as a deterministic manifest plus one CSV per
-trace, file names derived from the config hash.  Wall time, CPU time and the
-forked children's peak RSS are tracked on the record but kept out of the
-manifest (in runinfo.json) so identical configs rewrite identical manifests
-bit for bit.
+A single JSON document (schema 1) describes a run.  Its schema is two
+tables: _FIELDS maps the JSON path of every plain field to its
+ExperimentConfig field and JSON type, and _BLOCKS the model, zone, data and
+grid objects to their dataclasses; from_dict, canonical() and the checks
+that reject unknown fields all walk them.  EXPERIMENTS maps each experiment
+to its runner and to what the command line needs of it: help line, flags
+and demonstration defaults.  Results are persisted as a deterministic
+manifest plus one CSV per trace, file names derived from the config hash.
+Wall time, CPU time and the forked children's peak RSS are tracked on the
+record but kept out of the manifest (in runinfo.json) so identical configs
+rewrite identical manifests bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ import math
 import os
 import resource
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,20 +39,10 @@ from .zones import ZoneConfig
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = ("simulate", "classify", "sweep", "scatter", "moments",
-               "levinson", "hw", "repcheck")
-
 # representative cells for the four qualitative rows of the slow-zone /
 # oscillatory-zone rate table (sigma = 1)
 DEFAULT_SWEEP_CELLS = ((2.0, 2.0, 1.0), (2.0, 0.25, 1.0),
                        (3.0, 0.8, 1.0), (3.0, 0.0, 1.0))
-
-
-_TOP_KEYS = {"schema", "experiment", "model", "zone", "data", "grid", "n_dim",
-             "times", "tolerances", "sweep_cells", "strict",
-             "seed", "xi", "steps"}
-# accepted and ignored: never changed a result; older manifests carry them
-_IGNORED_KEYS = {"threads", "freq_samples"}
 
 
 def _reject_unknown(d, allowed, where):
@@ -62,6 +58,7 @@ _INTEGER = ("an integer", lambda v: type(v) is int, int)
 _NUMBER = ("a number", lambda v: type(v) in (int, float), float)
 _FLAG = ("true or false", lambda v: type(v) is bool, bool)
 _TEXT = ("a string", lambda v: type(v) is str, str)
+_OBJECT = ("an object", lambda v: type(v) is dict, dict)
 # the JSON type of a block field by its annotation; others (tables) pass as given
 _FIELD_KINDS = {"int": _INTEGER, "float": _NUMBER, "bool": _FLAG, "str": _TEXT}
 # cells are stored as given: floats would change the config hash of integer cells
@@ -69,6 +66,25 @@ _CELLS = ("a list of [b0, m0, sigma] number lists",
           lambda v: type(v) is list and all(type(c) is list and len(c) == 3
                                             and all(map(_NUMBER[1], c)) for c in v),
           lambda v: tuple(map(tuple, v)))
+
+# every ExperimentConfig field outside the blocks: JSON path -> (field, JSON
+# type); times and tolerances group theirs, an absent key keeps the default
+_FIELDS = {
+    "n_dim": ("n_dim", _INTEGER),
+    "times.t_final": ("t_final", _NUMBER),
+    "times.checkpoints": ("checkpoints", _INTEGER),
+    "tolerances.rtol": ("rtol", _NUMBER),
+    "tolerances.fit": ("fit_tol", _NUMBER),
+    "sweep_cells": ("sweep_cells", _CELLS),
+    "strict": ("strict", _FLAG),
+    "seed": ("seed", _INTEGER),
+    "xi": ("xi", _NUMBER),
+    "steps": ("steps", _INTEGER),
+}
+# the blocks: JSON key (and ExperimentConfig field) -> (dataclass, the name
+# its field errors carry)
+_BLOCKS = {"model": (CoefficientModel, "config.model"), "zone": (ZoneConfig, "zone"),
+           "data": (DataSpec, "config.data"), "grid": (Grid, "config.grid")}
 
 
 def _read(value, kind, where):
@@ -78,21 +94,27 @@ def _read(value, kind, where):
     return store(value)
 
 
-def _read_block(d, cls, where):
-    """The fields of a model/data/grid block, each read with the JSON type of
-    its annotation in cls; unknown fields are rejected."""
-    block = dict(d)
+def _read_block(name, value):
+    """Block `name` from its JSON object: each field read with the JSON type
+    of its annotation, unknown fields rejected, and any TypeError or
+    ValueError of the dataclass a ConfigError that names the block."""
+    cls, where = _BLOCKS[name]
     kinds = {f.name: _FIELD_KINDS.get(f.type) for f in fields(cls)}
+    block = _read(value, _OBJECT, where)
     _reject_unknown(block, set(kinds), where)
-    return {k: v if kinds[k] is None else _read(v, kinds[k], f"{where}.{k}")
-            for k, v in block.items()}
+    block = {k: v if kinds[k] is None else _read(v, kinds[k], f"{where}.{k}")
+             for k, v in block.items()}
+    try:
+        return cls.from_json(block) if hasattr(cls, "from_json") else cls(**block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} block: {exc}") from exc
 
 
 @dataclass
 class ExperimentConfig:
     experiment: str
-    model: CoefficientModel
-    zone: ZoneConfig
+    model: CoefficientModel = field(default_factory=CoefficientModel)
+    zone: ZoneConfig = field(default_factory=ZoneConfig)
     data: DataSpec | None = None
     grid: Grid | None = None
     n_dim: int = 1
@@ -108,63 +130,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        _reject_unknown(d, _TOP_KEYS | _IGNORED_KEYS, "config")
+        given = {}   # the plain fields' values by JSON path
+        for key, value in d.items():
+            if any(path.startswith(key + ".") for path in _FIELDS):
+                given.update((f"{key}.{k}", v)
+                             for k, v in _read(value, _OBJECT, f"config.{key}").items())
+            elif key not in ("schema", "experiment", *_BLOCKS):
+                given[key] = value
+        _reject_unknown(given, set(_FIELDS), "config")
         if d.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema {d.get('schema')!r}")
         exp = d.get("experiment")
         if exp not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-        model_d = _read_block(d.get("model", {}), CoefficientModel, "config.model")
-        try:
-            model = CoefficientModel.from_json(model_d) if model_d else CoefficientModel()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad model block: {exc}") from exc
-        zone_d = dict(d.get("zone", {}))
-        _reject_unknown(zone_d, {"N"}, "config.zone")
-        zone = ZoneConfig(**{k: _read(v, _NUMBER, f"zone.{k}") for k, v in zone_d.items()})
-        data = None
-        if d.get("data"):
-            data = DataSpec(**_read_block(d["data"], DataSpec, "config.data"))
-        grid = None
-        if d.get("grid"):
-            grid = Grid(**_read_block(d["grid"], Grid, "config.grid"))
-        times = dict(d.get("times", {}))
-        _reject_unknown(times, {"t_final", "checkpoints"}, "config.times")
-        tols = dict(d.get("tolerances", {}))
-        _reject_unknown(tols, {"rtol", "fit"}, "config.tolerances")
-        # (block, key, field, JSON type) of every plain field; an absent key
-        # keeps the dataclass default
-        given = ((d, "n_dim", "n_dim", _INTEGER), (times, "t_final", "t_final", _NUMBER),
-                 (times, "checkpoints", "checkpoints", _INTEGER),
-                 (tols, "rtol", "rtol", _NUMBER), (tols, "fit", "fit_tol", _NUMBER),
-                 (d, "sweep_cells", "sweep_cells", _CELLS), (d, "strict", "strict", _FLAG),
-                 (d, "seed", "seed", _INTEGER), (d, "xi", "xi", _NUMBER),
-                 (d, "steps", "steps", _INTEGER))
-        return cls(experiment=exp, model=model, zone=zone, data=data, grid=grid,
-                   **{name: _read(block[key], kind, key) for block, key, name, kind in given
-                      if key in block})
+            raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {exp!r}")
+        # an absent, null or empty block keeps the default
+        blocks = {name: _read_block(name, d[name]) for name in _BLOCKS
+                  if d.get(name) not in (None, {})}
+        return cls(experiment=exp, **blocks, **{
+            _FIELDS[path][0]: _read(value, _FIELDS[path][1], path.rpartition(".")[2])
+            for path, value in given.items()})
 
     def canonical(self):
-        base = {
-            "schema": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "model": json.loads(self.model.to_json()),
-            "zone": {"N": self.zone.N},
-            "n_dim": self.n_dim,
-            "times": {"t_final": self.t_final, "checkpoints": self.checkpoints},
-            "tolerances": {"rtol": self.rtol, "fit": self.fit_tol},
-            "sweep_cells": [list(c) for c in self.sweep_cells],
-            "strict": self.strict,
-            "seed": self.seed,
-            "xi": self.xi,
-            "steps": self.steps,
-        }
-        if self.data is not None:
-            base["data"] = asdict(self.data)
-        if self.grid is not None:
-            base["grid"] = asdict(self.grid)
-        return base
+        base = {"schema": SCHEMA_VERSION, "experiment": self.experiment}
+        for name in _BLOCKS:
+            block = getattr(self, name)
+            if block is not None:
+                base[name] = (json.loads(block.to_json()) if hasattr(block, "to_json")
+                              else asdict(block))
+        for path, (name, _) in _FIELDS.items():
+            group, _, key = path.rpartition(".")
+            (base.setdefault(group, {}) if group else base)[key] = getattr(self, name)
+        return json.loads(json.dumps(base))   # the cells' tuples as JSON lists
 
 
 def config_hash(config):
@@ -285,11 +281,11 @@ def run_sweep(cfg):
 
 
 def run_scatter(cfg):
-    data = cfg.data or DataSpec(kind="ring", center=0.6, width=0.5,
-                                amp0=1.0, amp1=0.7)
-    grid = grid_for_data(data, lo=0.05, hi=4.0 * cfg.zone.N, n_points=48,
+    if cfg.data is None:
+        raise ConfigError("scatter needs a data block")
+    grid = grid_for_data(cfg.data, lo=0.05, hi=4.0 * cfg.zone.N, n_points=48,
                          n_refine=120)
-    res = estimates.scattering_residual(cfg.model, cfg.zone, data, grid,
+    res = estimates.scattering_residual(cfg.model, cfg.zone, cfg.data, grid,
                                         horizon=cfg.t_final, n_dim=cfg.n_dim,
                                         rtol=cfg.rtol)
     rows = np.column_stack([res.times, res.residual_dt, res.residual_grad])
@@ -301,20 +297,8 @@ def run_scatter(cfg):
 
 
 def run_moments(cfg):
-    cmp = estimates.moment_experiment(cfg.model, cfg.zone, n_dim=cfg.n_dim,
-                                      window=(1e2, cfg.t_final), rtol=cfg.rtol)
-    verdicts = {"generic_rate": cmp.generic_fit.verdict,
-                "moment_rate": cmp.moment_fit.verdict}
-    outputs = {
-        "kappa": cmp.moment_data.kappa,
-        "kappa_prime": cmp.moment_data.kappa_prime,
-        "zero_order": cmp.moment_data.zero_order,
-        "generic_fit": cmp.generic_fit.exponent,
-        "generic_predicted": cmp.generic_fit.predicted,
-        "moment_fit": cmp.moment_fit.exponent,
-        "moment_predicted": cmp.moment_fit.predicted,
-        "weighted_integral": cmp.moment_data.weighted_integral,
-    }
+    verdicts, outputs = estimates.moment_experiment(cfg.model, cfg.zone, n_dim=cfg.n_dim,
+                                                    window=(1e2, cfg.t_final), rtol=cfg.rtol)
     return verdicts, outputs, []
 
 
@@ -430,7 +414,7 @@ def run_repcheck(cfg):
                 / modal.spectral_norm(E_orc.entries))
 
     # both the oracle's steps and Q_k's nodes scale with the phase xi (t - s)
-    rels = modal._fork_map(rel_error, points, [xi * (t - s) for s, t, xi in points])
+    rels = list(modal._fork_map(rel_error, points, [xi * (t - s) for s, t, xi in points]))
     rows = [point + (rel,) for point, rel in zip(points, rels)]
     worst = max(0.0, *rels)
     verdicts = {"representation_identity": worst <= 1e-6}
@@ -438,15 +422,41 @@ def run_repcheck(cfg):
         ("repcheck_points", "s,t,xi,rel_error", rows)]
 
 
-_RUNNERS = {
-    "classify": run_classify,
-    "simulate": run_simulate,
-    "sweep": run_sweep,
-    "scatter": run_scatter,
-    "moments": run_moments,
-    "levinson": run_levinson,
-    "hw": run_hw,
-    "repcheck": run_repcheck,
+class Experiment(NamedTuple):
+    run: object        # run_*(cfg) -> (verdicts, outputs, traces)
+    help: str          # the subcommand's help line
+    flags: tuple       # its CLI flags: the config fields run reads
+    defaults: dict     # its CLI demonstration config, under the config file and flags
+
+
+_BOUNDED = {"family": "bounded_perturbation", "b0": 2.0, "m0": 0.75,
+            "c1": 0.5, "p1": 0.5, "c2": 0.5, "p2": 0.5}
+
+# every experiment, in the CLI's order
+EXPERIMENTS = {
+    "simulate": Experiment(run_simulate, "spectral box run with physical-space norm traces",
+                           ("b0", "m0", "N", "tfinal", "tol", "strict"), {}),
+    "classify": Experiment(run_classify, "low-frequency exponents mu+- and the regime case",
+                           ("b0", "m0"), {"model": {"b0": 2.0, "m0": 2.0}}),
+    "sweep": Experiment(run_sweep, "fitted vs predicted zone rates over (b0, m0, sigma) cells",
+                        ("N", "tfinal", "tol"), {"model": {"b0": 2.0, "m0": 2.0}, "xi": 1e-4}),
+    "scatter": Experiment(run_scatter, "modified-scattering residual decay",
+                          ("b0", "m0", "sigma", "N", "tfinal", "tol"),
+                          {"model": _BOUNDED,
+                           "data": {"kind": "ring", "center": 0.6, "width": 0.5,
+                                    "amp0": 1.0, "amp1": 0.7}}),
+    "moments": Experiment(run_moments, "moment-condition rate improvement",
+                          ("b0", "m0", "sigma", "N", "tfinal", "tol"),
+                          {"model": {"b0": 4.0, "m0": 0.0}}),
+    "levinson": Experiment(run_levinson, "distinguished-solution construction demo",
+                           ("b0", "m0", "N"),
+                           {"model": {"b0": 3.0, "m0": 0.0}, "zone": {"N": 0.01}, "xi": 1e-4}),
+    "hw": Experiment(run_hw, "remainder-reduction transform demo",
+                     ("b0", "m0", "sigma", "N", "tfinal"),
+                     {"model": {"family": "log_perturbation", "b0": 3.0, "m0": 0.5, "b1": 0.5,
+                                "m1": 0.5, "gamma": 1.0, "sigma": 1.5}, "xi": 1e-6}),
+    "repcheck": Experiment(run_repcheck, "representation identity vs direct oracle",
+                           ("b0", "m0", "N"), {"model": {**_BOUNDED, "ell": 6}, "steps": 2}),
 }
 
 
@@ -462,7 +472,7 @@ def _propagator(cfg):
 
 def run_experiment(cfg):
     start, cpu_start = time.perf_counter(), sum(os.times()[:4])
-    verdicts, outputs, traces = _RUNNERS[cfg.experiment](cfg)
+    verdicts, outputs, traces = EXPERIMENTS[cfg.experiment].run(cfg)
     return ResultRecord(
         config=cfg.canonical(), config_hash=config_hash(cfg),
         experiment=cfg.experiment, verdicts=verdicts, outputs=outputs,

@@ -417,16 +417,20 @@ _in_share = False
 
 
 def _fork_map(fn, items, costs):
-    """[fn(x) for x in items] on this process and one os.fork() child per further
-    CPU in the affinity mask (processes: the mode solves' Python right-hand sides
-    hold the GIL); serial on one CPU, without fork, beside another thread, or
-    inside a forked share.  Items are dealt longest-processing-time first on
-    costs, ties to the lowest share.  An item that raises ends its share; the
-    lowest-index error is raised."""
+    """fn(x) for x in items, in item order, on this process and one os.fork()
+    child per further CPU in the affinity mask (processes: the mode solves'
+    Python right-hand sides hold the GIL).  Items are dealt
+    longest-processing-time first on costs, ties to the lowest share.  An item
+    that raises ends its share; the lowest-index error is raised.  On one CPU,
+    without fork or beside another thread the map is serial and lazy, each
+    result computed as it is consumed; inside a forked share it is serial and
+    returns a list, which the share's result can carry to its parent."""
     global _in_share
     n = min(len(items), len(getattr(os, "sched_getaffinity", lambda pid: ())(0)))
-    if n < 2 or _in_share or not hasattr(os, "fork") or threading.active_count() > 1:
+    if _in_share:
         return [fn(x) for x in items]
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return map(fn, items)
     shares, loads = [[] for _ in range(n)], [0.0] * n
     for i in sorted(range(len(items)), key=lambda i: -costs[i]):
         k = loads.index(min(loads))
@@ -572,12 +576,11 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
         return u * scale[idx], v * scale[idx]
 
     # only a split plan forks; a share costs its steps (~ top xi) x (CALL_COMPONENTS + 2n)
-    done = (_fork_map(solve, shares, [xi[i].max() * (CALL_COMPONENTS + 2 * i.size)
-                                      for i, _ in shares])
-            if len(shares) > len(solves) else map(solve, shares))
-    for (idx, _), (u, v) in zip(shares, done):
-        U[:, idx] = u
-        V[:, idx] = v
+    done = iter(_fork_map(solve, shares, [xi[i].max() * (CALL_COMPONENTS + 2 * i.size)
+                                          for i, _ in shares])
+                if len(shares) > len(solves) else map(solve, shares))
+    for idx, _ in shares:   # serial: each share copied out before the next is solved
+        U[:, idx], V[:, idx] = next(done)
     return u_out, v_out
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -127,13 +128,13 @@ def test_one_cpu_or_a_running_thread_maps_serially(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _fork_map(lambda x: x * x, [1, 2, 3], [1.0, 2.0, 3.0]) == [1, 4, 9]
+    assert list(_fork_map(lambda x: x * x, [1, 2, 3], [1.0, 2.0, 3.0])) == [1, 4, 9]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert _fork_map(lambda x: x * x, [1, 2, 3], [1.0, 2.0, 3.0]) == [1, 4, 9]
+        assert list(_fork_map(lambda x: x * x, [1, 2, 3], [1.0, 2.0, 3.0])) == [1, 4, 9]
     finally:
         release.set()
         thread.join()
@@ -266,3 +267,28 @@ def test_a_stiffness_error_in_a_share_reaches_the_caller_as_in_a_serial_run(two_
         errors.append((type(info.value), info.value.t, info.value.xi))
     assert len(two_cpus) == 1
     assert errors[0] == errors[1] == (StiffnessError, 1.0, xi[-2])
+
+
+def test_a_split_solve_on_one_cpu_holds_one_share_at_a_time(monkeypatch):
+    # 6,000 modes in one octave band, three shares of 2,000, on one CPU: each
+    # share's (u, v) is copied into the output before the next share is
+    # solved, so when a share's solve starts the traced memory exceeds that
+    # at the first share's start by less than half of one share's result
+    bounded = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    xi, times = np.linspace(1.5, 2.5, 6000), np.linspace(0.1, 1.0, 50)
+    share_bytes = 2 * times.size * 2000 * 8
+    started, solve_modes = [], modal._solve_modes
+
+    def recorded(*args, **kwargs):
+        started.append(tracemalloc.get_traced_memory()[0])
+        return solve_modes(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(modal, "_solve_modes", recorded)
+    tracemalloc.start()
+    try:
+        modal.evolve_state(bounded, xi, np.ones(xi.size), np.full(xi.size, 0.5), times)
+    finally:
+        tracemalloc.stop()
+    assert len(started) == 3
+    assert max(started) - started[0] < share_bytes / 2

@@ -17,11 +17,13 @@ import pytest
 import fuchswave
 from fuchswave import errors, modal
 from fuchswave.asymptotic import FuchsSystem
+from fuchswave.cli import run_cli
 from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, classify_regime,
                               example_bounded, example_log, predicted_decay)
 from fuchswave.errors import SeriesRangeError, StiffnessError
-from fuchswave.estimates import (DataSpec, fit_decay, free_micro_propagator, grid_for_data,
-                                 radial_norm, scattering_operator, scattering_residual)
+from fuchswave.estimates import (DataSpec, _residual_decays, fit_decay, free_micro_propagator,
+                                 grid_for_data, radial_norm, scattering_operator,
+                                 scattering_residual)
 from fuchswave.modal import (FORM_DISS, FORM_HYP, ModalSystem,
                              check_cocycle, evolve_micro_energy, evolve_state,
                              fuchs_constant_matrix, fuchs_remainder,
@@ -517,6 +519,31 @@ def test_exact_gradient_residual_rises_from_t_2_to_t_4():
     data, grid = scatter_data(0.5)
     _, grad = exact_scattering_residuals(2.0, 0.75, data, grid, [2.0, 4.0])
     assert grad[1] > grad[0]
+
+
+def test_scatter_with_the_rising_transient_passes(tmp_path, capsys):
+    # the CLI's scatter with amp1 = 0.5: residual_grad rises from t = 1 to
+    # t = 4, before every live frequency (xi > 0.1) is in the oscillatory
+    # zone at t = 16; the trend is judged on t = 16, 32, 64 and passes
+    cfgfile = tmp_path / "scatter.json"
+    cfgfile.write_text('{"data": {"amp1": 0.5}, "times": {"t_final": 64.0}}')
+    assert run_cli(["scatter", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out.startswith("PASS residuals_decay\n")
+
+
+@pytest.mark.parametrize("res, window, passes", [
+    # a rise before the window, then a fall: passes
+    ([1.0, 1.3, 0.6, 0.3, 0.15, 0.07], [False, False, True, True, True, True], True),
+    # a rise of 3% over two doublings inside the window: fails
+    ([1.0, 0.5, 0.3, 0.2, 0.309, 0.05], [False, False, True, True, True, True], False),
+    # a fall, but only two doubling times in the window: fails
+    ([1.0, 0.5, 0.3, 0.2, 0.1, 0.05], [False, False, False, False, True, True], False),
+    # the window's trend holds, but the end is not below 10% of t = 1: fails
+    ([1.0, 1.3, 0.6, 0.3, 0.15, 0.11], [False, False, True, True, True, True], False),
+    # at the noise floor throughout: passes, whatever the window
+    ([1e-9, 2e-9, 1e-9, 3e-9, 1e-9, 1e-9], [False] * 6, True)])
+def test_residual_decays_judges_the_trend_inside_its_window(res, window, passes):
+    assert _residual_decays(np.array(res), np.array(window), 1e-8) is passes
 
 
 def test_pure_family_matches_its_coefficients_run_by_dop853():

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -17,12 +18,13 @@ from fuchswave.coeffs import CoefficientModel
 from fuchswave.errors import ConfigError, ResolutionError, StiffnessError
 from fuchswave.estimates import DataSpec, energy_trace, grid_for_data
 from fuchswave.experiments import (EXPERIMENTS, ExperimentConfig,
-                                   ResultRecord, _IGNORED_KEYS, config_hash, persist,
+                                   ResultRecord, config_hash, persist,
                                    run_experiment)
 from fuchswave.solver import Grid, simulate_fields
 from fuchswave.zones import ZoneConfig
 
 CFG = ZoneConfig(N=1.0)
+README = Path(__file__).resolve().parent.parent / "README.md"
 FREE = CoefficientModel(b0=0.0, m0=0.0)
 
 SIMULATE_CONFIG = {
@@ -230,12 +232,65 @@ def test_config_defaults_come_from_the_dataclasses():
                                                    ZoneConfig()).canonical()
 
 
-def test_ignored_config_keys_leave_the_run_unchanged():
+def test_config_keys_that_change_nothing_are_rejected():
+    # threads and freq_samples never changed a result; each is an unknown field
     raw = {"experiment": "classify", "model": {"b0": 3.0, "m0": 0.0}}
-    for key in _IGNORED_KEYS:
-        cfg = ExperimentConfig.from_dict({**raw, key: 1})
-        assert key not in cfg.canonical()
-        assert config_hash(cfg) == config_hash(ExperimentConfig.from_dict(raw))
+    for key in ("threads", "freq_samples"):
+        with pytest.raises(ConfigError, match=f"unknown field\\(s\\) \\['{key}'\\] in config"):
+            ExperimentConfig.from_dict({**raw, key: 1})
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"zone": {"N": -1.0}}, "bad zone block: zone constant N must be positive"),
+    ({"grid": {"n_dim": 1, "points_per_dim": 512}}, "bad grid block: .*'box_length'"),
+    ({"grid": {"n_dim": 1, "points_per_dim": 100, "box_length": 200.0}},
+     "bad grid block: points_per_dim must be a power of two"),
+    ({"data": {"kind": "foo"}}, "bad data block: unknown data kind 'foo'"),
+    ({"data": {"center": 1.0}}, "bad data block: .*'kind'"),
+    ({"model": {"sigma": 3.0}}, "bad model block: sigma must lie in"),
+    ({"model": {"family": "tabulated"}}, "bad model block: tabulated family needs b_table"),
+    ({"model": [2.0]}, "config.model must be an object"),
+    ({"times": 100.0}, "config.times must be an object"),
+    ({"times": {"t_end": 100.0}}, r"unknown field\(s\) \['times.t_end'\] in config")])
+def test_a_malformed_block_is_a_config_error_naming_it(raw, message, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict({"experiment": "simulate", **raw})
+    cfgfile = tmp_path / "bad.json"
+    cfgfile.write_text(json.dumps({**SIMULATE_CONFIG, **raw}))
+    assert run_cli(["simulate", "--config", str(cfgfile)]) == 1
+    assert re.match(f"config error: {message}", capsys.readouterr().err)
+
+
+def test_scatter_needs_a_data_block(tmp_path, capsys):
+    # the CLI's demonstration defaults supply the ring data; a config that
+    # takes it away, or one read without the defaults, is a config error
+    with pytest.raises(ConfigError, match="^scatter needs a data block$"):
+        run_experiment(ExperimentConfig.from_dict({"experiment": "scatter"}))
+    cfgfile = tmp_path / "nodata.json"
+    cfgfile.write_text(json.dumps({"data": None, "times": {"t_final": 64.0}}))
+    assert run_cli(["scatter", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err == "config error: scatter needs a data block\n"
+
+
+def test_every_plain_config_field_has_one_fields_entry_and_a_readme_row():
+    # _FIELDS is the one schema of the fields outside the blocks: from_dict,
+    # canonical() and the key checks walk it, and README's config table
+    # lists each of its JSON paths
+    plain = [f.name for f in dataclasses.fields(ExperimentConfig)
+             if f.name != "experiment" and f.name not in experiments._BLOCKS]
+    assert sorted(name for name, _ in experiments._FIELDS.values()) == sorted(plain)
+    readme = README.read_text()
+    rows = re.findall(r"^\| `([\w.]+)` \|", readme.split("## Config")[1], re.M)
+    assert sorted(rows) == sorted([*experiments._FIELDS, *experiments._BLOCKS])
+
+
+def test_readme_subcommand_table_matches_the_experiments():
+    table = README.read_text().split("| subcommand | flags |")[1].split("\n\n")[0]
+    flags = {}
+    for names, takes in re.findall(r"^\| (.+?) \| (.+?) \|$", table, re.M):
+        for name in re.findall(r"`(\w+)`", names):
+            flags[name] = set(re.findall(r"--(\w+)", takes))
+    assert flags == {name: set(e.flags) for name, e in EXPERIMENTS.items()}
 
 
 def test_persist_determinism_and_archive(tmp_path):
