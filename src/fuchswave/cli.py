@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 
+from .coeffs import PURE
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, ExperimentConfig, persist, run_experiment
 
@@ -73,6 +74,12 @@ def _assemble_config(args):
                 f"column {exc.colno}: {exc.msg}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a JSON object")
+        # a block of another family or data kind replaces the default block
+        for name, tag in (("model", "family"), ("data", "kind")):
+            block = loaded.get(name)
+            if (name in raw and isinstance(block, dict) and tag in block
+                    and block[tag] != raw[name].get(tag, PURE)):
+                del raw[name]
         _deep_update(raw, loaded)
     raw["experiment"] = args.command
 
@@ -109,11 +116,6 @@ def run_cli(argv):
         return 0 if exc.code == 0 else 1
     if args.command is None:
         parser.print_usage()
-        return 1
-    if args.command == "simulate" and not args.config:
-        print("simulate requires --config with grid and data blocks",
-              file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr)
         return 1
     try:
         cfg = _assemble_config(args)

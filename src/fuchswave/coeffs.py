@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,10 @@ BOUNDED = "bounded_perturbation"
 LOG = "log_perturbation"
 TABULATED = "tabulated"
 
-_FAMILIES = (PURE, BOUNDED, LOG, TABULATED)
+# the fields every family reads, and each family's constants beyond them
+COMMON_FIELDS = ("family", "b0", "m0", "sigma", "ell")
+FAMILY_FIELDS = {PURE: (), BOUNDED: ("c1", "p1", "c2", "p2"), LOG: ("b1", "m1", "gamma"),
+                 TABULATED: ("b_table", "m_table")}
 
 # Fig.-1 cases for the roots of mu^2 + (b0+1)mu + (b0+m0) = 0
 COMPLEX_PAIR = "complex_pair"
@@ -127,8 +130,9 @@ class CoefficientModel:
     m_table: TabulatedCoefficient | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILY_FIELDS:
             raise ValueError(f"unknown coefficient family {self.family!r}")
+        reject_unread_fields(self, COMMON_FIELDS + FAMILY_FIELDS[self.family], self.family)
         if self.family == LOG and not (0.5 < self.gamma <= 1.0):
             raise ValueError("log_perturbation requires gamma in (1/2, 1]")
         if not (1.0 <= self.sigma <= 2.0):
@@ -274,25 +278,27 @@ class CoefficientModel:
     # -- (de)serialization ---------------------------------------------------
 
     def to_json(self):
-        d = {"family": self.family, "b0": self.b0, "m0": self.m0,
-             "sigma": self.sigma, "ell": self.ell}
-        if self.family == BOUNDED:
-            d.update(c1=self.c1, p1=self.p1, c2=self.c2, p2=self.p2)
-        elif self.family == LOG:
-            d.update(b1=self.b1, m1=self.m1, gamma=self.gamma)
-        elif self.family == TABULATED:
-            d.update(b_table={"t": list(self.b_table.t), "values": list(self.b_table.values)},
-                     m_table={"t": list(self.m_table.t), "values": list(self.m_table.values)})
-        return json.dumps(d)
+        """The fields the family reads; a table as its (t, values) columns."""
+        return json.dumps({name: getattr(self, name)
+                           for name in COMMON_FIELDS + FAMILY_FIELDS[self.family]},
+                          default=lambda table: {"t": list(table.t), "values": list(table.values)})
 
     @classmethod
     def from_json(cls, text):
         d = json.loads(text) if isinstance(text, str) else dict(text)
         if d.get("family") == TABULATED:
-            for key in ("b_table", "m_table"):   # a missing one is __post_init__'s error
+            for key in FAMILY_FIELDS[TABULATED]:   # a missing one is __post_init__'s error
                 if key in d:
                     d[key] = TabulatedCoefficient.from_columns(**d[key])
         return cls(**d)
+
+
+def reject_unread_fields(obj, read, owner):
+    """ValueError naming each field of obj outside `read` set away from its default."""
+    unread = [f.name for f in fields(obj)
+              if f.name not in read and getattr(obj, f.name) != f.default]
+    if unread:
+        raise ValueError(f"{owner} reads no {', '.join(unread)}: its fields are {', '.join(read)}")
 
 
 def falling_power_jet(t, alpha, coeff, order):

@@ -439,7 +439,7 @@ def assemble_representation(stage, s, t, xi):
     E0 = free_phase(t, s, xi)
     q = q_propagator(stage, s, t, xi)
     E = lam_ratio * (M_ROT @ Nk_t @ E0 @ q.matrix @ Nk_s_inv @ M_ROT_INV)
-    return FundamentalMatrix(E, (s, t), xi, provenance="representation", q=q)
+    return FundamentalMatrix(E, "representation")
 
 
 def assemble_from_boundary(stage, t, xi, E_boundary):
@@ -449,6 +449,5 @@ def assemble_from_boundary(stage, t, xi, E_boundary):
     th = theta(stage.config, xi)
     if xi > stage.config.N or t < th:
         raise ValueError("need |xi| <= N and t >= theta(|xi|)")
-    inner = assemble_representation(stage, th, t, xi)
-    E = inner.entries @ np.asarray(E_boundary, dtype=complex)
-    return FundamentalMatrix(E, (0.0, t), xi, provenance="representation", q=inner.q)
+    inner = assemble_representation(stage, th, t, xi).entries
+    return FundamentalMatrix(inner @ np.asarray(E_boundary, dtype=complex), "representation")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modal, zones
-from .coeffs import REAL_LARGE, classify_regime
+from .coeffs import REAL_LARGE, classify_regime, reject_unread_fields
 from .errors import (HorizonError, InvalidWindowError, RegimeUnsupportedError,
                      ResolutionError, SupportError)
 
@@ -31,6 +31,9 @@ _RESOLUTION_TOL = 0.01
 # scattering basis this many times past its horizon
 _SCATTERING_RTOL = 1e-9
 _W_HORIZON_FACTOR = 4.0
+# each data kind's fields beyond kind, amp0 and amp1, which every kind reads
+KIND_FIELDS = {"gaussian": ("width",), "ring": ("center", "width"),
+               "moment": ("zero_order", "support"), "file": ("path",)}
 
 
 # --------------------------------------------------------------------------
@@ -51,8 +54,7 @@ def bump(y):
 class DataSpec:
     """Named radial initial-data profile for (u0_hat, u1_hat).
 
-    kinds: gaussian(width), ring(center, width), moment(zero_order, support),
-    file(path).  amp0/amp1 scale the profile into the two data slots.
+    kinds and their fields: KIND_FIELDS.  amp0/amp1 scale the profile into the two data slots.
     """
 
     kind: str
@@ -65,8 +67,9 @@ class DataSpec:
     amp1: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "ring", "moment", "file"):
+        if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown data kind {self.kind!r}")
+        reject_unread_fields(self, ("kind", "amp0", "amp1") + KIND_FIELDS[self.kind], self.kind)
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)

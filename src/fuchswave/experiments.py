@@ -4,13 +4,14 @@ A single JSON document (schema 1) describes a run.  Its schema is two
 tables: _FIELDS maps the JSON path of every plain field to its
 ExperimentConfig field and JSON type, and _BLOCKS the model, zone, data and
 grid objects to their dataclasses; from_dict, canonical() and the checks
-that reject unknown fields all walk them.  EXPERIMENTS maps each experiment
-to its runner and to what the command line needs of it: help line, flags
-and demonstration defaults.  Results are persisted as a deterministic
-manifest plus one CSV per trace, file names derived from the config hash.
-Wall time, CPU time and the forked children's peak RSS are tracked on the
-record but kept out of the manifest (in runinfo.json) so identical configs
-rewrite identical manifests bit for bit.
+that reject unknown fields all walk them, and an error names its field by
+its JSON path.  EXPERIMENTS maps each experiment to its runner and to what
+the command line needs of it: help line, flags and demonstration defaults.
+Results are persisted as a deterministic manifest plus one CSV per trace,
+file names derived from the config hash.  Wall time, CPU time and the
+forked children's peak RSS are tracked on the record but kept out of the
+manifest (in runinfo.json) so identical configs rewrite identical manifests
+bit for bit.
 """
 
 from __future__ import annotations
@@ -81,16 +82,14 @@ _FIELDS = {
     "xi": ("xi", _NUMBER),
     "steps": ("steps", _INTEGER),
 }
-# the blocks: JSON key (and ExperimentConfig field) -> (dataclass, the name
-# its field errors carry)
-_BLOCKS = {"model": (CoefficientModel, "config.model"), "zone": (ZoneConfig, "zone"),
-           "data": (DataSpec, "config.data"), "grid": (Grid, "config.grid")}
+# the blocks: JSON key (and ExperimentConfig field) -> dataclass
+_BLOCKS = {"model": CoefficientModel, "zone": ZoneConfig, "data": DataSpec, "grid": Grid}
 
 
-def _read(value, kind, where):
+def _read(value, kind, path):
     what, valid, store = kind
     if not valid(value):
-        raise ConfigError(f"{where} must be {what}, got {value!r}")
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
     return store(value)
 
 
@@ -98,11 +97,11 @@ def _read_block(name, value):
     """Block `name` from its JSON object: each field read with the JSON type
     of its annotation, unknown fields rejected, and any TypeError or
     ValueError of the dataclass a ConfigError that names the block."""
-    cls, where = _BLOCKS[name]
+    cls = _BLOCKS[name]
     kinds = {f.name: _FIELD_KINDS.get(f.type) for f in fields(cls)}
-    block = _read(value, _OBJECT, where)
-    _reject_unknown(block, set(kinds), where)
-    block = {k: v if kinds[k] is None else _read(v, kinds[k], f"{where}.{k}")
+    block = _read(value, _OBJECT, name)
+    _reject_unknown(block, set(kinds), name)
+    block = {k: v if kinds[k] is None else _read(v, kinds[k], f"{name}.{k}")
              for k, v in block.items()}
     try:
         return cls.from_json(block) if hasattr(cls, "from_json") else cls(**block)
@@ -134,7 +133,7 @@ class ExperimentConfig:
         for key, value in d.items():
             if any(path.startswith(key + ".") for path in _FIELDS):
                 given.update((f"{key}.{k}", v)
-                             for k, v in _read(value, _OBJECT, f"config.{key}").items())
+                             for k, v in _read(value, _OBJECT, key).items())
             elif key not in ("schema", "experiment", *_BLOCKS):
                 given[key] = value
         _reject_unknown(given, set(_FIELDS), "config")
@@ -147,7 +146,7 @@ class ExperimentConfig:
         blocks = {name: _read_block(name, d[name]) for name in _BLOCKS
                   if d.get(name) not in (None, {})}
         return cls(experiment=exp, **blocks, **{
-            _FIELDS[path][0]: _read(value, _FIELDS[path][1], path.rpartition(".")[2])
+            _FIELDS[path][0]: _read(value, _FIELDS[path][1], path)
             for path, value in given.items()})
 
     def canonical(self):
@@ -461,9 +460,9 @@ EXPERIMENTS = {
 
 
 def _propagator(cfg):
-    """modal.propagator_label of the experiment's mode solves; sweep cells are
-    scale-invariant, and repcheck, levinson and hw integrate with DOP853 only."""
-    if cfg.experiment == "classify":
+    """modal.propagator_label of the experiment's mode solves: sweep's are
+    scale-invariant, repcheck's DOP853 only; levinson and hw solve no ODE."""
+    if cfg.experiment in ("classify", "levinson", "hw"):
         return "none"
     if cfg.experiment in ("simulate", "scatter", "moments"):
         return modal.propagator_label(cfg.model.family)

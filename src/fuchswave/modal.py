@@ -216,10 +216,7 @@ class FundamentalMatrix:
     """2x2 propagator E(t,s,xi) with provenance (oracle / representation / levinson)."""
 
     entries: np.ndarray
-    span: tuple
-    xi_norm: float
     provenance: str = "oracle"
-    q: object = None            # the QResult a representation was built from
 
 
 @dataclass
@@ -273,9 +270,8 @@ def integrate_fundamental(sys, s, t, tol=DEFAULT_RTOL, verify=False):
     if not 0 <= s <= t:
         raise ValueError("need 0 <= s <= t")
     if t == s:
-        return FundamentalMatrix(np.eye(2, dtype=complex), (s, t), sys.xi_norm)
-    E = propagator_checkpoints(sys, s, [t], rtol=tol)[0]
-    fm = FundamentalMatrix(E, (s, t), sys.xi_norm)
+        return FundamentalMatrix(np.eye(2, dtype=complex))
+    fm = FundamentalMatrix(propagator_checkpoints(sys, s, [t], rtol=tol)[0])
     if verify:
         pts = np.geomspace(1.0 + s, 1.0 + t, 11)[1:] - 1.0
         pts[-1] = t

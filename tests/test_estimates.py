@@ -47,6 +47,14 @@ def test_bump_support_is_exact():
     assert prof[2] > 0.0
 
 
+def test_gaussian_support_interval_holds_all_but_exp_minus_64_of_the_profile():
+    # a gaussian has no compact support: its interval ends at 8 widths,
+    # where the profile has fallen to exp(-64)
+    spec = DataSpec(kind="gaussian", width=0.5)
+    assert spec.support_interval() == (0.0, 4.0)
+    assert spec.profile(4.0) == math.exp(-64.0)
+
+
 def test_radial_norm_against_closed_form():
     # || exp(-r^2/2) ||^2 in n dimensions: int_0^inf e^{-r^2} r^{n-1} dr
     # equals Gamma(n/2)/2

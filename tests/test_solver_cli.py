@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import fuchswave
-from fuchswave import errors, experiments, modal
+from fuchswave import cli, errors, experiments, modal
 from fuchswave.cli import build_parser, run_cli
-from fuchswave.coeffs import CoefficientModel
+from fuchswave.coeffs import COMMON_FIELDS, FAMILY_FIELDS, CoefficientModel
 from fuchswave.errors import ConfigError, ResolutionError, StiffnessError
-from fuchswave.estimates import DataSpec, energy_trace, grid_for_data
+from fuchswave.estimates import KIND_FIELDS, DataSpec, energy_trace, grid_for_data
 from fuchswave.experiments import (EXPERIMENTS, ExperimentConfig,
                                    ResultRecord, config_hash, persist,
                                    run_experiment)
@@ -188,20 +188,21 @@ def test_config_validation_and_hash_determinism():
 @pytest.mark.parametrize("field, raw", [
     ("strict", {"strict": "false"}), ("strict", {"strict": 1}),
     ("n_dim", {"n_dim": 2.7}), ("n_dim", {"n_dim": True}),
-    ("checkpoints", {"times": {"checkpoints": 61.0}}), ("seed", {"seed": "11"}),
-    ("steps", {"steps": False}), ("t_final", {"times": {"t_final": "1e4"}}),
-    ("rtol", {"tolerances": {"rtol": True}}), ("fit", {"tolerances": {"fit": None}}),
+    ("times.checkpoints", {"times": {"checkpoints": 61.0}}), ("seed", {"seed": "11"}),
+    ("steps", {"steps": False}), ("times.t_final", {"times": {"t_final": "1e4"}}),
+    ("tolerances.rtol", {"tolerances": {"rtol": True}}),
+    ("tolerances.fit", {"tolerances": {"fit": None}}),
     ("xi", {"xi": [1e-4]}), ("zone.N", {"zone": {"N": "1"}}),
     ("sweep_cells", {"sweep_cells": [[2.0, 2.0]]}),
     ("sweep_cells", {"sweep_cells": [[2.0, "2", 1.0]]}),
     ("sweep_cells", {"sweep_cells": [[2.0, 2.0, False]]}),
     ("sweep_cells", {"sweep_cells": {"b0": 2.0}}),
-    ("config.model.b0", {"model": {"b0": "3"}}),
-    ("config.model.ell", {"model": {"ell": 8.0}}),
-    ("config.model.family", {"model": {"family": 1}}),
-    ("config.data.center", {"data": {"kind": "ring", "center": "1"}}),
-    ("config.grid.points_per_dim", {"grid": {"n_dim": 1, "points_per_dim": 512.0,
-                                             "box_length": 200.0}})])
+    ("model.b0", {"model": {"b0": "3"}}),
+    ("model.ell", {"model": {"ell": 8.0}}),
+    ("model.family", {"model": {"family": 1}}),
+    ("data.center", {"data": {"kind": "ring", "center": "1"}}),
+    ("grid.points_per_dim", {"grid": {"n_dim": 1, "points_per_dim": 512.0,
+                                      "box_length": 200.0}})])
 def test_config_rejects_wrong_json_types_naming_the_field(field, raw):
     with pytest.raises(ConfigError, match=f"^{field} must be"):
         ExperimentConfig.from_dict({"experiment": "sweep", **raw})
@@ -249,9 +250,25 @@ def test_config_keys_that_change_nothing_are_rejected():
     ({"data": {"center": 1.0}}, "bad data block: .*'kind'"),
     ({"model": {"sigma": 3.0}}, "bad model block: sigma must lie in"),
     ({"model": {"family": "tabulated"}}, "bad model block: tabulated family needs b_table"),
-    ({"model": [2.0]}, "config.model must be an object"),
-    ({"times": 100.0}, "config.times must be an object"),
-    ({"times": {"t_end": 100.0}}, r"unknown field\(s\) \['times.t_end'\] in config")])
+    ({"model": [2.0]}, "model must be an object"),
+    ({"times": 100.0}, "times must be an object"),
+    ({"times": {"t_end": 100.0}}, r"unknown field\(s\) \['times.t_end'\] in config"),
+    # a model block reads its family's fields and a data block its kind's;
+    # any other field set away from its default would change nothing
+    ({"model": {"b0": 2.0, "m0": 2.0, "c1": 5.0}},
+     "bad model block: pure_scale_invariant reads no c1: its fields are family, b0, m0, "
+     "sigma, ell$"),
+    ({"model": {"family": "bounded_perturbation", "c1": 0.5, "gamma": 0.7}},
+     "bad model block: bounded_perturbation reads no gamma: "),
+    ({"model": {"family": "log_perturbation", "b_table": {"t": [0.0, 1.0],
+                                                          "values": [1.0, 0.5]}}},
+     "bad model block: log_perturbation reads no b_table: "),
+    ({"data": {"kind": "ring", "center": 1.0, "zero_order": 2}},
+     "bad data block: ring reads no zero_order: its fields are kind, amp0, amp1, center, "
+     "width$"),
+    ({"data": {"kind": "gaussian", "center": 1.0}}, "bad data block: gaussian reads no center: "),
+    ({"data": {"kind": "moment", "path": "profile.csv"}},
+     "bad data block: moment reads no path: ")])
 def test_a_malformed_block_is_a_config_error_naming_it(raw, message, tmp_path, capsys):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.from_dict({"experiment": "simulate", **raw})
@@ -270,6 +287,124 @@ def test_scatter_needs_a_data_block(tmp_path, capsys):
     cfgfile.write_text(json.dumps({"data": None, "times": {"t_final": 64.0}}))
     assert run_cli(["scatter", "--config", str(cfgfile)]) == 1
     assert capsys.readouterr().err == "config error: scatter needs a data block\n"
+
+
+def assembled(tmp_path, command, config):
+    """The config the CLI builds for `command` from the JSON config."""
+    cfgfile = tmp_path / f"{command}.json"
+    cfgfile.write_text(json.dumps(config))
+    return cli._assemble_config(build_parser().parse_args([command, "--config", str(cfgfile)]))
+
+
+def test_cli_block_of_another_family_or_kind_replaces_the_default_block(tmp_path):
+    # scatter's default model is bounded and its default data a ring: a
+    # block naming another family or kind starts from that class's defaults
+    cfg = assembled(tmp_path, "scatter", {"model": {"family": "pure_scale_invariant",
+                                                    "b0": 3, "m0": 2},
+                                          "data": {"kind": "gaussian", "width": 0.5}})
+    assert cfg.model.to_json() == CoefficientModel(b0=3.0, m0=2.0).to_json()
+    assert cfg.data == DataSpec(kind="gaussian", width=0.5)
+    # and the pure model runs, its manifest without the bounded constants
+    cfgfile = tmp_path / "pure.json"
+    cfgfile.write_text(json.dumps({"model": {"family": "pure_scale_invariant", "b0": 3,
+                                             "m0": 2}}))
+    assert run_cli(["scatter", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"]["model"] == {"family": "pure_scale_invariant", "b0": 3.0,
+                                           "m0": 2.0, "sigma": 1.0, "ell": 8}
+    assert manifest["propagator"] == "dop853+hankel(z*=25)"
+
+
+@pytest.mark.parametrize("command, config, expected", [
+    ("hw", {"model": {"b1": 0.3}}, CoefficientModel(
+        family="log_perturbation", b0=3.0, m0=0.5, b1=0.3, m1=0.5, gamma=1.0, sigma=1.5)),
+    ("hw", {"model": {"family": "log_perturbation", "b1": 0.3}}, CoefficientModel(
+        family="log_perturbation", b0=3.0, m0=0.5, b1=0.3, m1=0.5, gamma=1.0, sigma=1.5)),
+    ("scatter", {"model": {"c2": 0.25}, "data": {"kind": "ring", "amp1": 0.2}},
+     CoefficientModel(family="bounded_perturbation", b0=2.0, m0=0.75, c1=0.5, c2=0.25)),
+    ("classify", {"model": {"family": "pure_scale_invariant", "m0": 1.0}},
+     CoefficientModel(b0=2.0, m0=1.0))])
+def test_cli_block_of_the_default_family_merges_field_by_field(tmp_path, command, config,
+                                                               expected):
+    cfg = assembled(tmp_path, command, config)
+    assert cfg.model.to_json() == expected.to_json()
+    if "data" in config:
+        assert cfg.data == DataSpec(kind="ring", center=0.6, width=0.5, amp0=1.0, amp1=0.2)
+
+
+def test_cli_strict_turns_a_resolution_warning_into_exit_1(tmp_path, capsys):
+    # at t_final = 100 the box's mode spacing 2 pi / 200 no longer resolves
+    # the slow zone: a warning in the outputs, or with --strict an error
+    cfgfile = tmp_path / "sim.json"
+    cfgfile.write_text(json.dumps(SIMULATE_CONFIG))
+    argv = ["simulate", "--config", str(cfgfile), "--tfinal", "100"]
+    assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    (warning,) = manifest["outputs"]["warnings"]
+    assert "slow-zone truncation is unresolved" in warning
+    capsys.readouterr()
+    assert run_cli(argv + ["--strict", "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err == f"error: ResolutionError: {warning}\n"
+    assert not (tmp_path / "p").exists()
+
+
+def test_sweep_marks_a_sigma_cell_outside_its_regime_not_applicable(tmp_path):
+    # sigma > 1 needs 4 m0 < (b0-1)^2; at (2, 2, 1.5) the cell is a row
+    # marked not_applicable, with no verdict and no solve
+    cfgfile = tmp_path / "sweep.json"
+    cfgfile.write_text(json.dumps({"sweep_cells": [[2.0, 2.0, 1.5]]}))
+    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["verdicts"] == {}
+    (entry,) = manifest["csv_files"]
+    rows = (tmp_path / "o" / entry["file"]).read_text().splitlines()
+    assert rows[1:] == ["2,2,1.5,n/a,0,0,not_applicable"]
+
+
+def test_tabulated_model_from_a_config_file_reads_back_to_its_hash(tmp_path, capsys):
+    t = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+    model = {"family": "tabulated", "b0": 2.0, "m0": 1.0,
+             "b_table": {"t": t, "values": [2.0 / (1.0 + x) for x in t]},
+             "m_table": {"t": t, "values": [1.0 / (1.0 + x) ** 2 for x in t]}}
+    cfgfile = tmp_path / "table.json"
+    cfgfile.write_text(json.dumps({"model": model}))
+    assert run_cli(["classify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"]["model"] == {**model, "sigma": 1.0, "ell": 8}
+    read_back = ExperimentConfig.from_dict(manifest["config"])
+    assert read_back.model.b_table(3.0) == CoefficientModel.from_json(model).b_table(3.0)
+    assert config_hash(read_back) == manifest["config_hash"]
+
+
+def test_file_data_through_simulate_reproduces_the_profile_it_tabulates(tmp_path, capsys):
+    # a file tabulating the ring profile at every shell of the box is the
+    # ring, to the bit, on that box
+    ring = SIMULATE_CONFIG["data"]
+    shells = np.unique(np.round(Grid(**SIMULATE_CONFIG["grid"]).xi_mesh().ravel(), 12))
+    profile = DataSpec(**ring).profile(shells)
+    table = tmp_path / "ring.csv"
+    table.write_text("".join(f"{float(r)!r},{float(v)!r}\n" for r, v in zip(shells, profile)))
+    spec = {"kind": "file", "path": str(table), "amp0": ring["amp0"], "amp1": ring["amp1"]}
+    assert DataSpec(**spec).support_interval() == (shells[0], shells[-1])
+    traces = []
+    for name, data in (("ring", ring), ("file", spec)):
+        cfgfile = tmp_path / f"{name}.json"
+        cfgfile.write_text(json.dumps({**SIMULATE_CONFIG, "data": data}))
+        assert run_cli(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / name)]) == 0
+        (entry,) = json.loads((tmp_path / name / "manifest.json").read_text())["csv_files"]
+        traces.append((tmp_path / name / entry["file"]).read_text())
+    assert traces[0] == traces[1]
+
+
+def test_readme_lists_the_fields_of_each_model_family_and_data_kind():
+    # FAMILY_FIELDS and KIND_FIELDS name the fields each model family and
+    # data kind reads; README's table gives one row to each
+    table = README.read_text().split("| block and family or kind | fields it reads |")[1]
+    rows = {(block, name): set(re.findall(r"`(\w+)`", cell)) for block, name, cell in
+            re.findall(r"^\| (\w+) `(\w+)` \| (.+) \|$", table.split("\n\n")[0], re.M)}
+    assert rows == {
+        **{("model", family): {*COMMON_FIELDS, *own} for family, own in FAMILY_FIELDS.items()},
+        **{("data", kind): {"kind", "amp0", "amp1", *own} for kind, own in KIND_FIELDS.items()}}
 
 
 def test_every_plain_config_field_has_one_fields_entry_and_a_readme_row():
@@ -394,7 +529,7 @@ def test_cli_simulate_without_config(capsys):
     code = run_cli(["simulate"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "usage" in err.lower()
+    assert err == "config error: simulate needs both a grid and a data block\n"
 
 
 def test_cli_malformed_config(tmp_path, capsys):
@@ -534,7 +669,9 @@ def test_cli_out_rerun_reproduces_manifest(experiment, tmp_path, capsys):
 
 @pytest.mark.parametrize("experiment, propagator", [
     ("sweep", "dop853+hankel(z*=25)"),   # the cells are scale-invariant
-    ("levinson", "dop853"),
+    ("repcheck", "dop853"),              # the oracle
+    ("levinson", "none"),                # Picard iteration and quadratures, no ODE solve
+    ("hw", "none"),
     ("classify", "none"),
 ])
 def test_manifest_names_the_propagator(experiment, propagator, tmp_path):
