@@ -8,17 +8,29 @@ defaults field by field, and the flags override it.  Results land under
 
 Exit codes: 0 all verdicts pass, 2 some verdict failed, 1 error (a usage
 error included).
+
+The program spreads its work over forked processes (modal._fork_map), so
+each process runs one BLAS and OpenMP thread: the thread-count variables
+below default to 1 before numpy loads, and a value set in the environment
+wins.  Importing this module before numpy applies the same policy to any
+other entry point.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .coeffs import PURE
-from .errors import ConfigError
-from .experiments import EXPERIMENTS, ExperimentConfig, persist, run_experiment
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+# numpy loads below, after the thread caps
+from .coeffs import PURE  # noqa: E402
+from .errors import ConfigError  # noqa: E402
+from .experiments import EXPERIMENTS, ExperimentConfig, persist, run_experiment  # noqa: E402
 
 
 def _deep_update(base, extra):

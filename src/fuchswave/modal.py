@@ -29,6 +29,12 @@ own scaled errors; k depends on n alone, so any CPU count gives the same
 bytes, and on one CPU the (k-1) CALL_COMPONENTS more per step cost under a
 quarter of the whole solve's 2n + CALL_COMPONENTS.
 
+state_propagator_checkpoints cuts a long span in time instead, by the
+cocycle Phi(t,0) = Phi(t,tau) Phi(tau,0), the evolution identity PARAEXP
+parallelises (Gander & Guttel, SIAM J. Sci. Comput. 35 (2013)): segments of
+at least one period of the top frequency, solved on every usable CPU and
+composed in time order, with the same bytes on any CPU count.
+
 One state is integrated per frequency: X = (u_hat, u_hat'), with
 X' = [[0, 1], [-(xi^2+m), -b]] X and real fundamental matrix Phi(t,s).  Each
 form of the micro-energy U = (h u_hat, D_t u_hat), D_t = -i d/dt, conjugates
@@ -248,14 +254,22 @@ def fuchs_remainder(model, config, t, xi_norm):
     return R
 
 
+def _checkpoints(times, s):
+    """times as a float array, checked to ascend from s: a solve lands on
+    each checkpoint in turn, so one before its predecessor would silently
+    get the later state."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times[0] < s or np.any(np.diff(times) < 0):
+        raise ValueError("checkpoints must ascend from s")
+    return times
+
+
 def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL):
     """E(t_i, s, xi) at the checkpoint times: Phi(t, s), its two columns two
     modes of one _solve_modes call from s, conjugated by T = diag(h, -i).  Its
     atol, rtol * 1e-4, not rtol sets the error of strongly decaying propagators:
     2.4e-8 relative at rtol 1e-12 for b0 = 4, m0 = 0, xi = 8, t = 1e3."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < s):
-        raise ValueError("checkpoints must satisfy t >= s")
+    times = _checkpoints(times, s)
     Phi = _fundamental(*_solve_modes(sys.model.kernel(), np.full(2, float(sys.xi_norm)),
                                      np.eye(2).ravel(), times, rtol, rtol * 1e-4, s=s))[:, 0]
     if sys.form == FORM_HYP:
@@ -519,9 +533,10 @@ def _shared_tolerance(xi, bands):
     return math.sqrt(sizes.min() / sizes.sum()) if shared < per_band else None
 
 
-def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
-    """Evolve (u_hat, u_hat') for every frequency; returns complex arrays of
-    shape (len(times), len(xi)).  The coefficients are real, so the real and
+def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None, s=0.0):
+    """Evolve (u_hat, u_hat') for every frequency from its data at the start
+    time s (default 0) to the checkpoint times, ascending from s; returns
+    complex arrays of shape (len(times), len(xi)).  The coefficients are real, so the real and
     the imaginary part of each frequency's data evolve as two real modes.
     Zero-data modes (the imaginary part of real data, say) are skipped, live
     modes are normalised to unit initial size (linearity) so the
@@ -533,16 +548,18 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
     (see _solve_modes), has a solve of its own.  A solve of n modes is dealt
     into k = ceil(n / (2 CALL_COMPONENTS)) shares, its every k-th mode by
     frequency at its tolerances; the shares of a split plan run on every
-    usable CPU (_fork_map), any other plan's solves in a loop."""
+    usable CPU (_fork_map), any other plan's solves in a loop.  The plan does
+    not depend on s: state_propagator_checkpoints solves each time segment
+    Phi(t, tau) as this plan from the identity at s = tau."""
     xi = np.asarray(xi, dtype=float)
     u0 = np.ascontiguousarray(u0, dtype=complex)
     u1 = np.ascontiguousarray(u1, dtype=complex)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _checkpoints(times, s)
     atol = rtol * 1e-6 if atol is None else atol
 
     u_out = np.zeros((times.size, xi.size), dtype=complex)
     v_out = np.zeros_like(u_out)
-    if float(times[-1]) == 0.0:
+    if float(times[-1]) == s:
         u_out[:] = u0[None, :]
         v_out[:] = u1[None, :]
         return u_out, v_out
@@ -568,7 +585,7 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
     def solve(share):
         idx, c = share
         y0 = np.concatenate((a0[idx] / scale[idx], a1[idx] / scale[idx]))
-        u, v = _solve_modes(coefficients, xi[idx], y0, times, rtol * c, atol * c, cells)
+        u, v = _solve_modes(coefficients, xi[idx], y0, times, rtol * c, atol * c, cells, s)
         return u * scale[idx], v * scale[idx]
 
     # only a split plan forks; a share costs its steps (~ top xi) x (CALL_COMPONENTS + 2n)
@@ -590,16 +607,63 @@ def _fundamental(u, v):
     return Phi
 
 
+def _segments(times, top):
+    """Cut the checkpoints into time segments (tau, its checkpoints): the
+    first begins at t = 0, and a checkpoint t closes a segment once
+    top (t - tau) >= 2 pi, one period of the top frequency past its start
+    tau; the last checkpoint closes the last segment."""
+    segments, tau, start = [], 0.0, 0
+    for i, t in enumerate(times.tolist()):
+        if top * (t - tau) >= 2.0 * math.pi or i == times.size - 1:
+            segments.append((tau, times[start:i + 1]))
+            tau, start = t, i + 1
+    return segments
+
+
 def state_propagator_checkpoints(model, xi, times, rtol=DEFAULT_RTOL, atol=None):
     """Fundamental matrix Phi(t,0) of X' = [[0,1],[-(xi^2+m),-b]] X for every
-    frequency in xi at the checkpoint times; shape (len(times), len(xi), 2, 2).
-    Each frequency enters evolve_state twice, with data (1,0) and (0,1), so both
-    columns share every octave band's adaptive steps."""
+    frequency in xi at the checkpoint times (ascending, t >= 0); shape
+    (len(times), len(xi), 2, 2).
+
+    The checkpoints are cut into time segments (_segments): a checkpoint
+    closes a segment once one period 2 pi / xi_max of the top frequency has
+    passed since the segment began, and the last checkpoint closes the last.
+    Each segment solves Phi(t, tau) at its own checkpoints from the identity
+    at its start tau, in one evolve_state call (its bands, shared-tolerance
+    factor c, rtol and atol) in which each frequency enters twice, with data
+    (1,0) and (0,1), so both columns share every octave band's adaptive
+    steps.  The segments run on every usable CPU (_fork_map, each costing its
+    length), and the cocycle Phi(t,0) = Phi(t,tau) Phi(tau,0) composes them
+    in time order.  The cut depends on the checkpoints and xi_max alone, so
+    any CPU count gives the same bytes.  A single segment, and every span of
+    the scale-invariant family, whose late times Hankel's expansion carries,
+    is one evolve_state call from t = 0.  On scatter's doubling checkpoints
+    to t = 2048 (nine segments) one CPU makes 1.2% more right-hand-side
+    calls than the whole solve (60,285 against 59,593) in the same wall
+    time, and two CPUs take about 45% less wall time."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    times = _checkpoints(times, 0.0)
     atol = rtol * 1e-4 if atol is None else atol
     u0, u1 = np.repeat(np.eye(2), xi.size, axis=1)
-    u, v = evolve_state(model, np.tile(xi, 2), u0, u1, times, rtol=rtol, atol=atol)
-    return _fundamental(u, v)
+
+    def solve(segment):   # Phi(t, tau) at the segment's checkpoints
+        tau, seg = segment
+        return _fundamental(*evolve_state(model, np.tile(xi, 2), u0, u1, seg,
+                                          rtol=rtol, atol=atol, s=tau))
+
+    segments = ([(0.0, times)] if model.family == PURE
+                else _segments(times, xi.max(initial=0.0)))
+    if len(segments) == 1:
+        return solve(segments[0])
+    Phi = np.empty((times.size, xi.size, 2, 2), dtype=complex)
+    prev, stop = np.eye(2), 0   # Phi(tau, 0) at the segment's start tau
+    for part in _fork_map(solve, segments, [seg[-1] - tau for tau, seg in segments]):
+        start, stop = stop, stop + len(part)
+        # Phi(t,tau) Phi(tau,0), summed over the inner index
+        np.add(part[..., :1] * prev[..., :1, :], part[..., 1:] * prev[..., 1:, :],
+               out=Phi[start:stop])
+        prev = Phi[stop - 1]
+    return Phi
 
 
 def weight_conjugation(h_t, h_s, Phi):

@@ -1,7 +1,12 @@
-"""modal._fork_map, the map that spreads repcheck's points and the shares of
-evolve_state's large solves over this process and one forked child per
+"""modal._fork_map, the map that spreads repcheck's points, the shares of
+evolve_state's large solves and the time segments of
+state_propagator_checkpoints over this process and one forked child per
 further usable CPU: the same results and the same first error as a serial
-run, and no child left behind."""
+run, and no child left behind.  Time segments are cut where one period
+2 pi/xi_max has passed since the segment began, a rule of the checkpoints
+and xi_max alone, and composed by the cocycle Phi(t,0) = Phi(t,tau)
+Phi(tau,0), so scatter writes the same bytes on any CPU count; a span
+shorter than one period, and a scale-invariant one, stays one solve."""
 
 import json
 import os
@@ -18,7 +23,8 @@ import pytest
 
 import fuchswave
 from fuchswave import modal
-from fuchswave.coeffs import example_bounded
+from fuchswave.cli import run_cli
+from fuchswave.coeffs import CoefficientModel, example_bounded
 from fuchswave.errors import StiffnessError
 from fuchswave.experiments import ExperimentConfig, persist, run_experiment
 from fuchswave.modal import _fork_map
@@ -292,3 +298,74 @@ def test_a_split_solve_on_one_cpu_holds_one_share_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert len(started) == 3
     assert max(started) - started[0] < share_bytes / 2
+
+
+def test_scatter_writes_the_same_bytes_on_one_cpu_on_two_and_beside_a_thread(tmp_path,
+                                                                            two_cpus,
+                                                                            monkeypatch):
+    # scatter's fundamental matrices to t = 256 run as time segments: one
+    # fork on two CPUs, none beside a running thread or on one CPU
+    cfgfile = tmp_path / "scatter.json"
+    cfgfile.write_text(json.dumps({"experiment": "scatter", "times": {"t_final": 64.0}}))
+
+    def run(name):
+        assert run_cli(["scatter", "--config", str(cfgfile),
+                        "--out", str(tmp_path / name)]) == 0
+        return _persisted(tmp_path / name)
+
+    two = run("two")
+    assert len(two_cpus) == 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        threaded = run("threaded")
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = run("one")
+    assert len(two_cpus) == 1
+    assert len(two) == 2 and threaded == two and one == two
+
+
+def test_a_stiffness_error_in_a_later_time_segment_reaches_the_caller_as_in_a_serial_run(
+        two_cpus, monkeypatch):
+    # m = -1/(2-t)^4 blows every mode up at t = 2.  At xi_max = 8 the
+    # checkpoints 1.5 and 2.5 make two time segments, [0, 1.5] and [1.5, 2.5];
+    # the second, shorter, runs in the child and fails there, with the error
+    # a serial run raises
+    blowup = SimpleNamespace(family="blowup", b0=0.0, m0=0.0,
+                             kernel=lambda: lambda t: (0.0, -1.0 / (2.0 - t) ** 4))
+    xi, times = np.array([6.0, 7.0, 8.0]), [1.5, 2.5]
+    assert [tau for tau, _ in modal._segments(np.array(times), xi.max())] == [0.0, 1.5]
+    errors = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        with pytest.raises(StiffnessError) as info, np.errstate(invalid="ignore"):
+            modal.state_propagator_checkpoints(blowup, xi, times)
+        errors.append((type(info.value), info.value.t, info.value.xi))
+    assert len(two_cpus) == 1
+    assert errors[0] == errors[1] == (StiffnessError, 1.5, 8.0)
+
+
+@pytest.mark.parametrize("model, xi, t_end", [
+    (CoefficientModel(b0=3.0, m0=0.0), 1e-5, 1e3),
+    (CoefficientModel(b0=2.0, m0=0.75), 2.0, 1e3),
+    (example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5), 0.5, 12.0)],
+    ids=["sweep_pure", "pure_past_hankel", "bounded_within_a_period"])
+def test_short_and_scale_invariant_spans_are_one_solve(model, xi, t_end, two_cpus,
+                                                       monkeypatch):
+    # a scale-invariant span, however many periods long (Hankel's expansion
+    # carries it past z = xi (1+t) = Z_MATCH), and a span shorter than one
+    # period 2 pi/xi (12.57 at xi = 0.5) are one DOP853 solve, and no fork
+    solves, solve_ivp = [], modal.solve_ivp
+
+    def recorded(*args, **kwargs):
+        solves.append(args)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(modal, "solve_ivp", recorded)
+    times = np.geomspace(1.0, 1.0 + t_end, 121)[1:] - 1.0
+    modal.weighted_propagator(model, ZoneConfig(N=1.0), xi, times, rtol=1e-10)
+    assert len(solves) == 1 and not two_cpus
