@@ -1,7 +1,7 @@
 """Command-line interface.
 
 One subcommand per entry of experiments.EXPERIMENTS, which gives its help
-line, its flags (the config fields its experiment reads) and its
+line, its flags (each sets a config field its experiment reads) and its
 demonstration defaults.  A JSON config (--config) is merged into the
 defaults field by field, and the flags override it.  Results land under
 --out as manifest.json plus CSV traces.

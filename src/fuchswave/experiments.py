@@ -5,8 +5,10 @@ tables: _FIELDS maps the JSON path of every plain field to its
 ExperimentConfig field and JSON type, and _BLOCKS the model, zone, data and
 grid objects to their dataclasses; from_dict, canonical() and the checks
 that reject unknown fields all walk them, and an error names its field by
-its JSON path.  EXPERIMENTS maps each experiment to its runner and to what
-the command line needs of it: help line, flags and demonstration defaults.
+its JSON path.  EXPERIMENTS maps each experiment to its runner, to the
+JSON paths the runner reads (from_dict rejects any other block or field set
+away from its default) and to what the command line needs of it: help
+line, flags and demonstration defaults.
 Results are persisted as a deterministic manifest plus one CSV per trace,
 file names derived from the config hash.  Wall time, CPU time and the
 forked children's peak RSS are tracked on the record but kept out of the
@@ -145,9 +147,11 @@ class ExperimentConfig:
         # an absent, null or empty block keeps the default
         blocks = {name: _read_block(name, d[name]) for name in _BLOCKS
                   if d.get(name) not in (None, {})}
-        return cls(experiment=exp, **blocks, **{
+        cfg = cls(experiment=exp, **blocks, **{
             _FIELDS[path][0]: _read(value, _FIELDS[path][1], path)
             for path, value in given.items()})
+        _reject_unread(cfg, [*given, *(name for name in _BLOCKS if name in d)])
+        return cfg
 
     def canonical(self):
         base = {"schema": SCHEMA_VERSION, "experiment": self.experiment}
@@ -160,6 +164,24 @@ class ExperimentConfig:
             group, _, key = path.rpartition(".")
             (base.setdefault(group, {}) if group else base)[key] = getattr(self, name)
         return json.loads(json.dumps(base))   # the cells' tuples as JSON lists
+
+
+def _reject_unread(cfg, paths):
+    """ConfigError naming the given JSON paths that cfg's experiment does not
+    read and that move its canonical config, and so its hash, away from the
+    default's: such a block or field would change the hash and nothing else."""
+    reads = EXPERIMENTS[cfg.experiment].reads
+    canon, default = cfg.canonical(), ExperimentConfig(cfg.experiment).canonical()
+
+    def at(tree, path):   # the canonical JSON text at a path
+        for key in path.split("."):
+            tree = tree.get(key)
+        return json.dumps(tree, sort_keys=True)
+
+    unread = [p for p in paths if p not in reads and at(canon, p) != at(default, p)]
+    if unread:
+        raise ConfigError(f"{cfg.experiment} reads no {sorted(unread)}: it reads "
+                          f"{', '.join(reads)}")
 
 
 def config_hash(config):
@@ -208,8 +230,8 @@ def run_classify(cfg):
 def run_simulate(cfg):
     if cfg.grid is None or cfg.data is None:
         raise ConfigError("simulate needs both a grid and a data block")
-    times = np.unique(np.concatenate([[0.0], np.geomspace(1.0, cfg.t_final,
-                                                          cfg.checkpoints - 1)]))
+    times = modal.sorted_distinct(np.concatenate([[0.0], np.geomspace(1.0, cfg.t_final,
+                                                                     cfg.checkpoints - 1)]))
     trace = simulate_fields(cfg.model, cfg.zone, cfg.grid, cfg.data, times,
                             rtol=cfg.rtol, strict=cfg.strict)
     rows = np.column_stack([trace.times, trace.u_over_1pt, trace.grad,
@@ -394,8 +416,9 @@ def _decade_maxima(ts, vals):
     return np.array(out)
 
 
-def run_repcheck(cfg):
-    stage = diagonalize.build_stage(cfg.model, cfg.steps, cfg.zone)
+def _repcheck_points(cfg):
+    """repcheck's 20 seeded (s, t, xi): xi in [N, 8N], s in [0, 50] and t - s
+    in [10, 1e3], xi and t - s log-uniform."""
     rng = np.random.default_rng(cfg.seed)
     N = cfg.zone.N
     points = []
@@ -403,17 +426,28 @@ def run_repcheck(cfg):
         xi = float(np.exp(rng.uniform(math.log(N), math.log(8.0 * N))))
         s = float(rng.uniform(0.0, 50.0))
         points.append((s, s + float(np.exp(rng.uniform(math.log(10.0), math.log(1e3)))), xi))
+    return points
 
-    def rel_error(point):
-        s, t, xi = point
-        E_rep = diagonalize.assemble_representation(stage, s, t, xi)
-        sysm = modal.ModalSystem(cfg.model, cfg.zone, xi, modal.FORM_HYP)
-        E_orc = modal.integrate_fundamental(sysm, s, t, tol=1e-12)
-        return (modal.spectral_norm(E_rep.entries - E_orc.entries)
-                / modal.spectral_norm(E_orc.entries))
 
-    # both the oracle's steps and Q_k's nodes scale with the phase xi (t - s)
-    rels = list(modal._fork_map(rel_error, points, [xi * (t - s) for s, t, xi in points]))
+def run_repcheck(cfg):
+    stage = diagonalize.build_stage(cfg.model, cfg.steps, cfg.zone)
+    points = _repcheck_points(cfg)
+    items = [(modal.ModalSystem(cfg.model, cfg.zone, xi, modal.FORM_HYP), s, t)
+             for s, t, xi in points]
+
+    def job(i):   # the oracle's 20 matrices for i None, else point i's representation
+        if i is None:
+            return [E.entries for E in modal.integrate_fundamentals(items, tol=1e-12)]
+        s, t, xi = points[i]
+        return diagonalize.assemble_representation(stage, s, t, xi).entries
+
+    # per radian of phase xi (t - s), Q_k's nodes cost about four times the
+    # stacked oracle's steps: 24 against 6 us on one Xeon core
+    phases = [xi * (t - s) for s, t, xi in points]
+    oracle, *reps = modal._fork_map(job, [None, *range(len(points))],
+                                    [sum(phases) / 4.0, *phases])
+    rels = [modal.spectral_norm(rep - orc) / modal.spectral_norm(orc)
+            for rep, orc in zip(reps, oracle)]
     rows = [point + (rel,) for point, rel in zip(points, rels)]
     worst = max(0.0, *rels)
     verdicts = {"representation_identity": worst <= 1e-6}
@@ -424,38 +458,44 @@ def run_repcheck(cfg):
 class Experiment(NamedTuple):
     run: object        # run_*(cfg) -> (verdicts, outputs, traces)
     help: str          # the subcommand's help line
-    flags: tuple       # its CLI flags: the config fields run reads
+    flags: tuple       # its CLI flags
+    reads: tuple       # the JSON paths of the blocks and fields run reads
     defaults: dict     # its CLI demonstration config, under the config file and flags
 
 
 _BOUNDED = {"family": "bounded_perturbation", "b0": 2.0, "m0": 0.75,
             "c1": 0.5, "p1": 0.5, "c2": 0.5, "p2": 0.5}
+_SOLVE = ("model", "zone", "times.t_final", "tolerances.rtol")
 
 # every experiment, in the CLI's order
 EXPERIMENTS = {
     "simulate": Experiment(run_simulate, "spectral box run with physical-space norm traces",
-                           ("b0", "m0", "N", "tfinal", "tol", "strict"), {}),
+                           ("b0", "m0", "N", "tfinal", "tol", "strict"),
+                           (*_SOLVE, "grid", "data", "times.checkpoints", "strict"), {}),
     "classify": Experiment(run_classify, "low-frequency exponents mu+- and the regime case",
-                           ("b0", "m0"), {"model": {"b0": 2.0, "m0": 2.0}}),
+                           ("b0", "m0"), ("model",), {"model": {"b0": 2.0, "m0": 2.0}}),
     "sweep": Experiment(run_sweep, "fitted vs predicted zone rates over (b0, m0, sigma) cells",
-                        ("N", "tfinal", "tol"), {"model": {"b0": 2.0, "m0": 2.0}, "xi": 1e-4}),
+                        ("N", "tfinal", "tol"), (*_SOLVE, "xi", "sweep_cells", "tolerances.fit"),
+                        {"model": {"b0": 2.0, "m0": 2.0}, "xi": 1e-4}),
     "scatter": Experiment(run_scatter, "modified-scattering residual decay",
-                          ("b0", "m0", "sigma", "N", "tfinal", "tol"),
+                          ("b0", "m0", "sigma", "N", "tfinal", "tol"), (*_SOLVE, "data", "n_dim"),
                           {"model": _BOUNDED,
                            "data": {"kind": "ring", "center": 0.6, "width": 0.5,
                                     "amp0": 1.0, "amp1": 0.7}}),
     "moments": Experiment(run_moments, "moment-condition rate improvement",
-                          ("b0", "m0", "sigma", "N", "tfinal", "tol"),
+                          ("b0", "m0", "sigma", "N", "tfinal", "tol"), (*_SOLVE, "n_dim"),
                           {"model": {"b0": 4.0, "m0": 0.0}}),
     "levinson": Experiment(run_levinson, "distinguished-solution construction demo",
-                           ("b0", "m0", "N"),
+                           ("b0", "m0", "N"), ("model", "zone", "xi"),
                            {"model": {"b0": 3.0, "m0": 0.0}, "zone": {"N": 0.01}, "xi": 1e-4}),
     "hw": Experiment(run_hw, "remainder-reduction transform demo",
                      ("b0", "m0", "sigma", "N", "tfinal"),
+                     ("model", "zone", "xi", "times.t_final"),
                      {"model": {"family": "log_perturbation", "b0": 3.0, "m0": 0.5, "b1": 0.5,
                                 "m1": 0.5, "gamma": 1.0, "sigma": 1.5}, "xi": 1e-6}),
     "repcheck": Experiment(run_repcheck, "representation identity vs direct oracle",
-                           ("b0", "m0", "N"), {"model": {**_BOUNDED, "ell": 6}, "steps": 2}),
+                           ("b0", "m0", "N"), ("model", "zone", "steps", "seed"),
+                           {"model": {**_BOUNDED, "ell": 6}, "steps": 2}),
 }
 
 

@@ -6,8 +6,9 @@ tolerance by Hairer's Fortran DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 II.10) on real states, in scipy's extension, which modal loads from its file
 without scipy.integrate's package (whose imports cost most of a CLI run's
 start-up).  Only the right-hand side runs in Python, and each checkpoint ends
-one integration leg, landing on it exactly (solve_ivp), all in one kernel,
-_solve_modes, whose right-hand side takes one scalar pair (b, m) per call
+one integration leg, landing on it exactly (solve_ivp), all in one kernel
+but the stacked oracle's (below), _solve_modes, whose right-hand side takes
+one scalar pair (b, m) per call
 (CoefficientModel.kernel): on Python floats for one frequency, into one
 preallocated buffer otherwise; a solve that stops short raises StiffnessError
 at the (t, xi) it reached.  fuchswave sweep and acceptance criteria 2/3 measure
@@ -34,6 +35,19 @@ cocycle Phi(t,0) = Phi(t,tau) Phi(tau,0), the evolution identity PARAEXP
 parallelises (Gander & Guttel, SIAM J. Sci. Comput. 35 (2013)): segments of
 at least one period of the top frequency, solved on every usable CPU and
 composed in time order, with the same bytes on any CPU count.
+
+integrate_fundamentals, the oracle of many spans at once (repcheck's 20),
+uses the same cocycle to stack them: each span is cut into pieces of at
+most PIECE_LENGTH in phase plus log-time, and every piece's Phi from the
+identity is two real modes of one DOP853 solve (_solve_pieces, the one
+solve outside _solve_modes: its modes run at different times), at
+tolerances tightened by c = sqrt(2/n) for n real modes, so that each piece
+keeps its own RMS error test.  On the closed-form damped wave b = 2/(1+t),
+m = 0, xi (t - s) = 1000 at rtol 1e-12 it is 5.2e-12 to 5.4e-12 off, the
+single solve 7.1e-11 to 7.3e-11; on repcheck's 20 CLI-default spans it is
+at most 1.2e-11 from the single solve at rtol 1e-14 (the single solve at
+rtol 1e-12: 1.7e-10), in 1,444 right-hand-side calls against 884,315.
+integrate_fundamental stays the single-solve brute-force reference.
 
 One state is integrated per frequency: X = (u_hat, u_hat'), with
 X' = [[0, 1], [-(xi^2+m), -b]] X and real fundamental matrix Phi(t,s).  Each
@@ -86,6 +100,13 @@ _SERIES_TOL = 1e-17
 # overhead and DOP853's step) in units of the cost it adds per real state
 # component: about 6.3 us against 4.4 ns on one Xeon core
 CALL_COMPONENTS = 1400
+
+# the most phase plus log-time, xi dtau + ln((1+tau_end)/(1+tau_start)), in
+# one piece of integrate_fundamentals' stacked solve.  Shorter pieces take
+# fewer steps each, but more of them make each right-hand side longer: on
+# repcheck's 20 spans of 5000 rad in all, one CPU took 46-50 ms at 4 and 6,
+# 63 ms at 12.5 and 91 ms at 25
+PIECE_LENGTH = 6.0
 
 
 @dataclass(frozen=True)
@@ -232,6 +253,19 @@ class MicroEnergy:
     xi_norm: float
 
 
+def sorted_distinct(values, return_counts=False):
+    """The distinct values of a NaN-free array, ascending, and with
+    return_counts how often each occurs: np.unique's arrays bit for bit,
+    without the numpy.ma import (10-15 ms) of its first call in numpy 2.4."""
+    v = np.sort(np.ravel(values))
+    first = np.empty(v.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    if not return_counts:
+        return v[first]
+    return v[first], np.diff(np.append(np.flatnonzero(first), v.size))
+
+
 def spectral_norm(mat):
     return float(np.linalg.norm(np.asarray(mat), ord=2))
 
@@ -264,6 +298,13 @@ def _checkpoints(times, s):
     return times
 
 
+def _in_form(sys, times, s, Phi):
+    """E(t, s) = T(t) Phi(t, s) T(s)^-1 in the system's form (weight_conjugation)."""
+    if sys.form == FORM_HYP:
+        return weight_conjugation(sys.xi_norm, sys.xi_norm, Phi)
+    return weight_conjugation(sys.config.N / (1.0 + times), sys.config.N / (1.0 + s), Phi)
+
+
 def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL):
     """E(t_i, s, xi) at the checkpoint times: Phi(t, s), its two columns two
     modes of one _solve_modes call from s, conjugated by T = diag(h, -i).  Its
@@ -272,9 +313,7 @@ def propagator_checkpoints(sys, s, times, rtol=DEFAULT_RTOL):
     times = _checkpoints(times, s)
     Phi = _fundamental(*_solve_modes(sys.model.kernel(), np.full(2, float(sys.xi_norm)),
                                      np.eye(2).ravel(), times, rtol, rtol * 1e-4, s=s))[:, 0]
-    if sys.form == FORM_HYP:
-        return weight_conjugation(sys.xi_norm, sys.xi_norm, Phi)
-    return weight_conjugation(sys.config.N / (1.0 + times), sys.config.N / (1.0 + s), Phi)
+    return _in_form(sys, times, s, Phi)
 
 
 def integrate_fundamental(sys, s, t, tol=DEFAULT_RTOL, verify=False):
@@ -295,6 +334,98 @@ def integrate_fundamental(sys, s, t, tol=DEFAULT_RTOL, verify=False):
                   for a, b in zip(coarse, fine))
         fm.provenance = f"oracle(verified, dev={dev:.2e})"
     return fm
+
+
+def _piece_ends(xi, s, t):
+    """s, the ends of k pieces of [s, t] equal in L(tau) = xi tau + ln(1+tau),
+    phase plus log-time, and t; k = ceil((L(t) - L(s)) / PIECE_LENGTH).  The
+    inner ends solve L = const by Newton's method in w = ln(1+tau), where L
+    is convex: from w(t) it descends onto each root."""
+    w_s, w_t = math.log1p(s), math.log1p(t)
+    L_s, L_t = xi * s + w_s, xi * t + w_t
+    k = math.ceil((L_t - L_s) / PIECE_LENGTH)
+    target = L_s + (L_t - L_s) * np.arange(1, k) / k
+    w = np.full(k - 1, w_t)
+    while True:
+        step = (xi * np.expm1(w) + w - target) / (xi * np.exp(w) + 1.0)
+        w -= step
+        if not np.any(step > 1e-14 * (1.0 + w)):
+            return np.concatenate(([s], np.expm1(w), [t]))
+
+
+def _solve_pieces(coefficients, a, ell, xi, rtol, atol):
+    """Phi over the pieces [a, a + ell] of one model's spans at frequencies
+    xi, shape (len(a), 2, 2), from one DOP853 solve of their 2 len(a) modes
+    from the identity in sigma in [0, 1], t = a + ell sigma; None where the
+    solve stops short.  The right-hand side makes one coefficients call on
+    the pieces' times."""
+    p = a.size
+    neg_xi2, dy = -xi ** 2, np.empty((2, 2, p))
+
+    def rhs(sigma, y):   # y = (u, u'), each of both columns of every piece
+        b, m = coefficients(a + ell * sigma)
+        u, v = y.reshape(2, 2, p)
+        np.multiply(ell, v, out=dy[0])
+        np.multiply(ell, (neg_xi2 - m) * u - b * v, out=dy[1])
+        return dy.ravel()
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.eye(2).repeat(p, axis=1).ravel(), [1.0],
+                    rtol=rtol, atol=atol)
+    return np.moveaxis(sol.y.reshape(2, 2, p), -1, 0) if sol.success else None
+
+
+def integrate_fundamentals(items, tol=DEFAULT_RTOL):
+    """E(t, s, xi) for every (ModalSystem, s, t) item, the systems of one
+    model, as integrate_fundamental's oracle at tolerance tol would give it,
+    from one stacked solve of short pieces.  Each span is cut into pieces of
+    at most PIECE_LENGTH in phase plus log-time (_piece_ends); each piece's
+    Phi from the identity is two real modes of one DOP853 solve over all
+    pieces, at rtol and atol (tol and tol * 1e-4, the single oracle's) times
+    c = sqrt(2 / n) for its n real modes, so that each piece keeps its own
+    RMS error test (as in _shared_tolerance).  More than 2 CALL_COMPONENTS
+    modes are dealt into k = ceil(n / (2 CALL_COMPONENTS)) interleaved shares,
+    a solve each on every usable CPU (_fork_map), so c >= sqrt(1/1400); the
+    cut and the shares depend on the spans alone, and the cocycle
+    Phi(t, s) = Phi(t, tau) Phi(tau, s) composes each span's pieces in time
+    order before the conjugation into the system's form.  A stacked solve
+    that stops short is redone span by span by propagator_checkpoints,
+    landing on each piece end, so the first span DOP853 cannot finish raises
+    StiffnessError at the last piece end it reached."""
+    items = list(items)
+    model, ends = items[0][0].model, []
+    for sys, s, t in items:
+        if not 0 <= s <= t:
+            raise ValueError("need 0 <= s <= t")
+        if sys.model is not model:
+            raise ValueError("the systems of one batch share one model")
+        ends.append(_piece_ends(sys.xi_norm, s, t) if t > s else np.array([s]))
+    a = np.concatenate([e[:-1] for e in ends])
+    ell = np.concatenate([np.diff(e) for e in ends])
+    xi = np.concatenate([np.full(e.size - 1, float(sys.xi_norm))
+                         for e, (sys, _, _) in zip(ends, items)])
+    coefficients = model.kernel()
+    k = math.ceil(a.size / CALL_COMPONENTS)
+
+    def solve(idx):
+        c = math.sqrt(1.0 / idx.size)   # 2 / n for n = 2 idx.size real modes
+        return _solve_pieces(coefficients, a[idx], ell[idx], xi[idx], tol * c, tol * 1e-4 * c)
+
+    shares = [np.arange(j, a.size, k) for j in range(k)]
+    Phi = np.empty((a.size, 2, 2))
+    for idx, part in zip(shares, _fork_map(solve, shares, [idx.size for idx in shares])
+                         if k > 1 else map(solve, shares)):
+        if part is None:
+            return [FundamentalMatrix(propagator_checkpoints(sys, s, e, rtol=tol)[-1])
+                    for (sys, s, _), e in zip(items, ends)]
+        Phi[idx] = part
+    out, stop = [], 0
+    for (sys, s, t), e in zip(items, ends):
+        start, stop = stop, stop + e.size - 1
+        E = np.eye(2)
+        for piece in Phi[start:stop]:
+            E = piece @ E
+        out.append(FundamentalMatrix(_in_form(sys, t, s, E)))
+    return out
 
 
 def check_cocycle(sys, s, r, t, tol=DEFAULT_RTOL):

@@ -32,7 +32,8 @@ from fuchswave.modal import (FORM_DISS, FORM_HYP, ModalSystem,
                              scale_invariant_norm_traces, spectral_norm,
                              state_propagator_checkpoints,
                              weight_conjugation, weighted_propagator)
-from fuchswave.experiments import ExperimentConfig, _double_root_log_shift
+from fuchswave.experiments import (EXPERIMENTS, ExperimentConfig, _double_root_log_shift,
+                                   _repcheck_points)
 from fuchswave.zones import ZoneConfig, sharp_weight, theta
 from oracles import integrate_fuchs
 
@@ -647,6 +648,67 @@ def test_segmented_fundamental_matrices_match_the_closed_form_damped_wave(xi, n_
     E, E_exact = (weight_conjugation(xi, xi, P)
                   for P in (Phi, _damped_wave_phi(xi, times, 0.0)))
     assert max(spectral_norm(a - b) / spectral_norm(b) for a, b in zip(E, E_exact)) <= 1e-10
+
+
+@pytest.mark.parametrize("xi", [0.5, 2.0, 8.0])
+def test_the_stacked_oracle_matches_the_closed_form_damped_wave(xi):
+    # xi (t - s) = 1000 from s = 3 at rtol 1e-12, cut into 168 pieces of at
+    # most PIECE_LENGTH: measured 5.2e-12 to 5.4e-12 alone and 2.9e-12 in one
+    # batch of all three, where the single solve measures 7.1e-11 to 7.3e-11
+    model = CoefficientModel(b0=2.0, m0=0.0)
+    s = 3.0
+    items = [(ModalSystem(model, CFG, x, FORM_HYP), s, s + 1000.0 / x) for x in (0.5, 2.0, 8.0)]
+    for batch in ([item for item in items if item[0].xi_norm == xi], items):
+        for (system, _, t), E in zip(batch, modal.integrate_fundamentals(batch, tol=1e-12)):
+            x = system.xi_norm
+            E_exact = weight_conjugation(x, x, _damped_wave_phi(x, np.array([t]), s))[0]
+            assert spectral_norm(E.entries - E_exact) / spectral_norm(E_exact) <= 1e-10
+
+
+def test_the_stacked_oracle_is_nearer_the_tight_oracle_than_the_single_solve():
+    # the 20 CLI-default repcheck points (about 2,200 pieces, dealt into two
+    # shares): per point the batch at rtol 1e-12 is no farther from the
+    # single solve at 1e-14 than the single solve at 1e-12 is.  Measured: at
+    # most 1.2e-11 against 1.7e-10
+    cfg = ExperimentConfig.from_dict({"experiment": "repcheck",
+                                      **EXPERIMENTS["repcheck"].defaults})
+    items = [(ModalSystem(cfg.model, cfg.zone, xi, FORM_HYP), s, t)
+             for s, t, xi in _repcheck_points(cfg)]
+    assert sum(len(modal._piece_ends(sy.xi_norm, s, t)) - 1
+               for sy, s, t in items) > modal.CALL_COMPONENTS
+    batch = modal.integrate_fundamentals(items, tol=1e-12)
+    for item, E in zip(items, batch):
+        tight = integrate_fundamental(*item, tol=1e-14).entries
+        single = integrate_fundamental(*item, tol=1e-12).entries
+        assert spectral_norm(E.entries - tight) <= spectral_norm(single - tight)
+
+
+def test_the_stacked_oracle_keeps_each_form_and_the_identity():
+    # diss and hyp forms, and a span of length zero, in one batch: within the
+    # single oracle's error of it
+    model = example_bounded(2.0, 0.75, c1=0.5, p1=0.5, c2=0.5, p2=0.5)
+    items = [(ModalSystem(model, CFG, 0.01, FORM_DISS), 0.0, 50.0),
+             (ModalSystem(model, CFG, 2.0, FORM_HYP), 1.5, 40.0),
+             (ModalSystem(model, CFG, 2.0, FORM_HYP), 7.0, 7.0)]
+    for item, E in zip(items, modal.integrate_fundamentals(items, tol=1e-12)):
+        single = integrate_fundamental(*item, tol=1e-12).entries
+        assert E.provenance == "oracle"
+        assert spectral_norm(E.entries - single) <= 1e-9 * spectral_norm(single)
+    with pytest.raises(ValueError, match="share one model"):
+        modal.integrate_fundamentals([items[0], (ModalSystem(FREE, CFG, 1.0), 0.0, 1.0)])
+
+
+def test_a_span_the_stacked_oracle_cannot_finish_raises_stiffness_error_inside_it():
+    # m = -1/(2-t)^4 blows the modes up at t = 2, inside the second span only:
+    # the error names a time in that span and its frequency
+    blowup = SimpleNamespace(kernel=lambda: lambda t: (0.0, -1.0 / (2.0 - t) ** 4))
+    items = [(ModalSystem(blowup, CFG, xi, FORM_HYP), s, t)
+             for xi, s, t in ((0.75, 0.0, 1.5), (1.25, 0.5, 8.0), (0.6, 2.5, 4.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessError) as info:
+            modal.integrate_fundamentals(items)
+    assert 0.5 <= info.value.t < 2.0 and info.value.xi == 1.25
 
 
 _TS = np.linspace(0.0, 400.0, 801)

@@ -210,10 +210,12 @@ def test_config_rejects_wrong_json_types_naming_the_field(field, raw):
 
 def test_config_numbers_are_stored_as_floats_and_canonical_reads_back():
     cfg = ExperimentConfig.from_dict({"experiment": "sweep", "xi": 1, "zone": {"N": 2},
-                                      "times": {"t_final": 100, "checkpoints": 7},
+                                      "times": {"t_final": 100},
                                       "tolerances": {"rtol": 1e-9, "fit": 0}})
     assert (cfg.xi, cfg.zone.N, cfg.t_final, cfg.fit_tol) == (1.0, 2.0, 100.0, 0.0)
     assert all(type(x) is float for x in (cfg.xi, cfg.zone.N, cfg.t_final, cfg.fit_tol))
+    # the sweep reads no checkpoints; simulate does
+    cfg = ExperimentConfig.from_dict({"experiment": "simulate", "times": {"checkpoints": 7}})
     assert cfg.checkpoints == 7
     # so do the model, data and grid blocks: an integer hashes like its float
     as_int, as_float = (ExperimentConfig.from_dict(
@@ -239,6 +241,39 @@ def test_config_keys_that_change_nothing_are_rejected():
     for key in ("threads", "freq_samples"):
         with pytest.raises(ConfigError, match=f"unknown field\\(s\\) \\['{key}'\\] in config"):
             ExperimentConfig.from_dict({**raw, key: 1})
+
+
+def test_config_blocks_and_fields_the_experiment_does_not_read_are_rejected(tmp_path, capsys):
+    # classify reads its model alone: a grid block, a seed or a checkpoint
+    # count would move the config hash and nothing else, so each is a config
+    # error naming its JSON path, from the CLI too
+    raw = {"experiment": "classify", "model": {"b0": 3.0, "m0": 0.0}}
+    grid = {"n_dim": 1, "points_per_dim": 512, "box_length": 200.0}
+    for extra, path in (({"grid": grid}, "grid"), ({"seed": 7}, "seed"),
+                        ({"times": {"checkpoints": 7}}, "times.checkpoints")):
+        with pytest.raises(ConfigError,
+                           match=f"^classify reads no \\['{path}'\\]: it reads model$"):
+            ExperimentConfig.from_dict({**raw, **extra})
+    with pytest.raises(ConfigError, match=r"^classify reads no \['grid', 'seed', 'sweep_cells'\]"):
+        ExperimentConfig.from_dict({**raw, "grid": grid, "seed": 7, "sweep_cells": [[2, 2, 1]]})
+    cfgfile = tmp_path / "seed.json"
+    cfgfile.write_text(json.dumps({"seed": 7}))
+    assert run_cli(["classify", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err == "config error: classify reads no ['seed']: it reads model\n"
+    # a field as the default writes it leaves the hash as it is: accepted, so
+    # every canonical config reads back
+    cfg = ExperimentConfig.from_dict(raw)
+    assert config_hash(ExperimentConfig.from_dict({**raw, "seed": cfg.seed})) == config_hash(cfg)
+    for exp, experiment in EXPERIMENTS.items():
+        cfg = ExperimentConfig.from_dict({"experiment": exp, **experiment.defaults})
+        assert config_hash(ExperimentConfig.from_dict(cfg.canonical())) == config_hash(cfg)
+
+
+def test_every_cli_flag_sets_a_path_its_experiment_reads():
+    for exp, experiment in EXPERIMENTS.items():
+        for flag in experiment.flags:
+            path = ("strict",) if flag == "strict" else cli._VALUE_FLAGS[flag][0]
+            assert path[0] in experiment.reads or ".".join(path) in experiment.reads, (exp, flag)
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -426,6 +461,13 @@ def test_readme_subcommand_table_matches_the_experiments():
         for name in re.findall(r"`(\w+)`", names):
             flags[name] = set(re.findall(r"--(\w+)", takes))
     assert flags == {name: set(e.flags) for name, e in EXPERIMENTS.items()}
+
+
+def test_readme_lists_the_config_paths_each_experiment_reads():
+    table = README.read_text().split("| experiment | blocks and fields its runner reads |")[1]
+    rows = {name: set(re.findall(r"`([\w.]+)`", cell)) for name, cell in
+            re.findall(r"^\| (\w+) \| (.+) \|$", table.split("\n\n")[0], re.M)}
+    assert rows == {name: set(e.reads) for name, e in EXPERIMENTS.items()}
 
 
 def test_persist_determinism_and_archive(tmp_path):
@@ -742,6 +784,38 @@ def test_cli_experiments_leave_scipy_subpackages_unimported(tmp_path):
     codes, loaded = json.loads(done.stdout.splitlines()[-1])
     assert 1 not in codes, done.stderr
     assert loaded == []
+
+
+def test_scatter_and_simulate_leave_numpy_ma_unimported(tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma on its first call; the CLI runs
+    # of scatter and simulate, in a fresh interpreter, load it nowhere
+    runs = []
+    for name in ("scatter", "simulate"):
+        cfgfile = tmp_path / f"{name}.json"
+        cfgfile.write_text(json.dumps(CHEAP_CONFIGS[name]))
+        runs.append([name, "--config", str(cfgfile), "--out", str(tmp_path / name)])
+    script = ("import json, sys\n"
+              "from fuchswave.cli import run_cli\n"
+              f"codes = [run_cli(argv) for argv in {runs!r}]\n"
+              "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    src = str(Path(fuchswave.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
+
+
+@pytest.mark.parametrize("values", [
+    np.concatenate([[0.0], np.geomspace(1.0, 1e4, 60)]),
+    np.concatenate([[0.0], np.geomspace(1.0, 1.0, 3), [5.0, 5.0, -0.5]]),
+    np.round(Grid(2, 32, 20.0).xi_mesh(), 12),
+    np.concatenate([np.geomspace(0.05, 4.0, 48), np.linspace(0.1, 1.1, 120)])])
+def test_sorted_distinct_gives_np_uniques_arrays_bit_for_bit(values):
+    uniq, counts = np.unique(values, return_counts=True)
+    mine, my_counts = modal.sorted_distinct(values, return_counts=True)
+    assert mine.tobytes() == uniq.tobytes() and mine.dtype == uniq.dtype
+    assert my_counts.tobytes() == counts.tobytes() and my_counts.dtype == counts.dtype
+    assert modal.sorted_distinct(values).tobytes() == np.unique(values).tobytes()
 
 
 def test_each_module_loads_only_the_modules_it_runs():
