@@ -32,7 +32,11 @@ level by level from a single jet of b and of m.  B^(j) needs D_t N_j, so
 each level is one jet order shorter than the one before: B^(k) at jet
 order r opens the pass at order r + k.  Derivatives are exact jets, never
 finite differences: the pass nests k derivative levels and FD noise would
-compound.
+compound.  The pass carries only the nonzero entries, scalar jets multiplied
+by Leibniz's rule: N_k = [[1, n12], [n21, 1]] (every N^(j) is off-diagonal),
+F_{k-1} = diag(f1, f2), for k >= 2 the diagonal of (B + C) N_{k-1}, and the
+four of B^(j).  Q_k's generator F_{k-1} - F^(0) - N_k^{-1} B^(k) is formed in
+closed form with det N_k = 1 - n12 n21.
 
 Q_k is the time-ordered product of its panels' propagators, Q(t,s) =
 Q(t,r) Q(r,s), each the Peano-Baker series on 16 Gauss-Legendre nodes
@@ -71,8 +75,9 @@ _Q_LIMIT_MAX_STEPS = 48
 _Q_DEPTH = 8
 _Q_TOL = 1e-11
 _Q_ROUNDS = 4
-# q_propagator: nodes per q_generator call; bounds the hierarchy's
-# (order+1, 2, 2, nodes) temporaries whatever the grid length
+# q_propagator: nodes per q_generator call; bounds the hierarchy's entry
+# jets, (order+1, nodes) each, whatever the grid length: one call on 8192
+# nodes peaks at 5.5 MB traced for k = 2
 _Q_CHUNK = 8192
 # q_propagator's panel rule: Gauss-Legendre nodes per panel
 _GAUSS_NODES = 16
@@ -80,31 +85,27 @@ _GAUSS_NODES = 16
 _PANEL_PHASE = 4.0
 
 
-# --- jet-matrix helpers: arrays of shape (order+1, 2, 2, nt) ---------------
-
-def _jm_mul(A, B):
-    r = A.shape[0] - 1
-    out = np.zeros_like(A)
-    for k in range(r + 1):
-        for j in range(k + 1):
-            out[k] += math.comb(k, j) * np.einsum("ab...,bc...->ac...", A[j], B[k - j])
+def _mul(a, b):
+    """The jet of a b from scalar jets (order+1, nt) by Leibniz's rule, one
+    order at a time, so an entry's rounding does not depend on the length."""
+    out = np.empty_like(a)
+    for k in range(len(a)):
+        np.multiply(a[0], b[k], out=out[k])
+        for j in range(1, k + 1):
+            out[k] += math.comb(k, j) * (a[j] * b[k - j])
     return out
 
 
-def _jm_const_mul(Mat, A, side="left"):
-    if side == "left":
-        return np.einsum("ab,kbc...->kac...", Mat, A)
-    return np.einsum("kab...,bc->kac...", A, Mat)
-
-
 class _Hierarchy(NamedTuple):
-    """Jets of shape (order+1, 2, 2, nt) from one pass of `_sweeps`."""
+    """The nonzero entries from one pass of `_sweeps`, scalar jets of shape
+    (order+1, nt): each N as (n12, n21), each F as (f1, f2), B^(k) as
+    (b11, b12, b21, b22)."""
 
     N_parts: list          # N^(1), ..., N^(k)
     F_parts: list          # F^(0), ..., F^(k-1)
-    N: np.ndarray          # N_k
-    F: np.ndarray          # F_{k-1}
-    B: np.ndarray | None   # B^(k), None when not asked for
+    N: tuple               # N_k
+    F: tuple               # F_{k-1}
+    B: tuple | None        # B^(k), None when not asked for
 
 
 def _sweeps(model, xi, t, k, order, with_B):
@@ -112,52 +113,48 @@ def _sweeps(model, xi, t, k, order, with_B):
     one forward pass; jets up to `order`.  B^(j) needs D_t N_j, so level j is
     one jet order shorter than level j-1, and the pass opens at order
     `order + k - 1`, one more when B^(k) is asked for.  Without B^(k) the
-    pass stops once N_k is built."""
+    pass stops once N_k is built.  As B + C = [[p, q], [p, q]] and
+    [D, N_j] = 2 xi [[0, n12], [-n21, 0]], each entry of B^(j) =
+    D_t N_j - [D, N_j] - (B + C) N_j + N_j F_{j-1} is written out."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     n_B = k if with_B else k - 1            # levels that build a B^(j)
     top = order + n_B
-    b = model.b_jet(t, top).astype(complex)
-    F0 = np.zeros((top + 1, 2, 2, t.size), dtype=complex)
-    F0[:, 0, 0] = F0[:, 1, 1] = 0.5j * b
-    N1 = np.zeros_like(F0)
-    N1[:, 0, 1] = -0.25j * b / xi
-    N1[:, 1, 0] = 0.25j * b / xi
-    N_parts, F_parts = [N1], [F0]
-    N = np.zeros_like(F0)
-    N[0, 0, 0] = N[0, 1, 1] = 1.0
-    N += N1
-    F = F0
+    b = model.b_jet(t, top)
+    f0, n1 = 0.5j * b, 0.25 * b / xi        # F^(0) = f0 I, N^(1) = i n1 [[0, -1], [1, 0]]
+    N_parts, F_parts = [(-1j * n1, 1j * n1)], [(f0, f0)]
+    (n12, n21), (f1, f2) = N_parts[0], F_parts[0]
     if n_B:
-        m = model.m_jet(t, top - 1).astype(complex)
-        BC = (0.5j * b[:top, None, None, :] * np.ones((2, 2))[None, :, :, None]
-              + m[:, None, None, :] * np.array([[1.0, -1.0], [1.0, -1.0]])[None, :, :, None]
-              / (2.0 * xi))
-    D = np.array([[xi, 0.0], [0.0, -xi]], dtype=complex)
+        mu = model.m_jet(t, top - 1) / (2.0 * xi)
+        p, q = f0[:top] + mu, f0[:top] - mu
     B = None
     for j in range(1, n_B + 1):
         n = top - j + 1                     # jet length of B^(j)
-        Nj, Fj = N[:n], F[:n]
-        comm = _jm_const_mul(D, Nj, "left") - _jm_const_mul(D, Nj, "right")
-        B = -1j * N[1:] - comm - _jm_mul(BC[:n], Nj) + _jm_mul(Nj, Fj)
+        dn12, dn21 = n12[1:], n21[1:]
+        n12, n21, f1, f2, p, q = (x[:n] for x in (n12, n21, f1, f2, p, q))
+        c1, c2 = p + _mul(q, n21), _mul(p, n12) + q      # (B + C) N_j = [[c1, c2], [c1, c2]]
+        B12 = -1j * dn12 - 2.0 * xi * n12 - c2 + _mul(n12, f2)
+        B21 = -1j * dn21 + 2.0 * xi * n21 - c1 + _mul(n21, f1)
         if j == k:
+            B = (f1 - c1, B12, B21, f2 - c2)
             break
-        N_next = np.zeros_like(B)
-        N_next[:, 0, 1] = B[:, 0, 1] / (2.0 * xi)
-        N_next[:, 1, 0] = -B[:, 1, 0] / (2.0 * xi)
-        F_next = np.zeros_like(B)
-        F_next[:, 0, 0] = -B[:, 0, 0]
-        F_next[:, 1, 1] = -B[:, 1, 1]
-        N_parts.append(N_next)
-        F_parts.append(F_next)
-        N, F = Nj + N_next, Fj + F_next
-    cut = order + 1
-    return _Hierarchy([p[:cut] for p in N_parts], [p[:cut] for p in F_parts],
-                      N[:cut], F[:cut], B if with_B else None)
+        N_parts.append((B12 * (0.5 / xi), B21 * (-0.5 / xi)))
+        F_parts.append((c1 - f1, c2 - f2))
+        n12, n21 = n12 + N_parts[-1][0], n21 + N_parts[-1][1]
+        f1, f2 = c1, c2                     # F_j = F_{j-1} - diag B^(j)
+
+    def cut(jets):
+        return tuple(x[:order + 1] for x in jets)
+
+    return _Hierarchy([cut(x) for x in N_parts], [cut(x) for x in F_parts],
+                      cut((n12, n21)), cut((f1, f2)), B if with_B else None)
 
 
-def _at(t, jet0):
-    """A (2, 2, nt) jet entry as matrices at t: (nt, 2, 2), or (2, 2) for a scalar t."""
-    return np.moveaxis(jet0, -1, 0) if np.ndim(t) else jet0[..., 0]
+def _matrices(t, a, b, c, d):
+    """[[a, b], [c, d]] from entries over the times t: (nt, 2, 2), or (2, 2)
+    for a scalar t."""
+    M = np.empty((np.size(t), 2, 2), dtype=complex)
+    M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1] = a, b, c, d
+    return M if np.ndim(t) else M[0]
 
 
 @dataclass
@@ -170,16 +167,19 @@ class DiagonalizationStage:
     k: int
 
     def N_total(self, t, xi):
-        return _at(t, _sweeps(self.model, xi, t, self.k, 0, with_B=False).N[0])
+        n12, n21 = _sweeps(self.model, xi, t, self.k, 0, with_B=False).N
+        return _matrices(t, 1.0, n12[0], n21[0], 1.0)
 
     def q_generator(self, t, xi):
-        """F_{k-1} - F^(0) + R_k, the generator driving Q_k before phase
-        conjugation; vectorised over t."""
+        """F_{k-1} - F^(0) - N_k^{-1} B^(k), the generator driving Q_k before
+        phase conjugation, in closed form with det N_k = 1 - n12 n21;
+        vectorised over t."""
         hier = _sweeps(self.model, xi, t, self.k, 0, with_B=True)
-        F_extra = hier.F[0] - hier.F_parts[0][0]
-        G = np.moveaxis(F_extra, -1, 0) - np.matmul(_inv2(np.moveaxis(hier.N[0], -1, 0)),
-                                                    np.moveaxis(hier.B[0], -1, 0))
-        return G if np.ndim(t) else G[0]
+        (n12, n21), (f1, f2), B = ([x[0] for x in jets] for jets in (hier.N, hier.F, hier.B))
+        g = hier.F_parts[0][0][0]             # F^(0) = g I
+        r = 1.0 / (1.0 - n12 * n21)
+        return _matrices(t, f1 - g - r * (B[0] - n12 * B[2]), -r * (B[1] - n12 * B[3]),
+                         -r * (B[2] - n21 * B[0]), f2 - g - r * (B[3] - n21 * B[1]))
 
 
 def _norm2(G):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modal, zones
-from .coeffs import REAL_LARGE, classify_regime, reject_unread_fields
+from .coeffs import REAL_LARGE, classify_regime, reject_unread_fields, sorted_distinct
 from .errors import (HorizonError, InvalidWindowError, RegimeUnsupportedError,
                      ResolutionError, SupportError)
 
@@ -102,7 +102,7 @@ def radial_grid(lo=1e-4, hi=64.0, n_points=256, refine=()):
     pieces = [np.geomspace(lo, hi, n_points)]
     for (a, b, n) in refine:
         pieces.append(np.linspace(max(a, lo * 1e-3), b, n))
-    grid = modal.sorted_distinct(np.concatenate(pieces))
+    grid = sorted_distinct(np.concatenate(pieces))
     return grid[grid > 0]
 
 
@@ -224,7 +224,7 @@ def sharpness_limit(model, config, data_spec, freq_grid, horizon=1e4, n_dim=1,
     u0, u1 = data_spec.sample(r)
     if np.any((r <= config.N) & ((np.abs(u0) > 0) | (np.abs(u1) > 0))):
         raise SupportError("sampled data leaks below the zone constant")
-    times = modal.sorted_distinct(np.concatenate([[0.0], np.geomspace(1.0, horizon, 41)]))
+    times = sorted_distinct(np.concatenate([[0.0], np.geomspace(1.0, horizon, 41)]))
     trace = energy_trace(model, config, data_spec, r, times, n_dim=n_dim, rtol=rtol)
     lam = model.lam(times)
     scaled = lam ** 2 * (trace.grad ** 2 + trace.ut ** 2)

@@ -253,19 +253,6 @@ class MicroEnergy:
     xi_norm: float
 
 
-def sorted_distinct(values, return_counts=False):
-    """The distinct values of a NaN-free array, ascending, and with
-    return_counts how often each occurs: np.unique's arrays bit for bit,
-    without the numpy.ma import (10-15 ms) of its first call in numpy 2.4."""
-    v = np.sort(np.ravel(values))
-    first = np.empty(v.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(v[1:], v[:-1], out=first[1:])
-    if not return_counts:
-        return v[first]
-    return v[first], np.diff(np.append(np.flatnonzero(first), v.size))
-
-
 def spectral_norm(mat):
     return float(np.linalg.norm(np.asarray(mat), ord=2))
 

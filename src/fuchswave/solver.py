@@ -20,6 +20,7 @@ from functools import reduce
 import numpy as np
 
 from . import modal
+from .coeffs import sorted_distinct
 from .errors import ResolutionError
 
 
@@ -78,8 +79,7 @@ def simulate_fields(model, config, grid, data_spec, times, rtol=1e-9,
             raise ResolutionError(warn)
         warnings.append(warn)
 
-    uniq, counts = modal.sorted_distinct(np.round(grid.xi_mesh().ravel(), 12),
-                                         return_counts=True)
+    uniq, counts = sorted_distinct(np.round(grid.xi_mesh().ravel(), 12), return_counts=True)
     prof = data_spec.profile(uniq)
     # a shell with zero data stays zero and adds nothing to a norm
     live = prof != 0.0

@@ -4,6 +4,10 @@ experiment runs it.
 - Integrators independent of the program's own DOP853 driver
   (modal.solve_ivp) that several tests check, and of the Gauss-Legendre
   panel rule behind diagonalize.q_propagator.
+- The diagonalization hierarchy as dense (order+1, 2, 2, nt) matrix jets:
+  the second algorithm for diagonalize._sweeps' entry recursion
+  (`dense_sweeps`, `dense_q_generator`), and `densify`, which lays out
+  _sweeps' entries in that form for the audits below.
 - Sampled audits of the diagonalization hierarchy: the symbol jets of a
   stage with their claimed orders (`symbol_jets`), their weighted symbol
   constants (`audit_symbol`) and the operator identity the sweeps solve
@@ -22,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from fuchswave.asymptotic import _cumulative_trapezoid, _diagonal_part
-from fuchswave.diagonalize import _at, _conjugated_generator, _sweeps, preliminary_transform
+from fuchswave.diagonalize import _conjugated_generator, _sweeps, preliminary_transform
 from fuchswave.errors import HorizonError
 from fuchswave.modal import spectral_norm
 
@@ -68,6 +72,109 @@ def integrate_q(stage, s, t, xi, rtol=1e-11):
 
 # --- the diagonalization hierarchy ------------------------------------------
 
+class DenseHierarchy(NamedTuple):
+    """Matrix jets of shape (order+1, 2, 2, nt), fields as in
+    diagonalize._Hierarchy."""
+
+    N_parts: list
+    F_parts: list
+    N: np.ndarray
+    F: np.ndarray
+    B: np.ndarray | None
+
+
+def _jm_mul(A, B):
+    r = A.shape[0] - 1
+    out = np.zeros_like(A)
+    for k in range(r + 1):
+        for j in range(k + 1):
+            out[k] += math.comb(k, j) * np.einsum("ab...,bc...->ac...", A[j], B[k - j])
+    return out
+
+
+def _jm_const_mul(Mat, A, side="left"):
+    if side == "left":
+        return np.einsum("ab,kbc...->kac...", Mat, A)
+    return np.einsum("kab...,bc->kac...", A, Mat)
+
+
+def dense_sweeps(model, xi, t, k, order, with_B):
+    """diagonalize._sweeps by whole 2x2 matrix jets: every level a dense
+    jet, multiplied through einsum, with D = diag(xi, -xi) and B + C as
+    matrices."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    n_B = k if with_B else k - 1
+    top = order + n_B
+    b = model.b_jet(t, top).astype(complex)
+    F0 = np.zeros((top + 1, 2, 2, t.size), dtype=complex)
+    F0[:, 0, 0] = F0[:, 1, 1] = 0.5j * b
+    N1 = np.zeros_like(F0)
+    N1[:, 0, 1] = -0.25j * b / xi
+    N1[:, 1, 0] = 0.25j * b / xi
+    N_parts, F_parts = [N1], [F0]
+    N = np.zeros_like(F0)
+    N[0, 0, 0] = N[0, 1, 1] = 1.0
+    N += N1
+    F = F0
+    if n_B:
+        m = model.m_jet(t, top - 1).astype(complex)
+        BC = (0.5j * b[:top, None, None, :] * np.ones((2, 2))[None, :, :, None]
+              + m[:, None, None, :] * np.array([[1.0, -1.0], [1.0, -1.0]])[None, :, :, None]
+              / (2.0 * xi))
+    D = np.array([[xi, 0.0], [0.0, -xi]], dtype=complex)
+    B = None
+    for j in range(1, n_B + 1):
+        n = top - j + 1
+        Nj, Fj = N[:n], F[:n]
+        comm = _jm_const_mul(D, Nj, "left") - _jm_const_mul(D, Nj, "right")
+        B = -1j * N[1:] - comm - _jm_mul(BC[:n], Nj) + _jm_mul(Nj, Fj)
+        if j == k:
+            break
+        N_next = np.zeros_like(B)
+        N_next[:, 0, 1] = B[:, 0, 1] / (2.0 * xi)
+        N_next[:, 1, 0] = -B[:, 1, 0] / (2.0 * xi)
+        F_next = np.zeros_like(B)
+        F_next[:, 0, 0] = -B[:, 0, 0]
+        F_next[:, 1, 1] = -B[:, 1, 1]
+        N_parts.append(N_next)
+        F_parts.append(F_next)
+        N, F = Nj + N_next, Fj + F_next
+    cut = order + 1
+    return DenseHierarchy([p[:cut] for p in N_parts], [p[:cut] for p in F_parts],
+                          N[:cut], F[:cut], B if with_B else None)
+
+
+def dense_q_generator(stage, t, xi):
+    """The generator F_{k-1} - F^(0) - N_k^{-1} B^(k) from `dense_sweeps`,
+    (nt, 2, 2), by LAPACK's stacked inverse and matmul."""
+    hier = dense_sweeps(stage.model, xi, t, stage.k, 0, with_B=True)
+    F_extra = hier.F[0] - hier.F_parts[0][0]
+    return np.moveaxis(F_extra, -1, 0) - np.matmul(np.linalg.inv(np.moveaxis(hier.N[0], -1, 0)),
+                                                   np.moveaxis(hier.B[0], -1, 0))
+
+
+def densify(hier):
+    """diagonalize._sweeps' entries laid out as the DenseHierarchy that
+    dense_sweeps returns."""
+    def matrix(entries, where):
+        out = np.zeros(entries[0].shape[:1] + (2, 2) + entries[0].shape[1:], dtype=complex)
+        for (a, c), x in zip(where, entries):
+            out[:, a, c] = x
+        return out
+
+    def off(pair):
+        return matrix(pair, ((0, 1), (1, 0)))
+
+    def diag(pair):
+        return matrix(pair, ((0, 0), (1, 1)))
+
+    N = off(hier.N)
+    N[0, 0, 0] = N[0, 1, 1] = 1.0
+    B = None if hier.B is None else matrix(hier.B, ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return DenseHierarchy([off(p) for p in hier.N_parts], [diag(p) for p in hier.F_parts],
+                          N, diag(hier.F), B)
+
+
 class Symbol(NamedTuple):
     """Matrix amplitude of a stage with claimed orders: ||D_t^k D_xi^a S|| <=
     C |xi|^(m1-a) (1+t)^(-m2-k) on the oscillatory zone."""
@@ -80,11 +187,11 @@ class Symbol(NamedTuple):
 
 def symbol_jets(stage):
     """N^(1), ..., N^(k), F^(0), ..., F^(k-1) and B^(k) of a k-sweep stage,
-    each read off its own pass of diagonalize._sweeps."""
+    each read off its own pass of diagonalize._sweeps, densified."""
     model, k, budget = stage.model, stage.k, stage.model.budget
 
     def part(j, pick, with_B=False):
-        return lambda t, xi, order: pick(_sweeps(model, xi, t, j, order, with_B=with_B))
+        return lambda t, xi, order: pick(densify(_sweeps(model, xi, t, j, order, with_B=with_B)))
 
     N = [Symbol(f"N^({j})", (-j, j), budget - j + 1, part(j, lambda h: h.N_parts[-1]))
          for j in range(1, k + 1)]
@@ -137,10 +244,10 @@ def operator_identity_residual(stage, t, xi):
     Nm2, Nm1, Nk, Np1, Np2 = stage.N_total(t + h * np.arange(-2.0, 3.0), xi)
     dtN = -1j * ((8 * (Np1 - Nm1) - (Np2 - Nm2)) / (12 * h))
     pre = preliminary_transform(stage.model, xi)
-    hier = _sweeps(stage.model, xi, t, stage.k, 0, with_B=True)
+    hier = densify(_sweeps(stage.model, xi, t, stage.k, 0, with_B=True))
     lhs = (dtN - (pre.D @ Nk - Nk @ pre.D) - (pre.B(t) + pre.C(t)) @ Nk
-           + Nk @ _at(t, hier.F[0]))
-    return spectral_norm(lhs - _at(t, hier.B[0]))
+           + Nk @ hier.F[0][..., 0])
+    return spectral_norm(lhs - hier.B[0][..., 0])
 
 
 # --- Fuchs systems ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -373,24 +375,46 @@ def test_check_hypotheses_reaches_a_tables_last_node():
         assert rep.hyp1_pass and rep.hyp2_pass
 
 
-def test_check_hypotheses_leaves_scipy_integrate_unimported():
-    # a fresh interpreter audits a bounded, a log and a tabulated model;
-    # only the tables' splines import scipy (scipy.interpolate)
+# b and m tabulated on different nodes, whose union check_hypotheses takes
+_TWO_GRID_TABLE = (
+    "tb, tm = np.linspace(0.0, 1e3, 301), np.geomspace(1.0, 1001.0, 200) - 1.0\n"
+    "two_grid = CoefficientModel(b0=2.0, m0=1.0, family='tabulated',\n"
+    "    b_table=TabulatedCoefficient.from_columns(tb, 2.0 / (1.0 + tb) + (1.0 + tb) ** -1.5),\n"
+    "    m_table=TabulatedCoefficient.from_columns(tm, 1.0 / (1.0 + tm) ** 2))\n")
+
+
+def test_check_hypotheses_leaves_scipy_integrate_unimported(monkeypatch):
+    # a fresh interpreter audits a bounded, a log and two tabulated models;
+    # only the tables' splines import scipy (scipy.interpolate).  The
+    # formula models' audits import no numpy.ma (np.union1d and np.unique do
+    # on their first call); a table's spline does, so the tables come last.
+    # The two-grid table's report is bit for bit the one np.unique's node
+    # union and panel edges give
     script = (
-        "import sys, numpy as np\n"
+        "import dataclasses, json, sys, numpy as np\n"
         "from fuchswave.coeffs import *\n"
+        "for model in (example_bounded(2.0, 1.0), example_log(3.0, 0.5)):\n"
+        "    check_hypotheses(model, 1e3)\n"
+        "ma_loaded = 'numpy.ma' in sys.modules\n"
         "ts = np.linspace(0.0, 1e3, 401)\n"
         "table = CoefficientModel(b0=2.0, m0=1.0, family='tabulated',\n"
         "    b_table=TabulatedCoefficient.from_columns(ts, 2.0 / (1.0 + ts)),\n"
         "    m_table=TabulatedCoefficient.from_columns(ts, 1.0 / (1.0 + ts) ** 2))\n"
-        "for model in (example_bounded(2.0, 1.0), example_log(3.0, 0.5), table):\n"
-        "    check_hypotheses(model, 1e3)\n"
-        "print('scipy.integrate' in sys.modules)\n")
+        "check_hypotheses(table, 1e3)\n"
+        + _TWO_GRID_TABLE +
+        "report = dataclasses.asdict(check_hypotheses(two_grid, 1e3))\n"
+        "print(json.dumps(['scipy.integrate' in sys.modules, ma_loaded, report]))\n")
     src = str(Path(coeffs.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    integrate_loaded, ma_loaded, report = json.loads(done.stdout)
+    assert not integrate_loaded and not ma_loaded
+    monkeypatch.setattr(coeffs, "sorted_distinct", np.unique)
+    scope = {"np": np, **vars(coeffs)}
+    exec(_TWO_GRID_TABLE, scope)
+    reference = dataclasses.asdict(check_hypotheses(scope["two_grid"], 1e3))
+    assert json.dumps(report) == json.dumps(reference)
 
 
 def test_tabulated_family_does_not_extrapolate():

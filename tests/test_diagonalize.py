@@ -7,7 +7,8 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, example_bounded,
                               example_log)
-from fuchswave.diagonalize import (M_ROT, M_ROT_INV, _conjugated_generator, _norm2,
+from fuchswave.diagonalize import (_Q_CHUNK, M_ROT, M_ROT_INV, DiagonalizationStage,
+                                   _conjugated_generator, _norm2, _sweeps,
                                    assemble_from_boundary,
                                    assemble_representation,
                                    build_stage,
@@ -18,7 +19,8 @@ from fuchswave.errors import UnsupportedOrderError
 from fuchswave.modal import (FORM_HYP, ModalSystem, integrate_fundamental,
                              spectral_norm, weighted_propagator)
 from fuchswave.zones import ZoneConfig, theta
-from oracles import audit_symbol, integrate_q, operator_identity_residual, symbol_jets
+from oracles import (audit_symbol, dense_q_generator, dense_sweeps, densify, integrate_q,
+                     operator_identity_residual, symbol_jets)
 
 CFG = ZoneConfig(N=1.0)
 FREE = CoefficientModel(b0=0.0, m0=0.0)
@@ -85,6 +87,81 @@ def test_symbol_jets_match_finite_differences(model):
             v = np.moveaxis(sym.jet(taus, xi, 0)[0], -1, 0)
             fd = (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
             assert spectral_norm(jet[1] - fd) <= 1e-6 * spectral_norm(jet[1]), sym.name
+
+
+_TABLE_TS = np.linspace(0.0, 1e3, 4001)
+TABLE = CoefficientModel(
+    b0=2.0, m0=1.0, family="tabulated",
+    b_table=TabulatedCoefficient.from_columns(
+        _TABLE_TS, 2.0 / (1.0 + _TABLE_TS) + 0.5 * (1.0 + _TABLE_TS) ** -1.5),
+    m_table=TabulatedCoefficient.from_columns(
+        _TABLE_TS, 1.0 / (1.0 + _TABLE_TS) ** 2 + 0.3 * (1.0 + _TABLE_TS) ** -2.5))
+
+
+def _order_rel_dev(jet, ref):
+    """max |jet - ref| / max |ref| over the grid, the worst over jet orders;
+    an order where ref vanishes must vanish in jet too."""
+    worst = 0.0
+    for a, b in zip(jet, ref):
+        scale = np.abs(b).max()
+        assert scale or not np.abs(a).any()
+        worst = max(worst, np.abs(a - b).max() / scale if scale else 0.0)
+    return worst
+
+
+@pytest.mark.parametrize("model", [EX31, example_log(2.0, 0.5, b1=0.3, m1=0.1, gamma=0.9),
+                                   TABLE], ids=["bounded", "log", "tabulated"])
+def test_entry_recursion_matches_dense_matrix_jets(model):
+    # _sweeps' entry recursion against the dense 2x2 matrix-jet recursion it
+    # replaced (oracles.dense_sweeps): every hierarchy jet at orders 0-2,
+    # N_k and the generator, for k = 1, 2, 3 wherever the model's smoothness
+    # budget supplies the pass's top order; the table's budget of 3 allows
+    # k = 3 at order 0 only, which build_stage refuses (no order of
+    # headroom), so the stages are built directly.  Measured worst deviation
+    # relative to the largest entry of each order: 1.6e-13 (B^(3), table,
+    # xi = 8), the generator 1.3e-14; bound 1e-12
+    worst = {}
+    for k in (1, 2, 3):
+        for xi in (0.5, 2.0, 8.0):
+            t = theta(CFG, xi) + np.geomspace(1e-3, 900.0, 50)
+            t = t[t <= 1e3]
+            for order in (0, 1, 2):
+                for with_B in (False, True):
+                    if order + k - 1 + with_B > model.budget:
+                        continue
+                    new = densify(_sweeps(model, xi, t, k, order, with_B))
+                    ref = dense_sweeps(model, xi, t, k, order, with_B)
+                    pairs = list(zip(new.N_parts + new.F_parts, ref.N_parts + ref.F_parts))
+                    pairs += [(new.N, ref.N), (new.F, ref.F)]
+                    pairs += [(new.B, ref.B)] if with_B else []
+                    for a, b in pairs:
+                        worst["jets"] = max(worst.get("jets", 0.0), _order_rel_dev(a, b))
+            if k <= model.budget:
+                stage = DiagonalizationStage(model, CFG, k)
+                G, N = stage.q_generator(t, xi), stage.N_total(t, xi)
+                N_ref = np.moveaxis(dense_sweeps(model, xi, t, k, 0, False).N[0], -1, 0)
+                assert G.shape == N.shape == (t.size, 2, 2)
+                for key, a, b in (("G", G, dense_q_generator(stage, t, xi)), ("N_k", N, N_ref)):
+                    worst[key] = max(worst.get(key, 0.0), _order_rel_dev([a], [b]))
+    assert set(worst) == {"jets", "G", "N_k"}
+    assert max(worst.values()) <= 1e-12, worst
+
+
+def test_q_generator_memory_on_one_chunk():
+    # one q_generator call on _Q_CHUNK nodes of a k = 2 stage: the entry
+    # recursion's traced peak is 5.5 MB, the dense matrix jets' 12.7 MB;
+    # bound 8 MB
+    stage = build_stage(EX31, 2, CFG)
+    taus = np.linspace(5.0, 300.0, _Q_CHUNK)
+    stage.q_generator(taus, 3.0)
+    tracemalloc.start()
+    try:
+        G = stage.q_generator(taus, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (_Q_CHUNK, 2, 2)
+    assert peak <= 8e6, peak
 
 
 def test_smoothness_budget_enforced():

@@ -14,7 +14,7 @@ import pytest
 import fuchswave
 from fuchswave import cli, errors, experiments, modal
 from fuchswave.cli import build_parser, run_cli
-from fuchswave.coeffs import COMMON_FIELDS, FAMILY_FIELDS, CoefficientModel
+from fuchswave.coeffs import COMMON_FIELDS, FAMILY_FIELDS, CoefficientModel, sorted_distinct
 from fuchswave.errors import ConfigError, ResolutionError, StiffnessError
 from fuchswave.estimates import KIND_FIELDS, DataSpec, energy_trace, grid_for_data
 from fuchswave.experiments import (EXPERIMENTS, ExperimentConfig,
@@ -812,10 +812,10 @@ def test_scatter_and_simulate_leave_numpy_ma_unimported(tmp_path):
     np.concatenate([np.geomspace(0.05, 4.0, 48), np.linspace(0.1, 1.1, 120)])])
 def test_sorted_distinct_gives_np_uniques_arrays_bit_for_bit(values):
     uniq, counts = np.unique(values, return_counts=True)
-    mine, my_counts = modal.sorted_distinct(values, return_counts=True)
+    mine, my_counts = sorted_distinct(values, return_counts=True)
     assert mine.tobytes() == uniq.tobytes() and mine.dtype == uniq.dtype
     assert my_counts.tobytes() == counts.tobytes() and my_counts.dtype == counts.dtype
-    assert modal.sorted_distinct(values).tobytes() == np.unique(values).tobytes()
+    assert sorted_distinct(values).tobytes() == np.unique(values).tobytes()
 
 
 def test_each_module_loads_only_the_modules_it_runs():
@@ -834,6 +834,25 @@ def test_each_module_loads_only_the_modules_it_runs():
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == modules, name
+
+
+def test_any_fuchswave_import_caps_blas_threads_unless_set():
+    # forked shares each run one BLAS/OpenMP thread: importing a module
+    # without the CLI (here modal, which loads numpy) sets the six caps to 1,
+    # and leaves a value the environment set
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    src = str(Path(fuchswave.__file__).resolve().parents[1])
+    script = (f"import json, os, sys, fuchswave.modal\n"
+              f"print(json.dumps([[os.environ.get(n) for n in {names!r}],\n"
+              f"                  'fuchswave.cli' in sys.modules]))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "3"},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    values, cli_loaded = json.loads(done.stdout)
+    assert values == ["1", "3", "1", "1", "1", "1"] and not cli_loaded
 
 
 def test_every_error_class_is_defined_in_the_errors_module():
