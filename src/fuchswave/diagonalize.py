@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HorizonError, UnsupportedOrderError, ZoneConstantError
-from .modal import FundamentalMatrix, spectral_norm
+from .modal import FundamentalMatrix, _norm2, spectral_norm
 from .modal import solve_ivp  # noqa: F401  the benchmark tracer wraps this name
 from .zones import theta
 
@@ -180,18 +180,6 @@ class DiagonalizationStage:
         r = 1.0 / (1.0 - n12 * n21)
         return _matrices(t, f1 - g - r * (B[0] - n12 * B[2]), -r * (B[1] - n12 * B[3]),
                          -r * (B[2] - n21 * B[0]), f2 - g - r * (B[3] - n21 * B[1]))
-
-
-def _norm2(G):
-    """Spectral norms of stacked 2x2 matrices (..., 2, 2) in closed form,
-    sqrt((|G|_F^2 + sqrt(|G|_F^4 - 4 |det G|^2)) / 2); the discriminant is
-    summed as (p - r)^2 + 4 |q|^2 over G G^H = [[p, q], [q*, r]], which does
-    not cancel when the two singular values nearly agree."""
-    a, b, c, d = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
-    p = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
-    r = c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2
-    q = a * c.conj() + b * d.conj()
-    return np.sqrt(0.5 * (p + r + np.sqrt((p - r) ** 2 + 4.0 * (q.real ** 2 + q.imag ** 2))))
 
 
 def _inv2(M):

@@ -57,7 +57,8 @@ class ResolutionError(FuchswaveError, RuntimeError):
 
 
 class StiffnessError(FuchswaveError, RuntimeError):
-    """An integration stopped short at checkpoint t; xi is the solve's largest frequency."""
+    """An integration stopped short: t is the last checkpoint it reached, or
+    the start of the span it could not finish; xi is its largest frequency."""
 
 
 class ZoneConstantError(FuchswaveError, RuntimeError):

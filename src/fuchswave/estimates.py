@@ -348,7 +348,7 @@ def scattering_operator(model, config, freq_samples, horizon=1e5, tol=1e-3, eps=
     Phi = modal.state_propagator_checkpoints(model, r, times, rtol=_SCATTERING_RTOL,
                                              atol=_SCATTERING_RTOL * 1e-6)
     W = _wave_operator_samples(model, config, r, times, Phi)
-    inc = np.linalg.norm(np.diff(W, axis=0), ord=2, axis=(2, 3))  # (nt-1, nr)
+    inc = modal._norm2(np.diff(W, axis=0))  # (nt-1, nr)
     below, last = inc < tol, inc[-1]
     if not below.any(axis=0).all():
         raise HorizonError(f"W(t) not Cauchy within tol={tol} by t={times[-1]:g} "
@@ -385,7 +385,7 @@ def scattering_residual(model, config, data_spec, freq_grid, horizon=1e4,
                                              atol=rtol * 1e-6)
     Wall = _wave_operator_samples(model, config, r, w_times, Phi)
     W_plus = Wall[-1]
-    w_inc = np.linalg.norm(Wall[-1] - Wall[-2], ord=2, axis=(1, 2))
+    w_inc = modal._norm2(Wall[-1] - Wall[-2])
 
     h0 = zones.sharp_weight(config, 0.0, r)
     U0 = np.stack([h0 * u0, -1j * u1], axis=-1)

@@ -313,7 +313,7 @@ def run_scatter(cfg):
     verdicts = {"residuals_decay": res.passed}
     outputs = {"final_dt": float(res.residual_dt[-1]),
                "final_grad": float(res.residual_grad[-1]),
-               "w_sup_norm": float(np.linalg.svd(res.W_samples, compute_uv=False)[:, 0].max())}
+               "w_sup_norm": float(modal._norm2(res.W_samples).max())}
     return verdicts, outputs, [("scattering_residuals", "t,residual_dt,residual_grad", rows)]
 
 

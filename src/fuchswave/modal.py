@@ -6,13 +6,13 @@ tolerance by Hairer's Fortran DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 II.10) on real states, in scipy's extension, which modal loads from its file
 without scipy.integrate's package (whose imports cost most of a CLI run's
 start-up).  Only the right-hand side runs in Python, and each checkpoint ends
-one integration leg, landing on it exactly (solve_ivp), all in one kernel
-but the stacked oracle's (below), _solve_modes, whose right-hand side takes
-one scalar pair (b, m) per call
-(CoefficientModel.kernel): on Python floats for one frequency, into one
-preallocated buffer otherwise; a solve that stops short raises StiffnessError
-at the (t, xi) it reached.  fuchswave sweep and acceptance criteria 2/3 measure
-the zone rates through the same propagator_norm_trace.
+one integration leg, landing on it exactly (solve_ivp).  All solves but the
+stacked pieces' (below) run in one kernel, _solve_modes, whose right-hand
+side takes one scalar pair (b, m) per call (CoefficientModel.kernel): on
+Python floats for one frequency, into one preallocated buffer otherwise; a
+solve that stops short raises StiffnessError at the (t, xi) it reached.
+fuchswave sweep and acceptance criteria 2/3 measure the zone rates through
+the same propagator_norm_trace.
 
 evolve_state groups frequencies into octave bands.  Where a cost model says
 it is cheaper (_shared_tolerance), all bands share one DOP853 solve, at
@@ -25,29 +25,20 @@ heuristic: the per-band deviations in the tests are its evidence.  The
 scale-invariant family keeps one solve per band, since its bands leave
 DOP853 at different times.  A solve of n real modes is then dealt into
 k = ceil(n / (2 CALL_COMPONENTS)) interleaved shares at its tolerances,
-which span its frequencies, take its steps and each hold the RMS of their
-own scaled errors; k depends on n alone, so any CPU count gives the same
-bytes, and on one CPU the (k-1) CALL_COMPONENTS more per step cost under a
-quarter of the whole solve's 2n + CALL_COMPONENTS.
+which span its frequencies and take its steps; k depends on n alone, so any
+CPU count gives the same bytes.
 
-state_propagator_checkpoints cuts a long span in time instead, by the
-cocycle Phi(t,0) = Phi(t,tau) Phi(tau,0), the evolution identity PARAEXP
-parallelises (Gander & Guttel, SIAM J. Sci. Comput. 35 (2013)): segments of
-at least one period of the top frequency, solved on every usable CPU and
-composed in time order, with the same bytes on any CPU count.
-
-integrate_fundamentals, the oracle of many spans at once (repcheck's 20),
-uses the same cocycle to stack them: each span is cut into pieces of at
-most PIECE_LENGTH in phase plus log-time, and every piece's Phi from the
-identity is two real modes of one DOP853 solve (_solve_pieces, the one
-solve outside _solve_modes: its modes run at different times), at
-tolerances tightened by c = sqrt(2/n) for n real modes, so that each piece
-keeps its own RMS error test.  On the closed-form damped wave b = 2/(1+t),
-m = 0, xi (t - s) = 1000 at rtol 1e-12 it is 5.2e-12 to 5.4e-12 off, the
-single solve 7.1e-11 to 7.3e-11; on repcheck's 20 CLI-default spans it is
-at most 1.2e-11 from the single solve at rtol 1e-14 (the single solve at
-rtol 1e-12: 1.7e-10), in 1,444 right-hand-side calls against 884,315.
-integrate_fundamental stays the single-solve brute-force reference.
+state_propagator_checkpoints (scatter's Phi(t,0)) and integrate_fundamentals
+(the oracle of many spans, repcheck's 20) cut their spans in time by the
+cocycle Phi(t,s) = Phi(t,tau) Phi(tau,s), the identity PARAEXP parallelises
+(Gander & Guttel, SIAM J. Sci. Comput. 35 (2013)), and solve all pieces at
+once (_piece_propagators, whose modes run at different times).  On the
+closed-form damped wave b = 2/(1+t), m = 0, xi (t - s) = 1000 at rtol 1e-12
+they are 2.6e-12 to 3.6e-12 off, one solve of the span 7.1e-11 to 7.3e-11;
+repcheck's 20 CLI-default spans take 1,106 right-hand-side calls (884,315
+as one solve each), scatter's Phi to t = 2048 3,028 (60,285 as one solve
+per time segment).  integrate_fundamental, one solve of one span, is what
+the tests check them against.
 
 One state is integrated per frequency: X = (u_hat, u_hat'), with
 X' = [[0, 1], [-(xi^2+m), -b]] X and real fundamental matrix Phi(t,s).  Each
@@ -101,12 +92,19 @@ _SERIES_TOL = 1e-17
 # component: about 6.3 us against 4.4 ns on one Xeon core
 CALL_COMPONENTS = 1400
 
-# the most phase plus log-time, xi dtau + ln((1+tau_end)/(1+tau_start)), in
-# one piece of integrate_fundamentals' stacked solve.  Shorter pieces take
-# fewer steps each, but more of them make each right-hand side longer: on
-# repcheck's 20 spans of 5000 rad in all, one CPU took 46-50 ms at 4 and 6,
-# 63 ms at 12.5 and 91 ms at 25
-PIECE_LENGTH = 6.0
+# a stack of m real modes per piece and L in all of phase plus log-time
+# (_cut) has pieces of at most sqrt(m L / PIECE_MODES): shorter pieces take
+# fewer steps (a start-up of about 10 rad, then 1.2 per rad) of longer
+# right-hand sides, least in product at a length squared growing with m L.
+# Measured best: 4-6 on repcheck's 20 spans (m = 2, L = 4980; 63 and 91 ms
+# at 12.5 and 25 against 46-50), 25-75 on scatter's Phi to t = 2048 (m = 268,
+# L = 2250; 0.41 s at 6 against 0.17-0.19 s); here 6.0 and 46
+PIECE_MODES = 280.0
+
+# the fixed cost of one right-hand-side call of _solve_pieces (its Python
+# overhead, the coefficient call and DOP853's step) in units of the cost it
+# adds per real state component: 33 us against 6.8 ns on one Xeon core
+PIECE_CALL_COMPONENTS = 4800
 
 
 @dataclass(frozen=True)
@@ -253,8 +251,22 @@ class MicroEnergy:
     xi_norm: float
 
 
+def _norm2(G):
+    """Spectral norms of stacked 2x2 matrices (..., 2, 2) in closed form,
+    sqrt((|G|_F^2 + sqrt(|G|_F^4 - 4 |det G|^2)) / 2); the discriminant is
+    summed as (p - r)^2 + 4 |q|^2 over G G^H = [[p, q], [q*, r]], which does
+    not cancel when the two singular values nearly agree (for entries of
+    size 1e-75 to 1e75, where |G|_F^4 neither overflows nor underflows)."""
+    a, b, c, d = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
+    p = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
+    r = c.real ** 2 + c.imag ** 2 + d.real ** 2 + d.imag ** 2
+    q = a * c.conj() + b * d.conj()
+    return np.sqrt(0.5 * (p + r + np.sqrt((p - r) ** 2 + 4.0 * (q.real ** 2 + q.imag ** 2))))
+
+
 def spectral_norm(mat):
-    return float(np.linalg.norm(np.asarray(mat), ord=2))
+    """The spectral norm of one 2x2 matrix (_norm2); reshape rejects others."""
+    return float(_norm2(np.reshape(mat, (2, 2))))
 
 
 def fuchs_constant_matrix(model, config):
@@ -323,90 +335,118 @@ def integrate_fundamental(sys, s, t, tol=DEFAULT_RTOL, verify=False):
     return fm
 
 
-def _piece_ends(xi, s, t):
-    """s, the ends of k pieces of [s, t] equal in L(tau) = xi tau + ln(1+tau),
-    phase plus log-time, and t; k = ceil((L(t) - L(s)) / PIECE_LENGTH).  The
-    inner ends solve L = const by Newton's method in w = ln(1+tau), where L
-    is convex: from w(t) it descends onto each root."""
-    w_s, w_t = math.log1p(s), math.log1p(t)
-    L_s, L_t = xi * s + w_s, xi * t + w_t
-    k = math.ceil((L_t - L_s) / PIECE_LENGTH)
-    target = L_s + (L_t - L_s) * np.arange(1, k) / k
-    w = np.full(k - 1, w_t)
-    while True:
-        step = (xi * np.expm1(w) + w - target) / (xi * np.exp(w) + 1.0)
-        w -= step
-        if not np.any(step > 1e-14 * (1.0 + w)):
-            return np.concatenate(([s], np.expm1(w), [t]))
+def _cut(spans, modes):
+    """For each (xi, s, t) span of one stack, s and the ends of the k pieces
+    of [s, t] equal in L(tau) = xi tau + ln(1+tau), phase plus log-time,
+    k = ceil((L(t) - L(s)) / length), length = sqrt(modes L_all / PIECE_MODES)
+    for the stack's L_all in all.  The inner ends solve L = const by Newton's
+    method in w = ln(1+tau), where L is convex: from w(t) it descends onto
+    each root."""
+    ends = [(xi * s + math.log1p(s), xi * t + math.log1p(t)) for xi, s, t in spans]
+    length, cuts = math.sqrt(modes * sum(b - a for a, b in ends) / PIECE_MODES), []
+    for (xi, s, t), (L_s, L_t) in zip(spans, ends):
+        if t == s:
+            cuts.append(np.array([s]))
+            continue
+        k = math.ceil((L_t - L_s) / length)
+        target = L_s + (L_t - L_s) * np.arange(1, k) / k
+        w = np.full(k - 1, math.log1p(t))
+        while True:
+            step = (xi * np.expm1(w) + w - target) / (xi * np.exp(w) + 1.0)
+            w -= step
+            if not np.any(step > 1e-14 * (1.0 + w)):
+                break
+        cuts.append(np.concatenate(([s], np.expm1(w), [t])))
+    return cuts
 
 
 def _solve_pieces(coefficients, a, ell, xi, rtol, atol):
-    """Phi over the pieces [a, a + ell] of one model's spans at frequencies
-    xi, shape (len(a), 2, 2), from one DOP853 solve of their 2 len(a) modes
-    from the identity in sigma in [0, 1], t = a + ell sigma; None where the
-    solve stops short.  The right-hand side makes one coefficients call on
-    the pieces' times."""
-    p = a.size
-    neg_xi2, dy = -xi ** 2, np.empty((2, 2, p))
+    """Phi, shape (len(a), f, 2, 2), over the pieces [a, a + ell] at the
+    frequencies xi (f, len(a)) of each, from one DOP853 solve from the
+    identity in sigma in [0, 1], t = a + ell sigma, whose right-hand side
+    makes one coefficients call on the pieces' times; None where it stops
+    short.  The piece axis is the state's innermost."""
+    f, p = xi.shape
+    neg_xi2_ell, dy, bv = -xi ** 2 * ell, np.empty((2, 2, f, p)), np.empty((2, f, p))
 
-    def rhs(sigma, y):   # y = (u, u'), each of both columns of every piece
+    def rhs(sigma, y):   # y = (u, u'), each of both columns of every frequency and piece
         b, m = coefficients(a + ell * sigma)
-        u, v = y.reshape(2, 2, p)
+        u, v = y.reshape(2, 2, f, p)
         np.multiply(ell, v, out=dy[0])
-        np.multiply(ell, (neg_xi2 - m) * u - b * v, out=dy[1])
+        np.multiply(neg_xi2_ell - m * ell, u, out=dy[1])
+        np.multiply(b * ell, v, out=bv)
+        np.subtract(dy[1], bv, out=dy[1])
         return dy.ravel()
 
-    sol = solve_ivp(rhs, (0.0, 1.0), np.eye(2).repeat(p, axis=1).ravel(), [1.0],
-                    rtol=rtol, atol=atol)
-    return np.moveaxis(sol.y.reshape(2, 2, p), -1, 0) if sol.success else None
+    y0 = np.broadcast_to(np.eye(2)[:, :, None, None], dy.shape).ravel()
+    # a state that overflows makes DOP853 stop short, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (0.0, 1.0), y0, [1.0], rtol=rtol, atol=atol)
+    return sol.y.reshape(2, 2, f, p).transpose(3, 2, 0, 1) if sol.success else None
+
+
+def _piece_propagators(coefficients, cuts, xi, tol, atol, unit):
+    """Phi (pieces, f, 2, 2) over every piece of the cuts (piece ends per
+    span, in stack order) at the frequencies xi (f, pieces; or f, 1) of each.
+    The n real modes are dealt into k = ceil(n / (2 PIECE_CALL_COMPONENTS))
+    interleaved shares (on one CPU, k-1 more fixed costs per step cost under
+    a quarter of the whole), each one _solve_pieces call on every usable CPU
+    (_fork_map) at tol and atol times c = sqrt(unit / n_share), so each unit
+    of `unit` real modes keeps its own RMS error test.  Spans of a share that
+    stops short are redone in order; the first that DOP853 cannot finish
+    raises StiffnessError at its start."""
+    a = np.concatenate([e[:-1] for e in cuts])
+    ell = np.concatenate([np.diff(e) for e in cuts])
+    f, p = xi.shape[0], a.size
+    xi = np.broadcast_to(xi, (f, p))
+    k = min(p, math.ceil(f * p / PIECE_CALL_COMPONENTS))   # n = 2 f p
+
+    def solve(idx):
+        c = math.sqrt(unit / (2.0 * f * idx.size))
+        return _solve_pieces(coefficients, a[idx], ell[idx], xi[:, idx], tol * c, atol * c)
+
+    shares = [np.arange(j, p, k) for j in range(k)]
+    Phi, short = np.empty((p, f, 2, 2)), np.zeros(p, dtype=bool)
+    for idx, part in zip(shares, _fork_map(solve, shares, [idx.size for idx in shares])
+                         if k > 1 else map(solve, shares)):
+        if part is None:
+            short[idx] = True
+        else:
+            Phi[idx] = part
+    stop = 0
+    for e in cuts:
+        span = np.arange(stop, stop + e.size - 1)
+        stop += span.size
+        if short[span].any():
+            if (part := solve(span)) is None:
+                raise StiffnessError("DOP853 cannot finish the span that starts here",
+                                     t=float(e[0]), xi=float(xi[:, span].max()))
+            Phi[span] = part
+    return Phi
 
 
 def integrate_fundamentals(items, tol=DEFAULT_RTOL):
     """E(t, s, xi) for every (ModalSystem, s, t) item, the systems of one
-    model, as integrate_fundamental's oracle at tolerance tol would give it,
-    from one stacked solve of short pieces.  Each span is cut into pieces of
-    at most PIECE_LENGTH in phase plus log-time (_piece_ends); each piece's
-    Phi from the identity is two real modes of one DOP853 solve over all
-    pieces, at rtol and atol (tol and tol * 1e-4, the single oracle's) times
-    c = sqrt(2 / n) for its n real modes, so that each piece keeps its own
-    RMS error test (as in _shared_tolerance).  More than 2 CALL_COMPONENTS
-    modes are dealt into k = ceil(n / (2 CALL_COMPONENTS)) interleaved shares,
-    a solve each on every usable CPU (_fork_map), so c >= sqrt(1/1400); the
-    cut and the shares depend on the spans alone, and the cocycle
-    Phi(t, s) = Phi(t, tau) Phi(tau, s) composes each span's pieces in time
-    order before the conjugation into the system's form.  A stacked solve
-    that stops short is redone span by span by propagator_checkpoints,
-    landing on each piece end, so the first span DOP853 cannot finish raises
-    StiffnessError at the last piece end it reached."""
+    model, as integrate_fundamental's oracle at tolerance tol (rtol tol, atol
+    tol * 1e-4) would give it: each span is cut into pieces (_cut, two real
+    modes per piece at its xi) solved in one stack (_piece_propagators), and
+    the cocycle composes each span's pieces in time order before the
+    conjugation into the system's form."""
     items = list(items)
-    model, ends = items[0][0].model, []
+    if not items:
+        return []
+    model = items[0][0].model
     for sys, s, t in items:
         if not 0 <= s <= t:
             raise ValueError("need 0 <= s <= t")
         if sys.model is not model:
             raise ValueError("the systems of one batch share one model")
-        ends.append(_piece_ends(sys.xi_norm, s, t) if t > s else np.array([s]))
-    a = np.concatenate([e[:-1] for e in ends])
-    ell = np.concatenate([np.diff(e) for e in ends])
+    cuts = _cut([(float(sys.xi_norm), s, t) for sys, s, t in items], 2)
     xi = np.concatenate([np.full(e.size - 1, float(sys.xi_norm))
-                         for e, (sys, _, _) in zip(ends, items)])
-    coefficients = model.kernel()
-    k = math.ceil(a.size / CALL_COMPONENTS)
-
-    def solve(idx):
-        c = math.sqrt(1.0 / idx.size)   # 2 / n for n = 2 idx.size real modes
-        return _solve_pieces(coefficients, a[idx], ell[idx], xi[idx], tol * c, tol * 1e-4 * c)
-
-    shares = [np.arange(j, a.size, k) for j in range(k)]
-    Phi = np.empty((a.size, 2, 2))
-    for idx, part in zip(shares, _fork_map(solve, shares, [idx.size for idx in shares])
-                         if k > 1 else map(solve, shares)):
-        if part is None:
-            return [FundamentalMatrix(propagator_checkpoints(sys, s, e, rtol=tol)[-1])
-                    for (sys, s, _), e in zip(items, ends)]
-        Phi[idx] = part
+                         for e, (sys, _, _) in zip(cuts, items)])
+    Phi = _piece_propagators(model.kernel(), cuts, xi[None, :], tol, tol * 1e-4, 2)[:, 0]
     out, stop = [], 0
-    for (sys, s, t), e in zip(items, ends):
+    for (sys, s, t), e in zip(items, cuts):
         start, stop = stop, stop + e.size - 1
         E = np.eye(2)
         for piece in Phi[start:stop]:
@@ -651,33 +691,27 @@ def _shared_tolerance(xi, bands):
     return math.sqrt(sizes.min() / sizes.sum()) if shared < per_band else None
 
 
-def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None, s=0.0):
-    """Evolve (u_hat, u_hat') for every frequency from its data at the start
-    time s (default 0) to the checkpoint times, ascending from s; returns
-    complex arrays of shape (len(times), len(xi)).  The coefficients are real, so the real and
-    the imaginary part of each frequency's data evolve as two real modes.
-    Zero-data modes (the imaginary part of real data, say) are skipped, live
-    modes are normalised to unit initial size (linearity) so the
-    absolute-error floor never swamps strongly decaying or widely scaled
-    data.  The live modes' octave bands share one DOP853 solve, at rtol and
-    atol times c (_shared_tolerance), where that costs less than a solve per
-    band; otherwise each band, and each band of a scale-invariant model,
-    whose modes continue in Hankel's expansion beyond z = xi (1+t) = Z_MATCH
-    (see _solve_modes), has a solve of its own.  A solve of n modes is dealt
-    into k = ceil(n / (2 CALL_COMPONENTS)) shares, its every k-th mode by
-    frequency at its tolerances; the shares of a split plan run on every
-    usable CPU (_fork_map), any other plan's solves in a loop.  The plan does
-    not depend on s: state_propagator_checkpoints solves each time segment
-    Phi(t, tau) as this plan from the identity at s = tau."""
+def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None):
+    """Evolve (u_hat, u_hat') for every frequency from its data at t = 0 to
+    the checkpoint times (ascending); complex, shape (len(times), len(xi)).
+    The real and the imaginary part of each frequency's data evolve as two
+    real modes; zero-data modes are skipped, live ones normalised to unit
+    initial size, so the absolute-error floor never swamps decaying or
+    widely scaled data.  The live modes' octave bands share one DOP853 solve
+    at rtol and atol times c (_shared_tolerance) where that costs less;
+    otherwise each band, and each band of a scale-invariant model (see
+    _solve_modes), has a solve of its own.  A solve of n modes is dealt into
+    k = ceil(n / (2 CALL_COMPONENTS)) shares, every k-th mode by frequency,
+    which a split plan runs on every usable CPU (_fork_map)."""
     xi = np.asarray(xi, dtype=float)
     u0 = np.ascontiguousarray(u0, dtype=complex)
     u1 = np.ascontiguousarray(u1, dtype=complex)
-    times = _checkpoints(times, s)
+    times = _checkpoints(times, 0.0)
     atol = rtol * 1e-6 if atol is None else atol
 
     u_out = np.zeros((times.size, xi.size), dtype=complex)
     v_out = np.zeros_like(u_out)
-    if float(times[-1]) == s:
+    if float(times[-1]) == 0.0:
         u_out[:] = u0[None, :]
         v_out[:] = u1[None, :]
         return u_out, v_out
@@ -703,7 +737,7 @@ def evolve_state(model, xi, u0, u1, times, rtol=DEFAULT_RTOL, atol=None, s=0.0):
     def solve(share):
         idx, c = share
         y0 = np.concatenate((a0[idx] / scale[idx], a1[idx] / scale[idx]))
-        u, v = _solve_modes(coefficients, xi[idx], y0, times, rtol * c, atol * c, cells, s)
+        u, v = _solve_modes(coefficients, xi[idx], y0, times, rtol * c, atol * c, cells)
         return u * scale[idx], v * scale[idx]
 
     # only a split plan forks; a share costs its steps (~ top xi) x (CALL_COMPONENTS + 2n)
@@ -725,62 +759,40 @@ def _fundamental(u, v):
     return Phi
 
 
-def _segments(times, top):
-    """Cut the checkpoints into time segments (tau, its checkpoints): the
-    first begins at t = 0, and a checkpoint t closes a segment once
-    top (t - tau) >= 2 pi, one period of the top frequency past its start
-    tau; the last checkpoint closes the last segment."""
-    segments, tau, start = [], 0.0, 0
-    for i, t in enumerate(times.tolist()):
-        if top * (t - tau) >= 2.0 * math.pi or i == times.size - 1:
-            segments.append((tau, times[start:i + 1]))
-            tau, start = t, i + 1
-    return segments
+def _time_cut(times, xi):
+    """Piece ends from 0 to each checkpoint in turn (_cut at the top xi, for
+    both columns of every frequency in a piece)."""
+    bounds = np.concatenate(([0.0], times))
+    return _cut([(xi.max(), s, t) for s, t in zip(bounds[:-1], bounds[1:])], 2 * xi.size)
 
 
 def state_propagator_checkpoints(model, xi, times, rtol=DEFAULT_RTOL, atol=None):
     """Fundamental matrix Phi(t,0) of X' = [[0,1],[-(xi^2+m),-b]] X for every
-    frequency in xi at the checkpoint times (ascending, t >= 0); shape
-    (len(times), len(xi), 2, 2).
-
-    The checkpoints are cut into time segments (_segments): a checkpoint
-    closes a segment once one period 2 pi / xi_max of the top frequency has
-    passed since the segment began, and the last checkpoint closes the last.
-    Each segment solves Phi(t, tau) at its own checkpoints from the identity
-    at its start tau, in one evolve_state call (its bands, shared-tolerance
-    factor c, rtol and atol) in which each frequency enters twice, with data
-    (1,0) and (0,1), so both columns share every octave band's adaptive
-    steps.  The segments run on every usable CPU (_fork_map, each costing its
-    length), and the cocycle Phi(t,0) = Phi(t,tau) Phi(tau,0) composes them
-    in time order.  The cut depends on the checkpoints and xi_max alone, so
-    any CPU count gives the same bytes.  A single segment, and every span of
-    the scale-invariant family, whose late times Hankel's expansion carries,
-    is one evolve_state call from t = 0.  On scatter's doubling checkpoints
-    to t = 2048 (nine segments) one CPU makes 1.2% more right-hand-side
-    calls than the whole solve (60,285 against 59,593) in the same wall
-    time, and two CPUs take about 45% less wall time."""
+    frequency in xi at the checkpoint times (ascending, t >= 0); real, shape
+    (len(times), len(xi), 2, 2).  Every checkpoint ends a piece (_time_cut)
+    of one stack (_piece_propagators), each (piece, octave band) keeping its
+    own RMS error test, composed in time order by the cocycle.  The
+    scale-invariant family, whose late times Hankel's expansion carries, is
+    one evolve_state call with data (1,0) and (0,1) per frequency instead."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     times = _checkpoints(times, 0.0)
     atol = rtol * 1e-4 if atol is None else atol
-    u0, u1 = np.repeat(np.eye(2), xi.size, axis=1)
-
-    def solve(segment):   # Phi(t, tau) at the segment's checkpoints
-        tau, seg = segment
-        return _fundamental(*evolve_state(model, np.tile(xi, 2), u0, u1, seg,
-                                          rtol=rtol, atol=atol, s=tau))
-
-    segments = ([(0.0, times)] if model.family == PURE
-                else _segments(times, xi.max(initial=0.0)))
-    if len(segments) == 1:
-        return solve(segments[0])
-    Phi = np.empty((times.size, xi.size, 2, 2), dtype=complex)
-    prev, stop = np.eye(2), 0   # Phi(tau, 0) at the segment's start tau
-    for part in _fork_map(solve, segments, [seg[-1] - tau for tau, seg in segments]):
-        start, stop = stop, stop + len(part)
-        # Phi(t,tau) Phi(tau,0), summed over the inner index
-        np.add(part[..., :1] * prev[..., :1, :], part[..., 1:] * prev[..., 1:, :],
-               out=Phi[start:stop])
-        prev = Phi[stop - 1]
+    if model.family == PURE:
+        u0, u1 = np.repeat(np.eye(2), xi.size, axis=1)
+        return _fundamental(*evolve_state(model, np.tile(xi, 2), u0, u1, times,
+                                          rtol=rtol, atol=atol)).real
+    Phi = np.empty((times.size, xi.size, 2, 2))
+    if xi.size == 0:
+        return Phi
+    cuts = _time_cut(times, xi)
+    unit = 2 * min(band.size for band in _band_slices(xi))
+    pieces = _piece_propagators(model.kernel(), cuts, xi[:, None], rtol, atol, unit)
+    E, stop = np.eye(2), 0   # Phi(tau, 0) at the next piece's start tau
+    for i, e in enumerate(cuts):
+        for piece in pieces[stop:stop + e.size - 1]:
+            E = piece @ E
+        stop += e.size - 1
+        Phi[i] = E
     return Phi
 
 
@@ -811,8 +823,7 @@ def weighted_propagator(model, config, xi, times, rtol=DEFAULT_RTOL):
 
 def propagator_norm_trace(model, config, xi, times, rtol=DEFAULT_RTOL):
     """||E(t,0,xi)|| of the sharp-weighted propagator at checkpoint times."""
-    E = weighted_propagator(model, config, xi, times, rtol=rtol)
-    return np.linalg.svd(E, compute_uv=False)[:, 0]
+    return _norm2(weighted_propagator(model, config, xi, times, rtol=rtol))
 
 
 def scale_invariant_norm_traces(cells, config, xi, times, rtol=DEFAULT_RTOL):

@@ -8,7 +8,7 @@ from scipy.integrate import cumulative_simpson, simpson
 from fuchswave.coeffs import (CoefficientModel, TabulatedCoefficient, example_bounded,
                               example_log)
 from fuchswave.diagonalize import (_Q_CHUNK, M_ROT, M_ROT_INV, DiagonalizationStage,
-                                   _conjugated_generator, _norm2, _sweeps,
+                                   _conjugated_generator, _sweeps,
                                    assemble_from_boundary,
                                    assemble_representation,
                                    build_stage,
@@ -16,7 +16,7 @@ from fuchswave.diagonalize import (_Q_CHUNK, M_ROT, M_ROT_INV, DiagonalizationSt
                                    preliminary_transform, q_limit,
                                    q_propagator)
 from fuchswave.errors import UnsupportedOrderError
-from fuchswave.modal import (FORM_HYP, ModalSystem, integrate_fundamental,
+from fuchswave.modal import (FORM_HYP, ModalSystem, _norm2, integrate_fundamental,
                              spectral_norm, weighted_propagator)
 from fuchswave.zones import ZoneConfig, theta
 from oracles import (audit_symbol, dense_q_generator, dense_sweeps, densify, integrate_q,
@@ -360,13 +360,20 @@ def test_closed_form_2x2_norm_matches_svd():
         return np.linalg.qr(cplx(2, 2))[0]
 
     stacks = [cplx(500, 2, 2), 1e-12 * cplx(50, 2, 2), 1e12 * cplx(50, 2, 2),
+              rng.standard_normal((500, 2, 2)),
               np.array([unitary() @ np.diag([1.0, 1.0 + d]) @ unitary()
-                        for d in (0.0, 1e-15, 1e-9, 1e-4)]),
-              np.array([np.outer(cplx(2), cplx(2).conj()) for _ in range(20)]),
+                        for d in (0.0, 1e-15, 1e-9, 1e-4) for _ in range(25)]),
+              np.array([np.outer(cplx(2), cplx(2).conj()) for _ in range(100)]),
               np.zeros((3, 2, 2), dtype=complex)]
     for G in stacks:
         ref = np.linalg.svd(G, compute_uv=False)[:, 0]
         assert np.all(np.abs(_norm2(G) - ref) <= 1e-13 * ref)
+        # LAPACK's norm through its SVD: measured at most 8.2e-16 relative
+        ref = np.linalg.norm(G, ord=2, axis=(1, 2))
+        assert np.all(np.abs(_norm2(G) - ref) <= 1e-15 * ref)
+        assert all(spectral_norm(g) == n for g, n in zip(G, _norm2(G)))
+    with pytest.raises(ValueError, match="reshape"):
+        spectral_norm(np.eye(3))
 
 
 def test_q_determinant_bound():

@@ -1,12 +1,12 @@
 """modal._fork_map, the map that spreads repcheck's points, the shares of
-evolve_state's large solves and the time segments of
+evolve_state's large solves and the shares of the stacked time pieces of
 state_propagator_checkpoints over this process and one forked child per
 further usable CPU: the same results and the same first error as a serial
-run, and no child left behind.  Time segments are cut where one period
-2 pi/xi_max has passed since the segment began, a rule of the checkpoints
-and xi_max alone, and composed by the cocycle Phi(t,0) = Phi(t,tau)
-Phi(tau,0), so scatter writes the same bytes on any CPU count; a span
-shorter than one period, and a scale-invariant one, stays one solve."""
+run, and no child left behind.  The pieces and their shares are a rule of
+the checkpoints and the frequencies alone, and the cocycle Phi(t,0) =
+Phi(t,tau) Phi(tau,0) composes the pieces, so scatter writes the same bytes
+on any CPU count; a stack within one share, and a scale-invariant span,
+stays one solve."""
 
 import json
 import os
@@ -303,10 +303,11 @@ def test_a_split_solve_on_one_cpu_holds_one_share_at_a_time(monkeypatch):
 def test_scatter_writes_the_same_bytes_on_one_cpu_on_two_and_beside_a_thread(tmp_path,
                                                                             two_cpus,
                                                                             monkeypatch):
-    # scatter's fundamental matrices to t = 256 run as time segments: one
-    # fork on two CPUs, none beside a running thread or on one CPU
+    # scatter's fundamental matrices to t = 2048 run as 58 time pieces in two
+    # shares: one fork on two CPUs, none beside a running thread or on one
+    # CPU (to t = 256, 24 pieces are one share)
     cfgfile = tmp_path / "scatter.json"
-    cfgfile.write_text(json.dumps({"experiment": "scatter", "times": {"t_final": 64.0}}))
+    cfgfile.write_text(json.dumps({"experiment": "scatter", "times": {"t_final": 512.0}}))
 
     def run(name):
         assert run_cli(["scatter", "--config", str(cfgfile),
@@ -331,18 +332,39 @@ def test_scatter_writes_the_same_bytes_on_one_cpu_on_two_and_beside_a_thread(tmp
 
 def test_a_stiffness_error_in_a_later_time_segment_reaches_the_caller_as_in_a_serial_run(
         two_cpus, monkeypatch):
-    # m = -1/(2-t)^4 blows every mode up at t = 2.  At xi_max = 8 the
-    # checkpoints 1.5 and 2.5 make two time segments, [0, 1.5] and [1.5, 2.5];
-    # the second, shorter, runs in the child and fails there, with the error
-    # a serial run raises
+    # m = -1/(2-t)^4 blows every mode up at t = 2.  The checkpoints 1.5 and
+    # 2.5 make two spans of pieces, [0, 1.5] and [1.5, 2.5], in one share, so
+    # nothing forks; the stack stops short, the spans are redone in time
+    # order, and the second raises the error at its start
     blowup = SimpleNamespace(family="blowup", b0=0.0, m0=0.0,
                              kernel=lambda: lambda t: (0.0, -1.0 / (2.0 - t) ** 4))
     xi, times = np.array([6.0, 7.0, 8.0]), [1.5, 2.5]
-    assert [tau for tau, _ in modal._segments(np.array(times), xi.max())] == [0.0, 1.5]
+    assert [e[0] for e in modal._time_cut(np.array(times), xi)] == [0.0, 1.5]
     errors = []
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         with pytest.raises(StiffnessError) as info, np.errstate(invalid="ignore"):
+            modal.state_propagator_checkpoints(blowup, xi, times)
+        errors.append((type(info.value), info.value.t, info.value.xi))
+    assert not two_cpus
+    assert errors[0] == errors[1] == (StiffnessError, 1.5, 8.0)
+
+
+def test_a_stiffness_error_in_a_piece_after_others_of_its_share_is_the_one_a_serial_run_raises(
+        two_cpus, monkeypatch):
+    # m = -1/(2-t)^4 blows every mode up at t = 2.  3,000 frequencies in
+    # [6, 8] and the checkpoints 0.5, 1, 1.5, 2.5 make four pieces of 12,000
+    # real components each, dealt into three shares: {0, 3}, {1}, {2}.  The
+    # failing piece [1.5, 2.5] shares its solve with the earlier [0, 0.5];
+    # both spans are redone, and the error is the serial run's
+    blowup = SimpleNamespace(family="blowup", b0=0.0, m0=0.0,
+                             kernel=lambda: lambda t: (0.0, -1.0 / (2.0 - t) ** 4))
+    xi, times = np.linspace(6.0, 8.0, 3000), np.array([0.5, 1.0, 1.5, 2.5])
+    assert [e.size - 1 for e in modal._time_cut(times, xi)] == [1, 1, 1, 1]
+    errors = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        with pytest.raises(StiffnessError) as info:
             modal.state_propagator_checkpoints(blowup, xi, times)
         errors.append((type(info.value), info.value.t, info.value.xi))
     assert len(two_cpus) == 1

@@ -83,15 +83,13 @@ def test_free_wave_closed_form():
     u, v = evolve_state(FREE, [xi], [0.7], [0.4 * 1j], times, rtol=1e-12)
     expect_u = 0.7 * np.cos(times * xi) + 0.4j * np.sin(times * xi) / xi
     assert np.allclose(u[:, 0], expect_u, atol=1e-10)
-    # the same data given at s = 2 evolve by t - s; the checkpoints must
-    # ascend from s, where a solve would give one out of order the later state
-    u, v = evolve_state(FREE, [xi], [0.7], [0.4 * 1j], 2.0 + times, rtol=1e-12, s=2.0)
-    assert np.allclose(u[:, 0], expect_u, atol=1e-10)
+    # the checkpoints must ascend from the start, where a solve would give
+    # one out of order the later state
     for bad, s in ((times, 1.0), (times[::-1], 0.0)):
         with pytest.raises(ValueError, match="ascend from s"):
-            evolve_state(FREE, [xi], [0.7], [0.4 * 1j], bad, s=s)
-        with pytest.raises(ValueError, match="ascend from s"):
             propagator_checkpoints(ModalSystem(FREE, CFG, xi, FORM_HYP), s, bad)
+    with pytest.raises(ValueError, match="ascend from s"):
+        evolve_state(FREE, [xi], [0.7], [0.4 * 1j], times[::-1])
     with pytest.raises(ValueError, match="ascend from s"):
         state_propagator_checkpoints(FREE, [xi], times[::-1])
 
@@ -636,14 +634,14 @@ def test_dop853_kernels_match_the_closed_form_damped_wave(xi, n_checkpoints):
 @pytest.mark.parametrize("n_checkpoints", [12, 120])
 def test_segmented_fundamental_matrices_match_the_closed_form_damped_wave(xi, n_checkpoints):
     # b = 2/(1+t), m = 0 as a bounded model: DOP853 throughout, cut into
-    # time segments of at least one period 2 pi/xi, composed by the cocycle.
-    # xi t = 1000 at rtol 1e-12: measured 6.9e-11 to 7.3e-11 (8 to 64
-    # segments), the whole solve 7.2e-11 to 7.8e-11
+    # pieces between the checkpoints, composed by the cocycle.  xi t = 1000
+    # at rtol 1e-12: measured 3.1e-12 to 3.6e-12 (381 to 453 pieces), the
+    # whole solve 7.2e-11 to 7.8e-11
     model = example_bounded(2.0, 0.0, c1=0.0, c2=0.0)
     span = 1000.0 / xi
     times = np.geomspace(1.0, 1.0 + span, n_checkpoints + 1)[1:] - 1.0
     times[-1] = span
-    assert len(modal._segments(times, xi)) > 1
+    assert sum(e.size - 1 for e in modal._time_cut(times, np.array([xi]))) > 1
     Phi = state_propagator_checkpoints(model, [xi], times, rtol=1e-12)[:, 0]
     E, E_exact = (weight_conjugation(xi, xi, P)
                   for P in (Phi, _damped_wave_phi(xi, times, 0.0)))
@@ -652,9 +650,10 @@ def test_segmented_fundamental_matrices_match_the_closed_form_damped_wave(xi, n_
 
 @pytest.mark.parametrize("xi", [0.5, 2.0, 8.0])
 def test_the_stacked_oracle_matches_the_closed_form_damped_wave(xi):
-    # xi (t - s) = 1000 from s = 3 at rtol 1e-12, cut into 168 pieces of at
-    # most PIECE_LENGTH: measured 5.2e-12 to 5.4e-12 alone and 2.9e-12 in one
-    # batch of all three, where the single solve measures 7.1e-11 to 7.3e-11
+    # xi (t - s) = 1000 from s = 3 at rtol 1e-12, cut into 375 or 376 pieces
+    # alone and 651 in one batch of all three: measured 3.1e-12 to 3.4e-12
+    # alone and 2.6e-12 to 2.7e-12 in the batch, where the single solve
+    # measures 7.1e-11 to 7.3e-11
     model = CoefficientModel(b0=2.0, m0=0.0)
     s = 3.0
     items = [(ModalSystem(model, CFG, x, FORM_HYP), s, s + 1000.0 / x) for x in (0.5, 2.0, 8.0)]
@@ -666,16 +665,16 @@ def test_the_stacked_oracle_matches_the_closed_form_damped_wave(xi):
 
 
 def test_the_stacked_oracle_is_nearer_the_tight_oracle_than_the_single_solve():
-    # the 20 CLI-default repcheck points (about 2,200 pieces, dealt into two
-    # shares): per point the batch at rtol 1e-12 is no farther from the
-    # single solve at 1e-14 than the single solve at 1e-12 is.  Measured: at
-    # most 1.2e-11 against 1.7e-10
+    # the 20 CLI-default repcheck points (1,376 pieces in one share): per
+    # point the batch at rtol 1e-12 is no farther from the single solve at
+    # 1e-14 than the single solve at 1e-12 is.  Measured: at most 1.2e-11
+    # against 1.7e-10
     cfg = ExperimentConfig.from_dict({"experiment": "repcheck",
                                       **EXPERIMENTS["repcheck"].defaults})
     items = [(ModalSystem(cfg.model, cfg.zone, xi, FORM_HYP), s, t)
              for s, t, xi in _repcheck_points(cfg)]
-    assert sum(len(modal._piece_ends(sy.xi_norm, s, t)) - 1
-               for sy, s, t in items) > modal.CALL_COMPONENTS
+    assert sum(e.size - 1 for e in modal._cut([(sy.xi_norm, s, t) for sy, s, t in items],
+                                              2)) == 1376
     batch = modal.integrate_fundamentals(items, tol=1e-12)
     for item, E in zip(items, batch):
         tight = integrate_fundamental(*item, tol=1e-14).entries
@@ -700,7 +699,8 @@ def test_the_stacked_oracle_keeps_each_form_and_the_identity():
 
 def test_a_span_the_stacked_oracle_cannot_finish_raises_stiffness_error_inside_it():
     # m = -1/(2-t)^4 blows the modes up at t = 2, inside the second span only:
-    # the error names a time in that span and its frequency
+    # the stack stops short, the spans are redone one by one, and the error
+    # names the second span's start and its frequency
     blowup = SimpleNamespace(kernel=lambda: lambda t: (0.0, -1.0 / (2.0 - t) ** 4))
     items = [(ModalSystem(blowup, CFG, xi, FORM_HYP), s, t)
              for xi, s, t in ((0.75, 0.0, 1.5), (1.25, 0.5, 8.0), (0.6, 2.5, 4.0))]
@@ -926,21 +926,50 @@ def test_a_shared_solve_keeps_each_bands_error(model, lone):
                      m_table=TabulatedCoefficient.from_columns(_T_TABLE, _BOUNDED.m(_T_TABLE)))],
     ids=["bounded", "log", "tabulated"])
 def test_time_segments_keep_the_error_of_the_whole_solve(model):
-    # scatter's grid, both columns of Phi(t, 0) to t = 512 in 7 time
-    # segments, against a whole evolve_state solve 1000x tighter.  Measured
-    # largest deviations, segmented against whole: bounded 1.189e-10 against
-    # 1.195e-10, log 1.200e-10 against 1.205e-10, tabulated 1.8248e-9 both
+    # scatter's grid, both columns of Phi(t, 0) to t = 512 in 32 pieces,
+    # against a whole evolve_state solve 1000x tighter.  Measured largest
+    # deviations, pieces against whole: bounded 1.71e-11 against 1.195e-10,
+    # log 1.69e-11 against 1.205e-10, tabulated 6.70e-11 against 1.8248e-9
     data = DataSpec(kind="ring", center=0.6, width=0.5, amp0=1.0, amp1=0.7)
     r = grid_for_data(data, lo=0.05, hi=4.0, n_points=48, n_refine=120)
     r = r[np.abs(data.sample(r)[0]) > 0]
     times, rtol, atol = 2.0 ** np.arange(10), 1e-9, 1e-15
-    assert len(modal._segments(times, r.max())) == 7
+    assert sum(e.size - 1 for e in modal._time_cut(times, r)) == 32
     u0, u1 = np.repeat(np.eye(2), r.size, axis=1)
     ref, whole = (modal._fundamental(*evolve_state(model, np.tile(r, 2), u0, u1, times,
                                                    rtol=rtol * f, atol=atol * f))
                   for f in (1e-3, 1.0))
     segmented = state_propagator_checkpoints(model, r, times, rtol=rtol, atol=atol)
     assert np.abs(segmented - ref).max() <= 1.05 * np.abs(whole - ref).max()
+
+
+def test_scatters_fundamental_matrices_take_few_right_hand_side_calls(monkeypatch):
+    # Phi on scatter's ring grid (134 frequencies) at its doubling checkpoints
+    # to t = 2048 and its rtol 1e-9, on one CPU: 58 pieces in two shares,
+    # measured 3,028 right-hand-side calls, where one solve per time segment
+    # made 60,285; the bound is the measured count plus 10%
+    data = DataSpec(kind="ring", center=0.6, width=0.5, amp0=1.0, amp1=0.7)
+    r = grid_for_data(data, lo=0.05, hi=4.0, n_points=48, n_refine=120)
+    r = r[np.abs(data.sample(r)[0]) > 0]
+    calls, solve_ivp = [], modal.solve_ivp
+
+    def recorded(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        calls.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(modal, "solve_ivp", recorded)
+    state_propagator_checkpoints(_BOUNDED, r, 2.0 ** np.arange(12), rtol=1e-9, atol=1e-15)
+    assert len(calls) == 2 and sum(calls) <= 1.1 * 3028
+
+
+@pytest.mark.parametrize("model", [_BOUNDED, CoefficientModel(b0=2.0, m0=0.75)],
+                         ids=["stacked", "scale_invariant"])
+def test_no_frequencies_give_an_empty_propagator_and_no_spans_no_matrices(model):
+    times = 2.0 ** np.arange(4)
+    assert state_propagator_checkpoints(model, [], times).shape == (4, 0, 2, 2)
+    assert modal.integrate_fundamentals([]) == []
 
 
 def test_solves_let_go_of_what_their_right_hand_side_holds():
